@@ -16,12 +16,11 @@ from .core import (
     DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
-    Operator,
     SizeCaps,
     StateVector,
+    _apply_to_block,
     apply_gate,
     compose,
-    embed,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -63,13 +62,13 @@ def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
 
 
 def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
-    """Product of the step unitaries embedded on their targets."""
+    """Circuit unitary: every step applied, in order, to the columns of the identity."""
     caps.check_dense(c.n)
-    result: Operator = DiagonalOperator.identity(c.n)
+    block = np.eye(1 << c.n, dtype=complex)
+    work = np.empty_like(block)
     for step in c.steps:
-        full = embed(step.gate.unitary, list(step.targets), c.n)
-        result = compose(full, result)
-    return result.to_dense()
+        block, work = _apply_to_block(block, step.gate.unitary, list(step.targets), c.n, work)
+    return DenseOperator(c.n, block)
 
 
 def run_circuit(c: Circuit, state: StateVector) -> StateVector:
@@ -252,8 +251,10 @@ def from_text(
     """Parse the line format of :func:`to_text`.
 
     ``n`` defaults to one more than the highest qubit index mentioned.
+    Malformed lines (wrong number of qubits, a repeated qubit, a qubit
+    outside ``0..n-1``) raise ``ValueError`` naming the line.
     """
-    raw_steps: list[tuple[str, tuple[int, ...]]] = []
+    raw_steps: list[tuple[int, str, tuple[int, ...]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -267,16 +268,25 @@ def from_text(
         if name in ("UN", "UNDAG"):
             if len(args) != 1 or args[0] < 1:
                 raise ValueError(f"line {lineno}: {name} takes one positive size")
-            raw_steps.append((name, tuple(range(args[0]))))
-        else:
-            standard_gate(name)  # raises KeyError on unknown gates
-            raw_steps.append((name, tuple(args)))
+            raw_steps.append((lineno, name, tuple(range(args[0]))))
+            continue
+        arity = standard_gate(name).arity  # raises KeyError on unknown gates
+        if len(args) != arity:
+            raise ValueError(
+                f"line {lineno}: {name} takes {arity} qubit(s), got {len(args)}"
+            )
+        if len(set(args)) != len(args):
+            raise ValueError(f"line {lineno}: repeated qubit in {line!r}")
+        raw_steps.append((lineno, name, tuple(args)))
     if not raw_steps and n is None:
         raise ValueError("empty circuit with no qubit count given")
-    inferred = max((max(t) + 1 for _, t in raw_steps if t), default=1)
+    inferred = max((max(t) + 1 for _, _, t in raw_steps if t), default=1)
     n = inferred if n is None else n
     steps = []
-    for name, targets in raw_steps:
+    for lineno, name, targets in raw_steps:
+        bad = [t for t in targets if not 0 <= t < n]
+        if bad:
+            raise ValueError(f"line {lineno}: qubit {bad[0]} out of range for {n} qubits")
         if name in ("UN", "UNDAG"):
             steps.append(Step(_evolution_gate(name, len(targets), caps), targets))
         else:

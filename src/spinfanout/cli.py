@@ -10,7 +10,13 @@ import sys
 
 import numpy as np
 
-from .core import CapExceededError, DenseOperator, DiagonalOperator, Operator
+from .core import (
+    DEFAULT_CAPS,
+    CapExceededError,
+    DenseOperator,
+    DiagonalOperator,
+    Operator,
+)
 from .circuits import (
     compile_circuit,
     fanout_circuit,
@@ -210,21 +216,22 @@ def _cmd_explore(args, parser) -> int:
     if n < 1:
         parser.error("--n must be positive")
     grid = _parse_grid(args.grid) if args.grid else default_time_grid()
+    caps = DEFAULT_CAPS
     if args.hamiltonian == "hn":
-        h = build_hn(n)
+        h = build_hn(n, caps=caps)
         ham_id = f"hn(n={n})"
     elif args.hamiltonian == "ring":
-        h = build_kn(build_ring(n, args.j))
+        h = build_kn(build_ring(n, args.j), caps=caps)
         ham_id = f"ring(n={n},J={args.j:g})"
     elif args.hamiltonian == "l2":
-        h = build_l2(n)
+        h = build_l2(n, caps=caps)
         ham_id = f"l2(n={n})"
     else:
         if not args.coupling_file:
             parser.error("--hamiltonian kn-file requires --coupling-file")
-        h = build_kn(_load_coupling_file(args.coupling_file, n))
+        h = build_kn(_load_coupling_file(args.coupling_file, n), caps=caps)
         ham_id = f"kn(n={n},file={args.coupling_file})"
-    res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id)
+    res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id, caps=caps)
     if args.json:
         sys.stdout.write(scan_result_json(res))
     else:

@@ -166,31 +166,14 @@ class DenseOperator:
 Operator = DiagonalOperator | DenseOperator
 
 
-def _local_offsets(targets: list[int], m: int) -> np.ndarray:
-    """Global-index offset of each local basis value of the target qubits."""
-    offsets = np.zeros(1 << m, dtype=np.int64)
-    for j, t in enumerate(targets):
-        local = np.arange(1 << m)
-        offsets += (((local >> j) & 1) << t).astype(np.int64)
-    return offsets
-
-
-def _rest_indices(targets: list[int], n: int) -> np.ndarray:
-    """All basis indices whose target-qubit bits are zero."""
-    others = [q for q in range(n) if q not in targets]
-    rest = np.zeros(1 << len(others), dtype=np.int64)
-    for j, q in enumerate(others):
-        r = np.arange(1 << len(others))
-        rest += (((r >> j) & 1) << q).astype(np.int64)
-    return rest
-
-
-def _validate_targets(targets: list[int], n: int) -> None:
+def _validate_targets(gate: Operator, targets: list[int], n: int) -> None:
     if len(set(targets)) != len(targets):
         raise IndexError(f"duplicate targets in {targets}")
     for t in targets:
         if not 0 <= t < n:
             raise IndexError(f"target {t} out of range for {n} qubits")
+    if gate.n != len(targets):
+        raise IndexError(f"gate acts on {gate.n} qubits but {len(targets)} targets given")
 
 
 def _local_index_map(targets: list[int], n: int) -> np.ndarray:
@@ -202,42 +185,61 @@ def _local_index_map(targets: list[int], n: int) -> np.ndarray:
     return local
 
 
+def _apply_to_block(
+    block: np.ndarray,
+    gate: Operator,
+    targets: list[int],
+    n: int,
+    work: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply ``gate`` on ``targets`` to every column of a ``(2^n, cols)`` block.
+
+    The one gate-application kernel: state vectors are blocks with one
+    column, compiled unitaries start from the identity.  A dense gate is
+    contracted with the target axes of the ``(2,)*n + (cols,)`` view, in
+    which axis ``n-1-q`` is qubit ``q``; a diagonal gate scales the rows.
+
+    ``block`` (C-contiguous) and ``work``, a scratch array of the same
+    shape that is allocated when not given, are both overwritten, so a
+    loop of calls allocates no large arrays and its memory use does not
+    depend on the targets.  Returns ``(result, scratch)``: the array that
+    now holds the result, and the other one for the next call.
+    """
+    if isinstance(gate, DiagonalOperator):
+        block *= gate.entries[_local_index_map(targets, n)][:, None]
+        return block, work
+    if work is None:
+        work = np.empty_like(block)
+    m = len(targets)
+    # gate axis k (rows) and m+k (columns) hold local bit m-1-k
+    axes = [n - 1 - targets[m - 1 - k] for k in range(m)]
+    perm = axes + [a for a in range(n + 1) if a not in axes]
+    shape = (2,) * n + (block.shape[1],)
+    gathered = work.reshape([shape[a] for a in perm])
+    # target axes first: the gate is then one matrix product over the rest
+    np.copyto(gathered, block.reshape(shape).transpose(perm))
+    np.matmul(gate.matrix, work.reshape(1 << m, -1), out=block.reshape(1 << m, -1))
+    inverse = np.argsort(perm)
+    np.copyto(work.reshape(shape), block.reshape(gathered.shape).transpose(inverse))
+    return work, block
+
+
 def apply_gate(state: StateVector, gate: Operator, targets: list[int]) -> StateVector:
     """Apply ``gate`` to the listed qubits of ``state``, identity elsewhere."""
     targets = list(targets)
-    _validate_targets(targets, state.n)
-    m = len(targets)
-    if gate.n != m:
-        raise IndexError(f"gate acts on {gate.n} qubits but {m} targets given")
-    if isinstance(gate, DiagonalOperator):
-        local = _local_index_map(targets, state.n)
-        return StateVector(state.n, state.amplitudes * gate.entries[local])
-    offsets = _local_offsets(targets, m)
-    rest = _rest_indices(targets, state.n)
-    amps = state.amplitudes.copy()
-    sub = amps[rest[:, None] + offsets[None, :]]
-    amps[rest[:, None] + offsets[None, :]] = sub @ gate.matrix.T
-    return StateVector(state.n, amps)
+    _validate_targets(gate, targets, state.n)
+    block, _ = _apply_to_block(state.amplitudes[:, None].copy(), gate, targets, state.n)
+    return StateVector(state.n, block[:, 0])
 
 
 def embed(gate: Operator, targets: list[int], n: int) -> Operator:
     """Lift a gate on the listed qubits to the full ``n``-qubit operator."""
     targets = list(targets)
-    _validate_targets(targets, n)
-    if gate.n != len(targets):
-        raise IndexError(f"gate acts on {gate.n} qubits but {len(targets)} targets given")
+    _validate_targets(gate, targets, n)
     if isinstance(gate, DiagonalOperator):
-        local = _local_index_map(targets, n)
-        return DiagonalOperator(n, gate.entries[local])
-    m = len(targets)
-    offsets = _local_offsets(targets, m)
-    rest = _rest_indices(targets, n)
-    mat = np.eye(1 << n, dtype=complex)
-    rows = rest[:, None] + offsets[None, :]
-    sub = mat[rows.reshape(-1), :].reshape(len(rest), 1 << m, 1 << n)
-    out = np.einsum("ab,rbc->rac", gate.matrix, sub)
-    mat[rows.reshape(-1), :] = out.reshape(-1, 1 << n)
-    return DenseOperator(n, mat)
+        return DiagonalOperator(n, gate.entries[_local_index_map(targets, n)])
+    block, _ = _apply_to_block(np.eye(1 << n, dtype=complex), gate, targets, n)
+    return DenseOperator(n, block)
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -302,9 +304,6 @@ def schmidt_rank_one_deviation(state: StateVector, cut_qubit: int) -> float:
     the cut.
     """
     n = state.n
-    rest = _rest_indices([cut_qubit], n)
-    mat = np.stack(
-        [state.amplitudes[rest], state.amplitudes[rest + (1 << cut_qubit)]]
-    )
-    sv = np.linalg.svd(mat, compute_uv=False)
+    mat = np.moveaxis(state.amplitudes.reshape((2,) * n), n - 1 - cut_qubit, 0)
+    sv = np.linalg.svd(mat.reshape(2, -1), compute_uv=False)
     return float(sv[1]) if len(sv) > 1 else 0.0

@@ -16,6 +16,7 @@ from .core import (
     DenseOperator,
     DiagonalOperator,
     SizeCaps,
+    embed,
     hamming_weight,
 )
 
@@ -116,9 +117,12 @@ def build_hn(n: int, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS) -> Diago
     return DiagonalHamiltonian(n, energies)
 
 
-def build_kn(coupling: CouplingMatrix, scale: float = 1.0) -> DiagonalHamiltonian:
+def build_kn(
+    coupling: CouplingMatrix, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS
+) -> DiagonalHamiltonian:
     """Pairwise ZZ-coupling Hamiltonian sum_{i<j} J_ij Z_i Z_j."""
     n = coupling.n
+    caps.check_state(n)
     idx = np.arange(1 << n)
     energies = np.zeros(1 << n)
     for i, j, jij in coupling.pairs():
@@ -148,29 +152,8 @@ def build_total_spin_component(
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=complex)
     for i in range(n):
-        mat += _single_site(PAULI[axis], i, n)
+        mat += embed(DenseOperator(1, PAULI[axis]), [i], n).matrix
     return DenseHamiltonian(n, 0.5 * mat)
-
-
-def _single_site(op2: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Kron-embed a 1-qubit operator at the given site (bit i = qubit i)."""
-    # kron order: highest qubit is the leftmost factor
-    out = np.array([[1.0 + 0j]])
-    for q in range(n - 1, -1, -1):
-        out = np.kron(out, op2 if q == site else PAULI["I"])
-    return out
-
-
-def _two_site(op2a: np.ndarray, i: int, op2b: np.ndarray, j: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for q in range(n - 1, -1, -1):
-        if q == i:
-            out = np.kron(out, op2a)
-        elif q == j:
-            out = np.kron(out, op2b)
-        else:
-            out = np.kron(out, PAULI["I"])
-    return out
 
 
 def build_l2(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
@@ -194,8 +177,8 @@ def build_ln(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DenseHa
     mat = np.zeros((dim, dim), dtype=complex)
     for i, j, jij in coupling.pairs():
         for axis in ("X", "Y", "Z"):
-            p = PAULI[axis]
-            mat += jij * _two_site(p, i, p, j, n)
+            pp = DenseOperator(2, np.kron(PAULI[axis], PAULI[axis]))
+            mat += jij * embed(pp, [i, j], n).matrix
     return DenseHamiltonian(n, mat)
 
 

@@ -2,10 +2,11 @@
 
 The machine format is JSON lines with a fixed field order and floats
 printed with 15 significant digits, so identical inputs produce
-byte-identical reports.
+byte-identical reports.  String fields are escaped by ``json.dumps``.
 """
 from __future__ import annotations
 
+import json
 import math
 
 from .explore import ScanResult
@@ -19,7 +20,7 @@ def fmt_float(x: float) -> str:
 
 
 def _fmt_params(params: dict) -> str:
-    items = ", ".join(f'"{k}": {v}' for k, v in sorted(params.items()))
+    items = ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(params.items()))
     return "{" + items + "}"
 
 
@@ -28,7 +29,7 @@ def check_results_json(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         fields = [
-            f'"check_id": "{r.check_id}"',
+            f'"check_id": {json.dumps(r.check_id)}',
             f'"params": {_fmt_params(r.params)}',
             f'"passed": {str(r.passed).lower()}',
             f'"skipped": {str(r.skipped).lower()}',
@@ -37,7 +38,7 @@ def check_results_json(results: list[CheckResult]) -> str:
             f'"phase_re": {fmt_float(r.phase.real)}',
             f'"phase_im": {fmt_float(r.phase.imag)}',
             f'"tolerance": {fmt_float(r.tolerance)}',
-            f'"anchor": "{r.anchor}"',
+            f'"anchor": {json.dumps(r.anchor)}',
         ]
         lines.append("{" + ", ".join(fields) + "}")
     return "\n".join(lines) + "\n"
@@ -64,7 +65,7 @@ def scan_result_json(res: ScanResult) -> str:
     lines = []
     for i, (t, v) in enumerate(zip(res.times, res.verdicts)):
         fields = [
-            f'"hamiltonian_id": "{res.hamiltonian_id}"',
+            f'"hamiltonian_id": {json.dumps(res.hamiltonian_id)}',
             f'"time": {fmt_float(t)}',
             f'"is_diagonal": {str(v.is_diagonal).lower()}',
             f'"off_diag_max": {fmt_float(v.off_diag_max)}',

@@ -213,3 +213,10 @@ class TestTextFormat:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             from_text("H x\n")
+
+    @pytest.mark.parametrize(
+        "text", ["H 5\n", "H -1\n", "CNOT 1 1\n", "CNOT 0\n", "H 0 1\n", "UN 4\n"]
+    )
+    def test_malformed_line_names_line(self, text):
+        with pytest.raises(ValueError, match="line 2"):
+            from_text("H 0\n" + text, n=3)

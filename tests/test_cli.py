@@ -78,6 +78,16 @@ class TestMatrixCommand:
         assert code == 0
         assert "dense operator on 2 qubits" in out
 
+    @pytest.mark.parametrize("text", ["H 5\n", "CNOT 1 1\n", "H -1\n", "CNOT 0\n"])
+    def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "circ.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "matrix", "--what", "circuit-file", "--n", "3", "--file", str(path)
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: line 1:")
+
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "matrix", "--what", "circuit-file", "--file", str(tmp_path / "nope")
@@ -120,6 +130,17 @@ class TestExploreCommand:
             "--coupling-file", str(path), "--grid", "0.25pi",
         )
         assert code == 0
+
+    def test_json_escapes_coupling_file_name(self, capsys, tmp_path):
+        path = tmp_path / 'J"x\\y.txt'
+        path.write_text("1 2 1.0\n2 3 1.0\n")
+        code, out, _ = run_cli(
+            capsys, "explore", "--hamiltonian", "kn-file", "--n", "3",
+            "--coupling-file", str(path), "--grid", "1pi", "--json",
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert row["hamiltonian_id"] == f"kn(n=3,file={path})"
 
     def test_malformed_coupling_file(self, capsys, tmp_path):
         path = tmp_path / "J.txt"

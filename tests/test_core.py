@@ -15,7 +15,8 @@ from spinfanout.core import (
     hamming_weight,
     schmidt_rank_one_deviation,
 )
-from spinfanout.gates import standard_gate
+from spinfanout.circuits import Circuit, Step, compile_circuit, run_circuit
+from spinfanout.gates import GateDef, standard_gate
 from spinfanout.hamiltonians import un
 
 
@@ -194,6 +195,55 @@ class TestApplyAgreesWithCompose:
             total = compose(embed(gate, targets, n), total)
         once = total.matrix @ amps
         assert np.max(np.abs(state.amplitudes - once)) < 1e-12
+
+
+def random_step(n, rng):
+    """A dense or diagonal gate on 1..3 distinct qubits, in random order."""
+    m = int(rng.integers(1, min(n, 3) + 1))
+    targets = tuple(int(t) for t in rng.permutation(n)[:m])
+    if rng.random() < 0.5:
+        gate = random_unitary(m, rng)
+    else:
+        gate = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
+    return Step(GateDef("G", m, gate), targets)
+
+
+def random_circuit(rng):
+    n = int(rng.integers(1, 7))
+    depth = int(rng.integers(1, 9))
+    return Circuit(n, tuple(random_step(n, rng) for _ in range(depth)))
+
+
+class TestBlockKernel:
+    """compile_circuit, run_circuit, apply_gate and embed share one kernel;
+    each is checked against an independent path."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_compile_matches_kron_oracle_product(self, seed):
+        c = random_circuit(np.random.default_rng(seed))
+        total = np.eye(1 << c.n, dtype=complex)
+        for step in c.steps:
+            gate = step.gate.unitary.to_dense().matrix
+            total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
+        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_columns_match_run_circuit(self, seed):
+        c = random_circuit(np.random.default_rng(seed))
+        mat = compile_circuit(c).matrix
+        for x in range(1 << c.n):
+            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
+            assert np.max(np.abs(mat[:, x] - out)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_apply_gate_matches_embed(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        step = random_step(n, rng)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        out = apply_gate(StateVector(n, amps), step.gate.unitary, list(step.targets))
+        full = embed(step.gate.unitary, list(step.targets), n).to_dense().matrix
+        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
 
 
 class TestSizeCaps:

@@ -83,6 +83,11 @@ class TestBuildKn:
         # all 4 ring bonds straddle unequal bits of 0101
         assert kn.energies[0b0101] == pytest.approx(-4.0)
 
+    def test_cap_checked_before_allocation(self):
+        # 21 sites is one past the state-vector cap; only the 21x21 couplings exist
+        with pytest.raises(CapExceededError):
+            build_kn(build_ring(21, 1.0))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_oracle(self, seed):
         rng = np.random.default_rng(seed)

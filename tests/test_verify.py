@@ -111,6 +111,21 @@ class TestReportFormat:
             "max_deviation", "phase_re", "phase_im", "tolerance", "anchor",
         ]
 
+    def test_string_fields_escaped(self):
+        import dataclasses
+        import json
+
+        from spinfanout.explore import scan
+        from spinfanout.hamiltonians import build_hn
+        from spinfanout.report import scan_result_json
+
+        odd = 'a"b\\c'
+        r = dataclasses.replace(run_check("ieq"), check_id=odd, anchor=odd)
+        row = json.loads(check_results_json([r]))
+        assert row["check_id"] == odd and row["anchor"] == odd
+        res = scan(build_hn(2), [math.pi / 4], hamiltonian_id=odd)
+        assert json.loads(scan_result_json(res))["hamiltonian_id"] == odd
+
     def test_table_mentions_every_check(self):
         results = run_suite(filter="kn_offset")
         table = check_results_table(results)
