@@ -13,6 +13,7 @@ from .core import (
     embed,
     equiv_up_to_global_phase,
     hamming_weight,
+    popcounts,
 )
 from .hamiltonians import (
     CouplingMatrix,
@@ -25,6 +26,7 @@ from .hamiltonians import (
     build_ring,
     build_total_spin_component,
     evolve,
+    evolver,
     un,
     un_dagger,
 )

@@ -28,11 +28,13 @@ class CapExceededError(Exception):
 
 @dataclass(frozen=True)
 class SizeCaps:
-    """Qubit-count ceilings for the different kinds of work.
+    """Qubit-count ceilings, one per representation.
 
-    ``dense_cap`` bounds anything that materializes a 2^n x 2^n matrix,
-    ``l2_cap`` bounds dense Hermitian eigensolves, ``state_cap`` bounds
-    pure state-vector work.
+    ``state_cap`` bounds length-2^n data (state vectors, diagonal
+    operators and Hamiltonians), ``dense_cap`` bounds 2^n x 2^n matrices,
+    ``l2_cap`` bounds dense Hermitian eigensolves.  Each is checked once,
+    by the function that allocates that representation, before it
+    allocates.
     """
 
     dense_cap: int = 12
@@ -67,6 +69,15 @@ def hamming_weight(x: int) -> int:
     if x < 0:
         raise ValueError("basis index must be non-negative")
     return int(x).bit_count()
+
+
+def popcounts(n: int) -> np.ndarray:
+    """Hamming weights of the basis labels ``0 .. 2**n - 1`` (int64)."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    k = np.zeros(1 << n, dtype=np.int64)
+    for q in range(n):
+        k += (idx >> q) & 1
+    return k
 
 
 def _check_basis_index(value: int, n: int) -> None:
@@ -146,10 +157,6 @@ class DenseOperator:
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         mat.setflags(write=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseOperator":
-        return cls(n, np.eye(1 << n, dtype=complex))
 
     def dagger(self) -> "DenseOperator":
         return DenseOperator(self.n, self.matrix.conj().T)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CAPS, DenseOperator, DiagonalOperator, Operator, SizeCaps
-from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolve
+from .core import DEFAULT_CAPS, DiagonalOperator, Operator, SizeCaps, popcounts
+from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolver
 
 SCAN_TOL = 1e-8
 
@@ -47,11 +47,6 @@ class ScanResult:
         return self.verdicts[self.best]
 
 
-def _parity_mask(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return np.array([int(x).bit_count() & 1 for x in idx], dtype=bool)
-
-
 def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagonalVerdict:
     """Measure how far a unitary is from the parity-usable form."""
     n = u.n
@@ -66,7 +61,7 @@ def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagon
     is_diagonal = off_max < tol
     # a unitary far from diagonal can have a vanishing first diagonal entry
     norm = diag / diag[0] if abs(diag[0]) > 1e-12 else diag.copy()
-    odd = _parity_mask(n)
+    odd = (popcounts(n) & 1).astype(bool)
     phase_even = complex(norm[~odd][0])  # index 0, so 1 by construction
     phase_odd = complex(norm[odd][0])
     spread_even = float(np.max(np.abs(norm[~odd] - phase_even)))
@@ -100,16 +95,7 @@ def scan(
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> ScanResult:
     """Evolve at every grid time and classify each resulting unitary."""
-    if isinstance(h, DenseHamiltonian):
-        caps.check_l2(h.n)
-        # one eigensolve, reused across the grid
-        w, v = np.linalg.eigh(h.matrix)
-        def evolved(t):
-            return DenseOperator(h.n, (v * np.exp(-1j * w * t)) @ v.conj().T)
-    else:
-        caps.check_state(h.n)
-        def evolved(t):
-            return evolve(h, t)
+    evolved = evolver(h, caps)
     times = tuple(float(t) for t in time_grid)
     verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)
     best = int(np.argmin([vd.score for vd in verdicts]))

@@ -8,6 +8,7 @@ multiplies all energies for other conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -15,9 +16,10 @@ from .core import (
     DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
+    Operator,
     SizeCaps,
     embed,
-    hamming_weight,
+    popcounts,
 )
 
 TIME_QUARTER = np.pi / 4
@@ -111,8 +113,8 @@ def build_hn(n: int, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS) -> Diago
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    caps.check_dense(n)
-    k = np.array([hamming_weight(x) for x in range(1 << n)])
+    caps.check_state(n)
+    k = popcounts(n)
     energies = scale * (n * n / 2 - 2 * k * (n - k))
     return DiagonalHamiltonian(n, energies)
 
@@ -182,22 +184,29 @@ def build_ln(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DenseHa
     return DenseHamiltonian(n, mat)
 
 
+def evolver(
+    h: DiagonalHamiltonian | DenseHamiltonian, caps: SizeCaps = DEFAULT_CAPS
+) -> Callable[[float], Operator]:
+    """The map ``t -> exp(-i H t)``.
+
+    Diagonal Hamiltonians stay diagonal.  A dense one is diagonalized
+    once, under the eigensolve cap, and every call exponentiates its
+    spectrum.
+    """
+    if isinstance(h, DiagonalHamiltonian):
+        return lambda t: DiagonalOperator(h.n, np.exp(-1j * h.energies * t))
+    caps.check_l2(h.n)
+    w, v = np.linalg.eigh(h.matrix)
+    return lambda t: DenseOperator(h.n, (v * np.exp(-1j * w * t)) @ v.conj().T)
+
+
 def evolve(
     h: DiagonalHamiltonian | DenseHamiltonian,
     t: float,
     caps: SizeCaps = DEFAULT_CAPS,
-) -> DiagonalOperator | DenseOperator:
-    """Time-evolution operator exp(-i H t).
-
-    Diagonal Hamiltonians stay diagonal; dense ones are exponentiated by
-    spectral decomposition of the Hermitian matrix.
-    """
-    if isinstance(h, DiagonalHamiltonian):
-        return DiagonalOperator(h.n, np.exp(-1j * h.energies * t))
-    caps.check_l2(h.n)
-    w, v = np.linalg.eigh(h.matrix)
-    mat = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return DenseOperator(h.n, mat)
+) -> Operator:
+    """Time-evolution operator exp(-i H t); see :func:`evolver`."""
+    return evolver(h, caps)(t)
 
 
 def un(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalOperator:

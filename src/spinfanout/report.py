@@ -14,7 +14,8 @@ from .verify import CheckResult
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
+    # JSON has no NaN or infinity
+    if not math.isfinite(x):
         return "null"
     return f"{x:.15g}"
 

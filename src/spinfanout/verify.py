@@ -1,30 +1,32 @@
 """Named, reportable checks for every identity the package reproduces.
 
-Each check is registered with the anchor of the claim it verifies, a
-tolerance, and the qubit budget it needs.  ``run_suite`` executes the
-whole registry (or a filtered subset) and records results; failures are
-recorded, never raised.  A few checks are deliberate negative controls:
-they are *expected* to fail, and the suite treats a failing negative
-control as the designed outcome.
+Each check is registered with the anchor of the claim it verifies and a
+tolerance; it passes its size caps to every builder it calls, and a
+builder whose size is over its cap raises ``CapExceededError`` before it
+allocates.  ``run_suite`` executes the whole registry (or a filtered
+subset) and records results; failures are recorded, never raised, and
+instances over a cap are recorded as skipped.  A few checks are
+deliberate negative controls: they are *expected* to fail, and the suite
+treats a failing negative control as the designed outcome.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import (
     DEFAULT_CAPS,
-    DenseOperator,
+    CapExceededError,
     DiagonalOperator,
     SizeCaps,
     StateVector,
     compose,
-    embed,
     equiv_up_to_global_phase,
     hamming_weight,
+    popcounts,
     schmidt_rank_one_deviation,
 )
 from .gates import (
@@ -38,6 +40,7 @@ from .gates import (
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
+    Step,
     compile_circuit,
     fanout_circuit,
     parity_circuit,
@@ -73,9 +76,7 @@ class CheckDef:
     check_id: str
     anchor: str
     tolerance: float
-    # (qubits needed, which cap applies: "dense", "l2", or "state")
-    budget: Callable[[dict], tuple[int, str]]
-    run: Callable[[dict], tuple[float, complex]]
+    run: Callable[[dict, SizeCaps], tuple[float, complex]]
     default_params: tuple[dict, ...]
     negative_control: bool = False
 
@@ -84,54 +85,55 @@ def _phase_normalized_diag(op: DiagonalOperator) -> np.ndarray:
     return op.entries / op.entries[0]
 
 
-def _check_phase_formula(params: dict) -> tuple[float, complex]:
+def _check_phase_formula(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    diag = _phase_normalized_diag(un(n))
-    k = np.array([hamming_weight(x) for x in range(1 << n)])
+    diag = _phase_normalized_diag(un(n, caps))
+    k = popcounts(n)
     expected = 1j ** (k * (n - k))
     return float(np.max(np.abs(diag - expected))), complex(1)
 
 
-def _check_parity_dichotomy(params: dict) -> tuple[float, complex]:
+def _check_parity_dichotomy(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    diag = _phase_normalized_diag(un(n))
+    diag = _phase_normalized_diag(un(n, caps))
     odd_phase = 1j if n % 4 == 2 else -1j
-    k = np.array([hamming_weight(x) for x in range(1 << n)])
+    k = popcounts(n)
     expected = np.where(k % 2 == 0, 1, odd_phase)
     return float(np.max(np.abs(diag - expected))), complex(odd_phase)
 
 
-def _check_ieq(params: dict) -> tuple[float, complex]:
-    rep = equiv_up_to_global_phase(un(3), ieq_reference())
+def _check_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+    rep = equiv_up_to_global_phase(un(3, caps), ieq_reference())
     return rep.max_deviation, rep.phase
 
 
-def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
+def _check_cz_from_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     cz_rep = cz_from_ieq()
     cnot_rep = cnot_from_cz()
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
 
-def _check_parity(params: dict) -> tuple[float, complex]:
+def _check_parity(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
     rep = equiv_up_to_global_phase(
-        compile_circuit(parity_circuit(n)), parity_reference(n + 1)
+        compile_circuit(parity_circuit(n, caps=caps), caps), parity_reference(n + 1, caps=caps)
     )
     return rep.max_deviation, rep.phase
 
 
-def _check_parity_negative(params: dict) -> tuple[float, complex]:
+def _check_parity_negative(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
     wrong = not (n % 4 == 0)
     rep = equiv_up_to_global_phase(
-        compile_circuit(parity_circuit(n, swapped=wrong)), parity_reference(n + 1)
+        compile_circuit(parity_circuit(n, swapped=wrong, caps=caps), caps),
+        parity_reference(n + 1, caps=caps),
     )
     return rep.max_deviation, rep.phase
 
 
-def _check_parity_like(params: dict) -> tuple[float, complex]:
+def _check_parity_like(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    mat = compile_circuit(parity_like_circuit(n)).matrix
+    mat = compile_circuit(parity_like_circuit(n, caps=caps), caps).matrix
     worst = 0.0
     for x in range(1 << (n - 1)):  # inputs with the last qubit in |0>
         col = mat[:, x]
@@ -147,57 +149,55 @@ def _off_target_mass(col: np.ndarray, target: int) -> float:
     return float(rest.max()) if rest.size else 0.0
 
 
-def _check_fanout(params: dict) -> tuple[float, complex]:
+def _check_fanout(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
     rep = equiv_up_to_global_phase(
-        compile_circuit(fanout_circuit(n)), fanout_reference(n + 1)
+        compile_circuit(fanout_circuit(n, caps=caps), caps), fanout_reference(n + 1, caps=caps)
     )
     return rep.max_deviation, rep.phase
 
 
-def _check_fanout_simplified(params: dict) -> tuple[float, complex]:
+def _check_fanout_simplified(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    simplified = simplified_fanout_circuit(n)
-    if len(simplified) >= len(fanout_circuit(n)):
-        return float("inf"), complex(1)
     rep = equiv_up_to_global_phase(
-        compile_circuit(simplified), fanout_reference(n + 1)
+        compile_circuit(simplified_fanout_circuit(n, caps=caps), caps),
+        fanout_reference(n + 1, caps=caps),
     )
     return rep.max_deviation, rep.phase
 
 
-def _check_fig3_conjugation(params: dict) -> tuple[float, complex]:
+def _check_fig3_conjugation(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     m = params["n_plus_1"]
-    h = standard_gate("H").unitary
-    layer = DenseOperator.identity(m)
-    for q in range(m):
-        layer = compose(embed(h, [q], m), layer)
-    conj = compose(layer, compose(parity_reference(m), layer))
-    dev = float(np.max(np.abs(conj.matrix - fanout_reference(m).matrix)))
+    h = standard_gate("H")
+    layer = compile_circuit(Circuit(m, tuple(Step(h, (q,)) for q in range(m))), caps)
+    conj = compose(layer, compose(parity_reference(m, caps=caps), layer))
+    dev = float(np.max(np.abs(conj.matrix - fanout_reference(m, caps=caps).matrix)))
     return dev, complex(1)
 
 
-def _check_kn_offset(params: dict) -> tuple[float, complex]:
+def _check_kn_offset(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    hn = build_hn(n).energies
-    kn = build_kn(CouplingMatrix.uniform(n, 1.0)).energies
+    hn = build_hn(n, caps=caps).energies
+    kn = build_kn(CouplingMatrix.uniform(n, 1.0), caps=caps).energies
     dev = float(np.max(np.abs((hn - kn) - n / 2)))
     return dev, complex(1)
 
 
-def _check_unitary_pow4(params: dict) -> tuple[float, complex]:
+def _check_unitary_pow4(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    u = un(n)
+    u = un(n, caps)
     u4 = compose(compose(u, u), compose(u, u))
     rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
     return rep.max_deviation, rep.phase
 
 
-def _check_unentangled_control(params: dict) -> tuple[float, complex]:
+def _check_unentangled_control(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    circ = parity_circuit(n)
+    caps.check_state(n + 1)  # the (n+1)-qubit states below
+    circ = parity_circuit(n, caps=caps)
     prefix = Circuit(circ.n, circ.steps[:4])  # everything before the CNOT
     control = n - 1
+    control_bit = (np.arange(1 << (n + 1)) >> control) & 1
     worst = 0.0
     for x in range(1 << (n + 1)):
         state = run_circuit(prefix, StateVector.basis(n + 1, x))
@@ -205,79 +205,58 @@ def _check_unentangled_control(params: dict) -> tuple[float, complex]:
         p = hamming_weight(x & ((1 << (n - 1)) - 1)) & 1
         r = (x >> (n - 1)) & 1
         # mass of the control qubit must sit entirely on |p xor r>
-        amps = state.amplitudes
         wrong_value = 1 - (p ^ r)
-        mask = np.array(
-            [((idx >> control) & 1) == wrong_value for idx in range(1 << (n + 1))]
-        )
-        dev = max(dev, float(np.linalg.norm(amps[mask])))
+        dev = max(dev, float(np.linalg.norm(state.amplitudes[control_bit == wrong_value])))
         worst = max(worst, dev)
     return worst, complex(1)
 
 
 _REGISTRY: tuple[CheckDef, ...] = (
     CheckDef(
-        "phase_formula", "Eq. (1)", 1e-10,
-        lambda p: (p["n"], "state"), _check_phase_formula,
+        "phase_formula", "Eq. (1)", 1e-10, _check_phase_formula,
         tuple({"n": n} for n in range(1, 11)),
     ),
     CheckDef(
         "parity_dichotomy", "Eq. (2) / closing display of Sec. 2.3", 1e-10,
-        lambda p: (p["n"], "state"), _check_parity_dichotomy,
-        tuple({"n": n} for n in (2, 4, 6, 8, 10)),
+        _check_parity_dichotomy, tuple({"n": n} for n in (2, 4, 6, 8, 10)),
     ),
+    CheckDef("ieq", "Sec. 2.2", 1e-10, _check_ieq, ({},)),
+    CheckDef("cz_from_ieq", "Sec. 1", 1e-12, _check_cz_from_ieq, ({},)),
     CheckDef(
-        "ieq", "Sec. 2.2", 1e-10,
-        lambda p: (3, "state"), _check_ieq, ({},),
-    ),
-    CheckDef(
-        "cz_from_ieq", "Sec. 1", 1e-12,
-        lambda p: (3, "state"), _check_cz_from_ieq, ({},),
-    ),
-    CheckDef(
-        "parity", "Fig. 4", 1e-9,
-        lambda p: (p["n"] + 1, "dense"), _check_parity,
+        "parity", "Fig. 4", 1e-9, _check_parity,
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
         "parity_negative_control", "Fig. 4 (wrong mod-4 variant)", 1e-9,
-        lambda p: (p["n"] + 1, "dense"), _check_parity_negative,
-        ({"n": 4},), negative_control=True,
+        _check_parity_negative, ({"n": 4},), negative_control=True,
     ),
     CheckDef(
-        "parity_like", "Fig. 5", 1e-9,
-        lambda p: (p["n"], "dense"), _check_parity_like,
+        "parity_like", "Fig. 5", 1e-9, _check_parity_like,
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fanout", "Fig. 6", 1e-9,
-        lambda p: (p["n"] + 1, "dense"), _check_fanout,
+        "fanout", "Fig. 6", 1e-9, _check_fanout,
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fanout_simplified", "Fig. 6 (simplified)", 1e-9,
-        lambda p: (p["n"] + 1, "dense"), _check_fanout_simplified,
+        "fanout_simplified", "Fig. 6 (simplified)", 1e-9, _check_fanout_simplified,
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fig3_conjugation", "Fig. 3", 1e-10,
-        lambda p: (p["n_plus_1"], "dense"), _check_fig3_conjugation,
+        "fig3_conjugation", "Fig. 3", 1e-10, _check_fig3_conjugation,
         tuple({"n_plus_1": m} for m in range(2, 9)),
     ),
     CheckDef(
-        "kn_offset", "Sec. 1 (identity offset)", 1e-12,
-        lambda p: (p["n"], "state"), _check_kn_offset,
+        "kn_offset", "Sec. 1 (identity offset)", 1e-12, _check_kn_offset,
         tuple({"n": n} for n in range(2, 11)),
     ),
     CheckDef(
-        "unitary_pow4", "Sec. 2.3 (fourth power)", 1e-12,
-        lambda p: (p["n"], "state"), _check_unitary_pow4,
+        "unitary_pow4", "Sec. 2.3 (fourth power)", 1e-12, _check_unitary_pow4,
         tuple({"n": n} for n in range(1, 11)),
     ),
     CheckDef(
         "unentangled_control", "Sec. 2.3 (control before CNOT)", 1e-9,
-        lambda p: (p["n"] + 1, "dense"), _check_unentangled_control,
-        tuple({"n": n} for n in (2, 4, 6)),
+        _check_unentangled_control, tuple({"n": n} for n in (2, 4, 6)),
     ),
 )
 
@@ -288,25 +267,20 @@ def known_check_ids() -> tuple[str, ...]:
     return tuple(c.check_id for c in _REGISTRY)
 
 
-def _within_caps(defn: CheckDef, params: dict, caps: SizeCaps) -> bool:
-    qubits, kind = defn.budget(params)
-    limit = {"dense": caps.dense_cap, "l2": caps.l2_cap, "state": caps.state_cap}[kind]
-    return qubits <= limit
-
-
 def run_check(
     check_id: str, params: dict | None = None, caps: SizeCaps = DEFAULT_CAPS
 ) -> CheckResult:
-    """Execute one named check; raises on unknown id or exceeded cap."""
+    """Execute one named check.
+
+    Raises ``KeyError`` on an unknown id and ``CapExceededError`` when a
+    builder the check calls finds its size above ``caps``.
+    """
     if check_id not in _BY_ID:
         raise KeyError(f"unknown check {check_id!r}; known: {known_check_ids()}")
     defn = _BY_ID[check_id]
     params = dict(params or (defn.default_params[0] if defn.default_params else {}))
-    if not _within_caps(defn, params, caps):
-        qubits, kind = defn.budget(params)
-        _cap_error(qubits, kind, caps)
     start = time.perf_counter()
-    max_dev, phase = defn.run(params)
+    max_dev, phase = defn.run(params, caps)
     elapsed = time.perf_counter() - start
     return CheckResult(
         check_id=check_id,
@@ -321,11 +295,19 @@ def run_check(
     )
 
 
-def _cap_error(qubits: int, kind: str, caps: SizeCaps):
-    from .core import CapExceededError
-
-    limit = {"dense": caps.dense_cap, "l2": caps.l2_cap, "state": caps.state_cap}[kind]
-    raise CapExceededError(f"check needs {qubits} qubits but {kind} cap is {limit}")
+def _skipped(defn: CheckDef, params: dict) -> CheckResult:
+    return CheckResult(
+        check_id=defn.check_id,
+        params=dict(params),
+        passed=False,
+        max_deviation=float("nan"),
+        phase=complex(1),
+        elapsed=0.0,
+        tolerance=defn.tolerance,
+        anchor=defn.anchor,
+        negative_control=defn.negative_control,
+        skipped=True,
+    )
 
 
 def run_suite(
@@ -335,7 +317,7 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every registered check instance (optionally id-prefix filtered).
 
-    Instances exceeding the caps, or whose main size parameter exceeds
+    Instances that exceed the caps, or whose main size parameter exceeds
     ``n_max``, are reported as skipped rather than silently dropped.
     Results are ordered by check id, then parameters.
     """
@@ -345,24 +327,13 @@ def run_suite(
             continue
         for params in defn.default_params:
             size = next(iter(params.values())) if params else 0
-            too_big = n_max is not None and params and size > n_max
-            if too_big or not _within_caps(defn, params, caps):
-                results.append(
-                    CheckResult(
-                        check_id=defn.check_id,
-                        params=dict(params),
-                        passed=False,
-                        max_deviation=float("nan"),
-                        phase=complex(1),
-                        elapsed=0.0,
-                        tolerance=defn.tolerance,
-                        anchor=defn.anchor,
-                        negative_control=defn.negative_control,
-                        skipped=True,
-                    )
-                )
-                continue
-            results.append(run_check(defn.check_id, params, caps=caps))
+            result = None
+            if n_max is None or not params or size <= n_max:
+                try:
+                    result = run_check(defn.check_id, params, caps=caps)
+                except CapExceededError:
+                    pass
+            results.append(result if result is not None else _skipped(defn, params))
     results.sort(key=lambda r: (r.check_id, sorted(r.params.items())))
     return results
 

@@ -118,6 +118,18 @@ class TestExploreCommand:
         assert code == 0
         assert "best candidate" in out
 
+    def test_hn_runs_to_state_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "explore", "--hamiltonian", "hn", "--n", "14", "--grid", "0.25pi", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["parity_usable"]
+        code, _, err = run_cli(
+            capsys, "explore", "--hamiltonian", "hn", "--n", "21", "--grid", "0.25pi"
+        )
+        assert code == 3
+        assert "state-vector cap" in err
+
     def test_l2_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "explore", "--hamiltonian", "l2", "--n", "9")
         assert code == 3

@@ -13,6 +13,7 @@ from spinfanout.core import (
     embed,
     equiv_up_to_global_phase,
     hamming_weight,
+    popcounts,
     schmidt_rank_one_deviation,
 )
 from spinfanout.circuits import Circuit, Step, compile_circuit, run_circuit
@@ -56,6 +57,12 @@ class TestHammingWeight:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hamming_weight(-1)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_popcounts_match_scalar(self, n):
+        k = popcounts(n)
+        assert k.dtype == np.int64
+        assert k.tolist() == [hamming_weight(x) for x in range(1 << n)]
 
 
 class TestApplyGate:

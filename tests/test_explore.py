@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfanout.core import DenseOperator, DiagonalOperator
+from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator, SizeCaps
 from spinfanout.explore import classify_parity_diagonal, default_time_grid, scan
 from spinfanout.hamiltonians import build_hn, build_kn, build_l2, build_ring
 from spinfanout.report import scan_result_json, scan_result_summary
@@ -54,6 +54,11 @@ class TestDefaultGrid:
 
 
 class TestScan:
+    def test_caps_reach_the_evolver(self):
+        tight = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        with pytest.raises(CapExceededError):
+            scan(build_l2(5), [math.pi / 4], caps=tight)
+
     def test_hn6_at_quarter_pi(self):
         res = scan(build_hn(6), [math.pi / 4], hamiltonian_id="hn6")
         assert res.verdicts[0].parity_usable

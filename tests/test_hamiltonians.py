@@ -3,7 +3,9 @@ import pytest
 
 from spinfanout.core import (
     CapExceededError,
+    DenseOperator,
     DiagonalOperator,
+    SizeCaps,
     compose,
     equiv_up_to_global_phase,
     hamming_weight,
@@ -18,6 +20,7 @@ from spinfanout.hamiltonians import (
     build_ring,
     build_total_spin_component,
     evolve,
+    evolver,
     un,
     un_dagger,
 )
@@ -64,7 +67,12 @@ class TestBuildHn:
         with pytest.raises(ValueError):
             build_hn(0)
         with pytest.raises(CapExceededError):
-            build_hn(13)
+            build_hn(21)
+
+    def test_diagonal_data_runs_to_state_cap(self):
+        # 2^n energies are state-sized work, not a 2^n x 2^n matrix
+        assert build_hn(14).energies.shape == (1 << 14,)
+        assert un(14).is_unitary()
 
 
 class TestBuildKn:
@@ -217,6 +225,19 @@ class TestEvolve:
     def test_dense_result_unitary(self):
         u = evolve(build_l2(3), 0.7)
         assert u.is_unitary(1e-10)
+
+    def test_evolver_kinds(self):
+        assert isinstance(evolver(build_hn(3))(0.5), DiagonalOperator)
+        assert isinstance(evolver(build_l2(3))(0.5), DenseOperator)
+
+    def test_eigensolve_cap(self):
+        tight = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        with pytest.raises(CapExceededError):
+            evolver(build_l2(5), tight)
+        with pytest.raises(CapExceededError):
+            evolve(build_l2(5), 0.1, tight)
+        # diagonal evolution needs no eigensolve
+        assert isinstance(evolve(build_hn(6, caps=tight), 0.1, tight), DiagonalOperator)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -28,6 +30,17 @@ class TestRunCheck:
         caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
         with pytest.raises(CapExceededError):
             run_check("parity", {"n": 6}, caps=caps)
+
+    def test_diagonal_check_runs_to_state_cap(self):
+        # U_N is 2^n phases: past the dense cap of 12, within the state cap
+        r = run_check("phase_formula", {"n": 13})
+        assert r.passed
+
+    def test_state_vector_check_under_tight_dense_cap(self):
+        # 5-qubit state vectors only; no dense matrix is built
+        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        r = run_check("unentangled_control", {"n": 4}, caps=caps)
+        assert r.passed
 
     def test_negative_control_fails_by_design(self):
         r = run_check("parity_negative_control", {"n": 4})
@@ -81,6 +94,32 @@ class TestRunSuite:
         # skipped instances count as neither pass nor failure
         assert all(r.ok for r in skipped)
 
+    def test_tight_caps_skip_exactly(self):
+        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        skipped = {
+            (r.check_id, tuple(sorted(r.params.items())))
+            for r in run_suite(caps=caps)
+            if r.skipped
+        }
+
+        def ids(check_id, key, values):
+            return {(check_id, ((key, v),)) for v in values}
+
+        expected = (
+            ids("fanout", "n", (4, 6, 8))
+            | ids("fanout_simplified", "n", (4, 6, 8))
+            | ids("fig3_conjugation", "n_plus_1", (5, 6, 7, 8))
+            | ids("kn_offset", "n", (7, 8, 9, 10))
+            | ids("parity", "n", (4, 6, 8))
+            | ids("parity_dichotomy", "n", (8, 10))
+            | ids("parity_like", "n", (6, 8))
+            | ids("parity_negative_control", "n", (4,))
+            | ids("phase_formula", "n", (7, 8, 9, 10))
+            | ids("unentangled_control", "n", (6,))
+            | ids("unitary_pow4", "n", (7, 8, 9, 10))
+        )
+        assert skipped == expected
+
     def test_n_max_marks_skipped(self):
         results = run_suite(filter="phase_formula", n_max=4)
         ran = [r for r in results if not r.skipped]
@@ -99,8 +138,6 @@ class TestRunSuite:
 
 class TestReportFormat:
     def test_json_lines_parse(self):
-        import json
-
         results = run_suite(filter="ieq")
         text = check_results_json(results)
         rows = [json.loads(line) for line in text.strip().splitlines()]
@@ -111,10 +148,12 @@ class TestReportFormat:
             "max_deviation", "phase_re", "phase_im", "tolerance", "anchor",
         ]
 
-    def test_string_fields_escaped(self):
-        import dataclasses
-        import json
+    def test_non_finite_floats_parse(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            r = dataclasses.replace(run_check("ieq"), max_deviation=bad)
+            assert json.loads(check_results_json([r]))["max_deviation"] is None
 
+    def test_string_fields_escaped(self):
         from spinfanout.explore import scan
         from spinfanout.hamiltonians import build_hn
         from spinfanout.report import scan_result_json
