@@ -48,7 +48,6 @@ from .circuits import (
     parity_like_circuit,
     run_circuit,
     simplified_fanout_circuit,
-    simplify,
     to_text,
 )
 from .explore import (

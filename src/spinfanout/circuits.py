@@ -19,12 +19,11 @@ import numpy as np
 from .core import (
     DEFAULT_CAPS,
     DenseOperator,
-    DiagonalOperator,
     SizeCaps,
     StateVector,
     _apply_to_block,
+    _validate_targets,
     apply_gate,
-    compose,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -43,26 +42,16 @@ class Circuit:
 
     def __post_init__(self):
         for step in self.steps:
-            if len(set(step.targets)) != len(step.targets):
-                raise IndexError(f"duplicate targets in step {step}")
-            if any(not 0 <= t < self.n for t in step.targets):
-                raise IndexError(f"target out of range in step {step}")
-            if step.gate.arity != len(step.targets):
-                raise IndexError(
-                    f"gate {step.gate.name} wants {step.gate.arity} targets, "
-                    f"got {len(step.targets)}"
-                )
+            _validate_targets(step.gate.unitary, list(step.targets), self.n)
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
 def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
-    if name == "UN":
-        return GateDef("UN", n, un(n, caps=caps))
-    if name == "UNDAG":
-        return GateDef("UNDAG", n, un_dagger(n, caps=caps))
-    raise KeyError(f"unknown evolution {name!r}")
+    """``UN`` or ``UNDAG`` on ``n`` qubits."""
+    evolution = un if name == "UN" else un_dagger
+    return GateDef(name, n, evolution(n, caps=caps))
 
 
 def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
@@ -98,33 +87,23 @@ def _use_swapped_evolution(n: int) -> bool:
     return n % 4 == 0
 
 
-def _evolution_pair(n: int, swapped: bool, caps: SizeCaps) -> tuple[GateDef, GateDef]:
-    e = _evolution_gate("UNDAG" if swapped else "UN", n, caps)
-    e_inv = _evolution_gate("UN" if swapped else "UNDAG", n, caps)
-    return e, e_inv
-
-
-def parity_circuit(
-    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
-    """(n+1)-qubit circuit computing the parity of qubits 0..n-1 into qubit n.
+def _parity_steps(n: int, swapped: bool | None, caps: SizeCaps) -> tuple[Step, ...]:
+    """The nine steps of Fig. 4 on qubits 0..n; every circuit below is built from them.
 
     ``swapped`` selects which of the evolution/adjoint pair comes first;
     by default it follows the mod-4 rule that makes the identity hold.
     Forcing the wrong value is useful as a negative control.
     """
     if n % 2 != 0 or n < 2:
-        raise ValueError(f"parity circuit needs even n >= 2, got {n}")
+        raise ValueError(f"parity construction needs even n >= 2, got {n}")
     if swapped is None:
         swapped = _use_swapped_evolution(n)
-    e, e_inv = _evolution_pair(n, swapped, caps)
-    h = standard_gate("H")
-    s = standard_gate("S")
-    sdag = standard_gate("SDAG")
-    cnot = standard_gate("CNOT")
+    e = _evolution_gate("UNDAG" if swapped else "UN", n, caps)
+    e_inv = _evolution_gate("UN" if swapped else "UNDAG", n, caps)
+    h, s, sdag, cnot = (standard_gate(g) for g in ("H", "S", "SDAG", "CNOT"))
     all_n = tuple(range(n))
     r = n - 1  # the rotated helper wire
-    steps = (
+    return (
         Step(h, (r,)),
         Step(e, all_n),
         Step(sdag, (r,)),
@@ -135,7 +114,18 @@ def parity_circuit(
         Step(e_inv, all_n),
         Step(h, (r,)),
     )
-    return Circuit(n + 1, steps)
+
+
+def _hadamard_layer(qubits) -> tuple[Step, ...]:
+    h = standard_gate("H")
+    return tuple(Step(h, (q,)) for q in qubits)
+
+
+def parity_circuit(
+    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
+) -> Circuit:
+    """(n+1)-qubit circuit computing the parity of qubits 0..n-1 into qubit n."""
+    return Circuit(n + 1, _parity_steps(n, swapped, caps))
 
 
 def parity_like_circuit(
@@ -146,22 +136,8 @@ def parity_like_circuit(
     For inputs with qubit n-1 in |0>, the output is a unit-phase multiple
     of the input with qubit n-1 replaced by the parity of the others.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError(f"parity-like circuit needs even n >= 2, got {n}")
-    if swapped is None:
-        swapped = _use_swapped_evolution(n)
-    e, _ = _evolution_pair(n, swapped, caps)
-    h = standard_gate("H")
-    sdag = standard_gate("SDAG")
-    r = n - 1
-    steps = (
-        Step(h, (r,)),
-        Step(e, tuple(range(n))),
-        Step(sdag, (r,)),
-        Step(h, (r,)),
-        Step(sdag, (r,)),
-    )
-    return Circuit(n, steps)
+    steps = _parity_steps(n, swapped, caps)[:4]
+    return Circuit(n, steps + (Step(standard_gate("SDAG"), (n - 1,)),))
 
 
 def fanout_circuit(
@@ -171,62 +147,21 @@ def fanout_circuit(
 
     The fanout control is qubit n (the parity accumulator wire).
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError(f"fanout circuit needs even n >= 2, got {n}")
-    h = standard_gate("H")
-    pre = tuple(Step(h, (q,)) for q in range(n + 1))
-    mid = parity_circuit(n, swapped=swapped, caps=caps).steps
-    post = tuple(Step(h, (q,)) for q in range(n + 1))
-    return Circuit(n + 1, pre + mid + post)
-
-
-def _steps_are_inverse(a: Step, b: Step) -> bool:
-    if a.targets != b.targets:
-        return False
-    ua, ub = a.gate.unitary, b.gate.unitary
-    if isinstance(ua, DiagonalOperator) and isinstance(ub, DiagonalOperator):
-        return bool(np.max(np.abs(ua.entries * ub.entries - 1.0)) < 1e-12)
-    prod = compose(ub, ua).to_dense().matrix
-    return bool(np.max(np.abs(prod - np.eye(prod.shape[0]))) < 1e-12)
-
-
-def simplify(c: Circuit) -> Circuit:
-    """Cancel adjacent inverse pairs (H.H, S.Sdag, ...) until a fixpoint.
-
-    Two steps are adjacent on a wire if no step between them touches any
-    of their qubits.
-    """
-    steps = list(c.steps)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(steps)):
-            blocked = set(steps[i].targets)
-            for j in range(i + 1, len(steps)):
-                overlap = blocked & set(steps[j].targets)
-                if not overlap:
-                    continue
-                if set(steps[j].targets) == set(steps[i].targets) and _steps_are_inverse(
-                    steps[i], steps[j]
-                ):
-                    del steps[j]
-                    del steps[i]
-                    changed = True
-                break
-            if changed:
-                break
-    return Circuit(c.n, tuple(steps))
+    steps = _parity_steps(n, swapped, caps)
+    layer = _hadamard_layer(range(n + 1))
+    return Circuit(n + 1, layer + steps + layer)
 
 
 def simplified_fanout_circuit(
     n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
 ) -> Circuit:
-    """Fanout circuit after peephole cancellation; same unitary, fewer gates."""
-    full = fanout_circuit(n, swapped=swapped, caps=caps)
-    reduced = simplify(full)
-    if len(reduced) >= len(full):
-        raise AssertionError("simplification removed no gates")
-    return reduced
+    """Fanout circuit with the two H pairs on the helper wire n-1 cancelled.
+
+    Same unitary as :func:`fanout_circuit`, four fewer gates.
+    """
+    steps = _parity_steps(n, swapped, caps)
+    layer = _hadamard_layer(q for q in range(n + 1) if q != n - 1)
+    return Circuit(n + 1, layer + steps[1:-1] + layer)
 
 
 def to_text(c: Circuit) -> str:

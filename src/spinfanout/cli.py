@@ -41,13 +41,28 @@ from .report import (
     scan_result_json,
     scan_result_summary,
 )
-from .verify import run_suite, suite_ok
+from .verify import known_check_ids, run_suite, suite_ok
 from .hamiltonians import un, un_dagger
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` that refuses infinities and NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = finite_float(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not > 0")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     p_matrix.add_argument("--n", type=int, help="qubit count / circuit size parameter")
-    p_matrix.add_argument("--t", type=float, help="evolution time for hn/l2 (default: print H itself)")
+    p_matrix.add_argument(
+        "--t", type=finite_float, help="evolution time for hn/l2 (default: print H itself)"
+    )
     p_matrix.add_argument("--format", choices=["text", "csv"], default="text")
     p_matrix.add_argument("--file", help="circuit file for --what circuit-file")
 
@@ -84,15 +101,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--hamiltonian", required=True, choices=["hn", "ring", "l2", "kn-file"]
     )
     p_explore.add_argument("--n", type=int, required=True)
-    p_explore.add_argument("--j", type=float, default=1.0, help="ring coupling strength")
+    p_explore.add_argument("--j", type=finite_float, default=1.0, help="ring coupling strength")
     p_explore.add_argument("--coupling-file", help="lines 'i j J_ij' (1-indexed) for kn-file")
     p_explore.add_argument("--grid", help="comma-separated times; suffix 'pi' scales by pi")
-    p_explore.add_argument("--tol", type=float, default=1e-8)
+    p_explore.add_argument("--tol", type=positive_float, default=1e-8)
     p_explore.add_argument("--json", action="store_true")
     return parser
 
 
 def _cmd_verify(args) -> int:
+    known = known_check_ids()
+    if args.filter and not any(c.startswith(args.filter) for c in known):
+        raise ValueError(
+            f"--filter {args.filter!r} matches no check; known: {', '.join(known)}"
+        )
     results = run_suite(filter=args.filter, n_max=args.n_max)
     if args.json:
         sys.stdout.write(check_results_json(results))
@@ -186,9 +208,12 @@ def _parse_grid(spec: str) -> list[float]:
             continue
         if part.endswith("pi"):
             prefix = part[:-2].rstrip("*")
-            times.append((float(prefix) if prefix else 1.0) * math.pi)
+            t = (float(prefix) if prefix else 1.0) * math.pi
         else:
-            times.append(float(part))
+            t = float(part)
+        if not math.isfinite(t):
+            raise ValueError(f"grid time {part!r} is not finite")
+        times.append(t)
     if not times:
         raise ValueError("empty time grid")
     return times
@@ -204,10 +229,13 @@ def _load_coupling_file(path: str, n: int) -> CouplingMatrix:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'i j J_ij'")
-            i, j = int(parts[0]), int(parts[1])
+            try:
+                i, j, coupling = int(parts[0]), int(parts[1]), finite_float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"line {lineno}: indices must be distinct, 1..{n}")
-            pairs[(i - 1, j - 1)] = float(parts[2])
+            pairs[(i - 1, j - 1)] = coupling
     return CouplingMatrix.from_pairs(n, pairs)
 
 
@@ -221,6 +249,7 @@ def _cmd_explore(args, parser) -> int:
         h = build_hn(n, caps=caps)
         ham_id = f"hn(n={n})"
     elif args.hamiltonian == "ring":
+        caps.check_state(n)  # before the n x n coupling matrix
         h = build_kn(build_ring(n, args.j), caps=caps)
         ham_id = f"ring(n={n},J={args.j:g})"
     elif args.hamiltonian == "l2":
@@ -229,6 +258,7 @@ def _cmd_explore(args, parser) -> int:
     else:
         if not args.coupling_file:
             parser.error("--hamiltonian kn-file requires --coupling-file")
+        caps.check_state(n)  # before the n x n coupling matrix
         h = build_kn(_load_coupling_file(args.coupling_file, n), caps=caps)
         ham_id = f"kn(n={n},file={args.coupling_file})"
     res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id, caps=caps)

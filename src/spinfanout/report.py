@@ -26,7 +26,7 @@ def _fmt_params(params: dict) -> str:
 
 
 def check_results_json(results: list[CheckResult]) -> str:
-    """One JSON object per check, one per line, byte-stable."""
+    """One JSON object per check, one per line, byte-stable; no results, no lines."""
     lines = []
     for r in results:
         fields = [
@@ -42,7 +42,7 @@ def check_results_json(results: list[CheckResult]) -> str:
             f'"anchor": {json.dumps(r.anchor)}',
         ]
         lines.append("{" + ", ".join(fields) + "}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def check_results_table(results: list[CheckResult]) -> str:

@@ -21,11 +21,11 @@ from .core import (
     DEFAULT_CAPS,
     CapExceededError,
     DiagonalOperator,
+    Operator,
     SizeCaps,
     StateVector,
     compose,
     equiv_up_to_global_phase,
-    hamming_weight,
     popcounts,
     schmidt_rank_one_deviation,
 )
@@ -35,12 +35,12 @@ from .gates import (
     fanout_reference,
     ieq_reference,
     parity_reference,
-    standard_gate,
 )
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
-    Step,
+    _hadamard_layer,
+    _use_swapped_evolution,
     compile_circuit,
     fanout_circuit,
     parity_circuit,
@@ -81,23 +81,23 @@ class CheckDef:
     negative_control: bool = False
 
 
-def _phase_normalized_diag(op: DiagonalOperator) -> np.ndarray:
-    return op.entries / op.entries[0]
+def _un_diagonal(n: int, caps: SizeCaps) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of U_N divided by its entry 0, and the Hamming weight of each index."""
+    entries = un(n, caps).entries
+    return entries / entries[0], popcounts(n)
 
 
 def _check_phase_formula(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    diag = _phase_normalized_diag(un(n, caps))
-    k = popcounts(n)
+    diag, k = _un_diagonal(n, caps)
     expected = 1j ** (k * (n - k))
     return float(np.max(np.abs(diag - expected))), complex(1)
 
 
 def _check_parity_dichotomy(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    diag = _phase_normalized_diag(un(n, caps))
+    diag, k = _un_diagonal(n, caps)
     odd_phase = 1j if n % 4 == 2 else -1j
-    k = popcounts(n)
     expected = np.where(k % 2 == 0, 1, odd_phase)
     return float(np.max(np.abs(diag - expected))), complex(odd_phase)
 
@@ -113,63 +113,44 @@ def _check_cz_from_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
 
-def _check_parity(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    n = params["n"]
-    rep = equiv_up_to_global_phase(
-        compile_circuit(parity_circuit(n, caps=caps), caps), parity_reference(n + 1, caps=caps)
-    )
-    return rep.max_deviation, rep.phase
+def _matches_reference(
+    build: Callable[..., Circuit],
+    reference: Callable[..., Operator],
+    wrong_variant: bool = False,
+) -> Callable[[dict, SizeCaps], tuple[float, complex]]:
+    """Check: the compiled ``build(n)`` equals ``reference(n + 1)`` up to a global phase.
 
+    ``wrong_variant`` builds the other evolution order than the mod-4
+    rule picks, for a negative control.
+    """
 
-def _check_parity_negative(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    n = params["n"]
-    wrong = not (n % 4 == 0)
-    rep = equiv_up_to_global_phase(
-        compile_circuit(parity_circuit(n, swapped=wrong, caps=caps), caps),
-        parity_reference(n + 1, caps=caps),
-    )
-    return rep.max_deviation, rep.phase
+    def run(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+        n = params["n"]
+        swapped = not _use_swapped_evolution(n) if wrong_variant else None
+        rep = equiv_up_to_global_phase(
+            compile_circuit(build(n, swapped=swapped, caps=caps), caps),
+            reference(n + 1, caps=caps),
+        )
+        return rep.max_deviation, rep.phase
+
+    return run
 
 
 def _check_parity_like(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
     mat = compile_circuit(parity_like_circuit(n, caps=caps), caps).matrix
-    worst = 0.0
-    for x in range(1 << (n - 1)):  # inputs with the last qubit in |0>
-        col = mat[:, x]
-        p = hamming_weight(x) & 1
-        target = x | (p << (n - 1))
-        dev = max(abs(abs(col[target]) - 1.0), _off_target_mass(col, target))
-        worst = max(worst, dev)
-    return worst, complex(1)
-
-
-def _off_target_mass(col: np.ndarray, target: int) -> float:
-    rest = np.delete(np.abs(col), target)
-    return float(rest.max()) if rest.size else 0.0
-
-
-def _check_fanout(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    n = params["n"]
-    rep = equiv_up_to_global_phase(
-        compile_circuit(fanout_circuit(n, caps=caps), caps), fanout_reference(n + 1, caps=caps)
-    )
-    return rep.max_deviation, rep.phase
-
-
-def _check_fanout_simplified(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    n = params["n"]
-    rep = equiv_up_to_global_phase(
-        compile_circuit(simplified_fanout_circuit(n, caps=caps), caps),
-        fanout_reference(n + 1, caps=caps),
-    )
-    return rep.max_deviation, rep.phase
+    x = np.arange(1 << (n - 1))  # inputs with the last qubit in |0>
+    target = x | ((popcounts(n - 1) & 1) << (n - 1))
+    mags = np.abs(mat[:, x])
+    on_target = mags[target, x]
+    mags[target, x] = 0.0
+    dev = np.maximum(np.abs(on_target - 1.0), mags.max(axis=0))
+    return float(dev.max()), complex(1)
 
 
 def _check_fig3_conjugation(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     m = params["n_plus_1"]
-    h = standard_gate("H")
-    layer = compile_circuit(Circuit(m, tuple(Step(h, (q,)) for q in range(m))), caps)
+    layer = compile_circuit(Circuit(m, _hadamard_layer(range(m))), caps)
     conj = compose(layer, compose(parity_reference(m, caps=caps), layer))
     dev = float(np.max(np.abs(conj.matrix - fanout_reference(m, caps=caps).matrix)))
     return dev, complex(1)
@@ -198,11 +179,12 @@ def _check_unentangled_control(params: dict, caps: SizeCaps) -> tuple[float, com
     prefix = Circuit(circ.n, circ.steps[:4])  # everything before the CNOT
     control = n - 1
     control_bit = (np.arange(1 << (n + 1)) >> control) & 1
+    source_parity = popcounts(n - 1) & 1
     worst = 0.0
     for x in range(1 << (n + 1)):
         state = run_circuit(prefix, StateVector.basis(n + 1, x))
         dev = schmidt_rank_one_deviation(state, control)
-        p = hamming_weight(x & ((1 << (n - 1)) - 1)) & 1
+        p = source_parity[x & ((1 << (n - 1)) - 1)]
         r = (x >> (n - 1)) & 1
         # mass of the control qubit must sit entirely on |p xor r>
         wrong_value = 1 - (p ^ r)
@@ -223,23 +205,25 @@ _REGISTRY: tuple[CheckDef, ...] = (
     CheckDef("ieq", "Sec. 2.2", 1e-10, _check_ieq, ({},)),
     CheckDef("cz_from_ieq", "Sec. 1", 1e-12, _check_cz_from_ieq, ({},)),
     CheckDef(
-        "parity", "Fig. 4", 1e-9, _check_parity,
+        "parity", "Fig. 4", 1e-9, _matches_reference(parity_circuit, parity_reference),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
         "parity_negative_control", "Fig. 4 (wrong mod-4 variant)", 1e-9,
-        _check_parity_negative, ({"n": 4},), negative_control=True,
+        _matches_reference(parity_circuit, parity_reference, wrong_variant=True),
+        ({"n": 4},), negative_control=True,
     ),
     CheckDef(
         "parity_like", "Fig. 5", 1e-9, _check_parity_like,
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fanout", "Fig. 6", 1e-9, _check_fanout,
+        "fanout", "Fig. 6", 1e-9, _matches_reference(fanout_circuit, fanout_reference),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fanout_simplified", "Fig. 6 (simplified)", 1e-9, _check_fanout_simplified,
+        "fanout_simplified", "Fig. 6 (simplified)", 1e-9,
+        _matches_reference(simplified_fanout_circuit, fanout_reference),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(

@@ -13,10 +13,16 @@ from spinfanout.circuits import (
     parity_like_circuit,
     run_circuit,
     simplified_fanout_circuit,
-    simplify,
     to_text,
 )
-from spinfanout.gates import fanout_reference, parity_reference, standard_gate
+from spinfanout.gates import (
+    _STANDARD,
+    GateDef,
+    fanout_reference,
+    parity_reference,
+    standard_gate,
+)
+from spinfanout.hamiltonians import un, un_dagger
 
 
 class TestCompile:
@@ -142,20 +148,23 @@ class TestFanoutCircuit:
 
 
 class TestSimplify:
-    def test_hh_cancels_to_empty(self):
-        h = standard_gate("H")
-        c = Circuit(1, (Step(h, (0,)), Step(h, (0,))))
-        assert len(simplify(c)) == 0
-
-    def test_blocked_pair_not_cancelled(self):
-        h, cnot = standard_gate("H"), standard_gate("CNOT")
-        c = Circuit(2, (Step(h, (0,)), Step(cnot, (0, 1)), Step(h, (0,))))
-        assert len(simplify(c)) == 3
-
-    def test_s_sdag_cancels(self):
-        s, sdag = standard_gate("S"), standard_gate("SDAG")
-        c = Circuit(1, (Step(s, (0,)), Step(sdag, (0,))))
-        assert len(simplify(c)) == 0
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_simplified_fanout_steps(self, n):
+        r = n - 1
+        evo, evo_inv = ("UNDAG", "UN") if n % 4 == 0 else ("UN", "UNDAG")
+        layer = [("H", (q,)) for q in range(n + 1) if q != r]
+        middle = [
+            (evo, tuple(range(n))), ("SDAG", (r,)), ("H", (r,)), ("CNOT", (r, n)),
+            ("H", (r,)), ("S", (r,)), (evo_inv, tuple(range(n))),
+        ]
+        simplified = simplified_fanout_circuit(n)
+        assert simplified.n == n + 1
+        assert [(s.gate.name, s.targets) for s in simplified.steps] == layer + middle + layer
+        full = [(s.gate.name, s.targets) for s in fanout_circuit(n).steps]
+        # the two H pairs on wire r where the Hadamard layers meet the parity block
+        dropped = (r, n + 1, n + 9, 2 * n + 9)
+        assert all(full[i] == ("H", (r,)) for i in dropped)
+        assert [st for i, st in enumerate(full) if i not in dropped] == layer + middle + layer
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_simplified_fanout(self, n):
@@ -194,6 +203,29 @@ class TestTextFormat:
         assert parsed.n == c.n
         rep = equiv_up_to_global_phase(compile_circuit(parsed), compile_circuit(c), 1e-12)
         assert rep.equivalent and abs(rep.phase - 1) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        names = sorted(_STANDARD) + ["UN", "UNDAG"]
+        steps = []
+        for _ in range(12):
+            name = names[rng.integers(len(names))]
+            if name in ("UN", "UNDAG"):
+                k = int(rng.integers(1, n + 1))
+                evo = un(k) if name == "UN" else un_dagger(k)
+                steps.append(Step(GateDef(name, k, evo), tuple(range(k))))
+            else:
+                gate = standard_gate(name)
+                targets = rng.choice(n, size=gate.arity, replace=False)
+                steps.append(Step(gate, tuple(int(t) for t in targets)))
+        c = Circuit(n, tuple(steps))
+        parsed = from_text(to_text(c), n=n)
+        assert [(s.gate.name, s.targets) for s in parsed.steps] == [
+            (s.gate.name, s.targets) for s in c.steps
+        ]
+        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
 
     def test_format_lines(self):
         text = to_text(parity_circuit(2))

@@ -34,6 +34,12 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, "verify", "--filter", "kn_offset", "--json")
         assert out1 == out2
 
+    def test_filter_matching_nothing_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--filter", "zzz", "--json")
+        assert code == 2
+        assert out == ""
+        assert "'zzz'" in err and "parity_negative_control" in err
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--bogus"])
@@ -65,6 +71,12 @@ class TestMatrixCommand:
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--what", "un", "--n", "0"])
         assert exc.value.code == 2
+
+    def test_non_finite_time_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--what", "hn", "--n", "2", "--t", "nan"])
+        assert exc.value.code == 2
+        assert "argument --t: invalid finite_float value: 'nan'" in capsys.readouterr().err
 
     def test_cap_exceeded_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "matrix", "--what", "l2", "--n", "9")
@@ -163,6 +175,61 @@ class TestExploreCommand:
         )
         assert code == 2
         assert "i j J_ij" in err
+
+    @pytest.mark.parametrize("grid", ["1e400", "nan", "0.25pi,1e308pi", "infpi"])
+    def test_non_finite_grid_exits_2(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "hn", "--n", "3", "--grid", grid
+        )
+        assert code == 2
+        assert out == "" and "is not finite" in err
+
+    def test_non_finite_coupling_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--hamiltonian", "ring", "--n", "3", "--j", "nan"])
+        assert exc.value.code == 2
+        assert "argument --j: invalid finite_float value: 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--hamiltonian", "hn", "--n", "3", "--tol", tol])
+        assert exc.value.code == 2
+        assert f"argument --tol: invalid positive_float value: {tol!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("1 2 nan", "line 2: 'nan' is not a finite number"),
+            ("1 2 inf", "line 2: 'inf' is not a finite number"),
+            ("1 2 abc", "line 2: could not convert"),
+            ("x 2 1.0", "line 2: invalid literal"),
+            ("0 2 1.0", "line 2: indices must be distinct"),
+            ("1 5 1.0", "line 2: indices must be distinct"),
+            ("3 3 1.0", "line 2: indices must be distinct"),
+        ],
+    )
+    def test_bad_coupling_line_exits_2(self, capsys, tmp_path, line, message):
+        path = tmp_path / "J.txt"
+        path.write_text("1 2 1.0\n" + line + "\n")
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "kn-file", "--n", "4",
+            "--coupling-file", str(path), "--grid", "0.25pi",
+        )
+        assert code == 2
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("hamiltonian", ["ring", "kn-file"])
+    def test_coupling_over_state_cap_exits_3(self, capsys, tmp_path, hamiltonian):
+        # an n x n coupling at this size would exceed the address space
+        path = tmp_path / "J.txt"
+        path.write_text("1 2 1.0\n")
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", hamiltonian, "--n", str(10**7),
+            "--coupling-file", str(path), "--grid", "1",
+        )
+        assert code == 3
+        assert out == "" and "state-vector cap" in err
 
     def test_deterministic_json(self, capsys):
         args = ("explore", "--hamiltonian", "ring", "--n", "4", "--json",

@@ -148,6 +148,12 @@ class TestReportFormat:
             "max_deviation", "phase_re", "phase_im", "tolerance", "anchor",
         ]
 
+    def test_empty_selection_emits_nothing(self):
+        assert run_suite(filter="zzz") == []
+        assert check_results_json([]) == ""
+        text = check_results_json(run_suite(filter="parity"))
+        assert text.endswith("}\n") and all(json.loads(line) for line in text.splitlines())
+
     def test_non_finite_floats_parse(self):
         for bad in (float("inf"), float("-inf"), float("nan")):
             r = dataclasses.replace(run_check("ieq"), max_deviation=bad)
