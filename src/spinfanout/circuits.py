@@ -88,12 +88,7 @@ def _use_swapped_evolution(n: int) -> bool:
 
 
 def _parity_steps(n: int, swapped: bool | None, caps: SizeCaps) -> tuple[Step, ...]:
-    """The nine steps of Fig. 4 on qubits 0..n; every circuit below is built from them.
-
-    ``swapped`` selects which of the evolution/adjoint pair comes first;
-    by default it follows the mod-4 rule that makes the identity hold.
-    Forcing the wrong value is useful as a negative control.
-    """
+    """The nine steps of Fig. 4 on qubits 0..n; every circuit below is built from them."""
     if n % 2 != 0 or n < 2:
         raise ValueError(f"parity construction needs even n >= 2, got {n}")
     if swapped is None:
@@ -124,7 +119,13 @@ def _hadamard_layer(qubits) -> tuple[Step, ...]:
 def parity_circuit(
     n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
 ) -> Circuit:
-    """(n+1)-qubit circuit computing the parity of qubits 0..n-1 into qubit n."""
+    """(n+1)-qubit circuit computing the parity of qubits 0..n-1 into qubit n.
+
+    ``swapped`` selects which of the evolution/adjoint pair comes first
+    (in every builder here); by default it follows the mod-4 rule that
+    makes the identity hold. Forcing the wrong value is useful as a
+    negative control.
+    """
     return Circuit(n + 1, _parity_steps(n, swapped, caps))
 
 
