@@ -23,7 +23,6 @@ from .core import (
     StateVector,
     _apply_to_block,
     _validate_targets,
-    apply_gate,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -54,21 +53,25 @@ def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
     return GateDef(name, n, evolution(n, caps=caps))
 
 
-def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
-    """Circuit unitary: every step applied, in order, to the columns of the identity."""
-    caps.check_dense(c.n)
-    block = np.eye(1 << c.n, dtype=complex)
+def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
+    """Every step applied, in order, to the columns of a ``(2^n, cols)`` block."""
     work = np.empty_like(block)
     for step in c.steps:
         block, work = _apply_to_block(block, step.gate.unitary, list(step.targets), c.n, work)
-    return DenseOperator(c.n, block)
+    return block
+
+
+def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+    """Circuit unitary: every step applied, in order, to the columns of the identity."""
+    caps.check_dense(c.n)
+    return DenseOperator(c.n, _run_steps(c, np.eye(1 << c.n, dtype=complex)))
 
 
 def run_circuit(c: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit's steps to a state, in order."""
-    for step in c.steps:
-        state = apply_gate(state, step.gate.unitary, list(step.targets))
-    return state
+    if state.n != c.n:
+        raise ValueError(f"circuit on {c.n} qubits applied to a {state.n}-qubit state")
+    return StateVector(c.n, _run_steps(c, state.amplitudes[:, None].copy())[:, 0])
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -205,6 +208,7 @@ def from_text(
         if name in ("UN", "UNDAG"):
             if len(args) != 1 or args[0] < 1:
                 raise ValueError(f"line {lineno}: {name} takes one positive size")
+            caps.check_state(args[0])  # before the k targets are built
             raw_steps.append((lineno, name, tuple(range(args[0]))))
             continue
         arity = standard_gate(name).arity  # raises KeyError on unknown gates

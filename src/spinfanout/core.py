@@ -202,9 +202,13 @@ def _apply_to_block(
     """Apply ``gate`` on ``targets`` to every column of a ``(2^n, cols)`` block.
 
     The one gate-application kernel: state vectors are blocks with one
-    column, compiled unitaries start from the identity.  A dense gate is
-    contracted with the target axes of the ``(2,)*n + (cols,)`` view, in
-    which axis ``n-1-q`` is qubit ``q``; a diagonal gate scales the rows.
+    column, compiled unitaries start from the identity.  A diagonal gate
+    scales the rows.  A dense gate is first relabelled to act on its
+    targets in ascending order; on adjacent qubits ``lo..hi`` it is then
+    one batched matrix product over the ``(2^(n-1-hi), 2^m, rest)`` view
+    of the block, and on other targets the target axes of the
+    ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is qubit ``q``) are gathered
+    to the front, multiplied and scattered back.
 
     ``block`` (C-contiguous) and ``work``, a scratch array of the same
     shape that is allocated when not given, are both overwritten, so a
@@ -218,6 +222,19 @@ def _apply_to_block(
     if work is None:
         work = np.empty_like(block)
     m = len(targets)
+    mat = gate.matrix
+    order = sorted(range(m), key=targets.__getitem__)
+    if order != list(range(m)):
+        # local bit i of the sorted targets is local bit order[i] of the gate
+        local = np.arange(1 << m)
+        relabel = sum(((local >> i) & 1) << j for i, j in enumerate(order))
+        mat = mat[np.ix_(relabel, relabel)]
+        targets = [targets[j] for j in order]
+    lo, hi = targets[0], targets[-1]
+    if hi - lo == m - 1:
+        shape = (1 << (n - 1 - hi), 1 << m, -1)
+        np.matmul(mat, block.reshape(shape), out=work.reshape(shape))
+        return work, block
     # gate axis k (rows) and m+k (columns) hold local bit m-1-k
     axes = [n - 1 - targets[m - 1 - k] for k in range(m)]
     perm = axes + [a for a in range(n + 1) if a not in axes]
@@ -225,7 +242,7 @@ def _apply_to_block(
     gathered = work.reshape([shape[a] for a in perm])
     # target axes first: the gate is then one matrix product over the rest
     np.copyto(gathered, block.reshape(shape).transpose(perm))
-    np.matmul(gate.matrix, work.reshape(1 << m, -1), out=block.reshape(1 << m, -1))
+    np.matmul(mat, work.reshape(1 << m, -1), out=block.reshape(1 << m, -1))
     inverse = np.argsort(perm)
     np.copyto(work.reshape(shape), block.reshape(gathered.shape).transpose(inverse))
     return work, block

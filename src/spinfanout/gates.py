@@ -21,6 +21,7 @@ from .core import (
     compose,
     embed,
     equiv_up_to_global_phase,
+    popcounts,
 )
 
 _SQRT2_INV = 1 / np.sqrt(2)
@@ -74,10 +75,9 @@ def fanout_reference(n_plus_1: int, control: int | None = None,
         raise IndexError(f"control {control} out of range")
     dim = 1 << n_plus_1
     target_mask = (dim - 1) ^ (1 << control)
+    x = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        b = (x >> control) & 1
-        mat[x ^ (target_mask if b else 0), x] = 1
+    mat[x ^ (((x >> control) & 1) * target_mask), x] = 1
     return DenseOperator(n_plus_1, mat)
 
 
@@ -92,10 +92,10 @@ def parity_reference(n_plus_1: int, accumulator: int | None = None,
     if not 0 <= accumulator < n_plus_1:
         raise IndexError(f"accumulator {accumulator} out of range")
     dim = 1 << n_plus_1
+    x = np.arange(dim)
+    parity = popcounts(n_plus_1)[x & ~(1 << accumulator)] & 1
     mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        p = (x & ~(1 << accumulator)).bit_count() & 1
-        mat[x ^ (p << accumulator), x] = 1
+    mat[x ^ (parity << accumulator), x] = 1
     return DenseOperator(n_plus_1, mat)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinfanout.core import StateVector, compose, equiv_up_to_global_phase, hamming_weight
+from spinfanout.core import CapExceededError, StateVector, compose, equiv_up_to_global_phase, hamming_weight
 from spinfanout.circuits import (
     Circuit,
     Step,
@@ -245,6 +245,13 @@ class TestTextFormat:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             from_text("H x\n")
+
+    @pytest.mark.parametrize("name", ["UN", "UNDAG"])
+    def test_evolution_over_state_cap_refused_before_parsing(self, name):
+        # the cap is checked before the k targets are built: a ten-digit k
+        # would not fit in memory
+        with pytest.raises(CapExceededError):
+            from_text(f"H 0\n{name} 10000000000\n")
 
     @pytest.mark.parametrize(
         "text", ["H 5\n", "H -1\n", "CNOT 1 1\n", "CNOT 0\n", "H 0 1\n", "UN 4\n"]

@@ -100,6 +100,13 @@ class TestMatrixCommand:
         assert code == 2
         assert out == "" and err.startswith("error: line 1:")
 
+    def test_circuit_file_over_state_cap_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "circ.txt"
+        path.write_text("UN 10000000000\n")
+        code, out, err = run_cli(capsys, "matrix", "--what", "circuit-file", "--file", str(path))
+        assert code == 3
+        assert out == "" and "state-vector cap" in err
+
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "matrix", "--what", "circuit-file", "--file", str(tmp_path / "nope")

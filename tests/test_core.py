@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,30 @@ class TestBlockKernel:
         full = embed(step.gate.unitary, list(step.targets), n).to_dense().matrix
         assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
 
+
+    @pytest.mark.parametrize(
+        "targets",
+        [t for m in (1, 2, 3) for t in itertools.permutations(range(4), m)],
+        ids=lambda t: "-".join(map(str, t)),
+    )
+    def test_every_target_order(self, targets):
+        """Adjacent ascending, adjacent descending and non-adjacent targets."""
+        n, m = 4, len(targets)
+        rng = np.random.default_rng(list(targets))
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        dense = random_unitary(m, rng)
+        diagonal = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
+        for gate in (dense, diagonal):
+            full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
+            c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
+            assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
+            out = apply_gate(StateVector(n, amps), gate, list(targets)).amplitudes
+            assert np.max(np.abs(out - full @ amps)) < 1e-12
+
+    def test_run_circuit_rejects_other_qubit_count(self):
+        c = Circuit(2, (Step(standard_gate("H"), (0,)),))
+        with pytest.raises(ValueError):
+            run_circuit(c, StateVector.basis(3, 0))
 
 class TestSizeCaps:
     def test_ordering_enforced(self):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spinfanout.core import DiagonalOperator, compose, embed, equiv_up_to_global_phase
+from spinfanout.core import (
+    DiagonalOperator,
+    compose,
+    embed,
+    equiv_up_to_global_phase,
+    hamming_weight,
+)
 from spinfanout.gates import (
     cnot_from_cz,
     cz_from_ieq,
@@ -70,6 +76,16 @@ class TestFanoutReference:
     def test_permutation(self, m):
         assert is_permutation_matrix(fanout_reference(m).matrix)
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_loop_reference(self, m):
+        dim = 1 << m
+        for control in range(m):
+            mask = (dim - 1) ^ (1 << control)
+            loop = np.zeros((dim, dim), dtype=complex)
+            for x in range(dim):
+                loop[x ^ (mask if (x >> control) & 1 else 0), x] = 1
+            assert np.array_equal(fanout_reference(m, control).matrix, loop)
+
 
 class TestParityReference:
     def test_two_qubits_is_cnot(self):
@@ -90,6 +106,16 @@ class TestParityReference:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_permutation(self, m):
         assert is_permutation_matrix(parity_reference(m).matrix)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_loop_reference(self, m):
+        dim = 1 << m
+        for acc in range(m):
+            loop = np.zeros((dim, dim), dtype=complex)
+            for x in range(dim):
+                p = hamming_weight(x & ~(1 << acc)) & 1
+                loop[x ^ (p << acc), x] = 1
+            assert np.array_equal(parity_reference(m, acc).matrix, loop)
 
 
 class TestIeq:
