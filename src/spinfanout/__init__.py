@@ -10,7 +10,6 @@ from .core import (
     StateVector,
     apply_gate,
     compose,
-    embed,
     equiv_up_to_global_phase,
     hamming_weight,
     popcounts,
@@ -24,7 +23,6 @@ from .hamiltonians import (
     build_l2,
     build_ln,
     build_ring,
-    build_total_spin_component,
     evolve,
     evolver,
     un,
@@ -40,6 +38,7 @@ from .gates import (
 from .circuits import (
     Circuit,
     Step,
+    cnot_from_cz,
     compile_circuit,
     dagger,
     fanout_circuit,

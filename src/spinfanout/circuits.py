@@ -19,10 +19,12 @@ import numpy as np
 from .core import (
     DEFAULT_CAPS,
     DenseOperator,
+    EquivalenceReport,
     SizeCaps,
     StateVector,
     _apply_to_block,
     _validate_targets,
+    equiv_up_to_global_phase,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -192,8 +194,11 @@ def from_text(
 
     ``n`` defaults to one more than the highest qubit index mentioned.
     Malformed lines (wrong number of qubits, a repeated qubit, a qubit
-    outside ``0..n-1``) raise ``ValueError`` naming the line.
+    outside ``0..n-1``) raise ``ValueError`` naming the line, as does a
+    given ``n`` below 1.
     """
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
     raw_steps: list[tuple[int, str, tuple[int, ...]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -233,3 +238,9 @@ def from_text(
         else:
             steps.append(Step(standard_gate(name), targets))
     return Circuit(n, tuple(steps))
+
+
+def cnot_from_cz(tol: float = 1e-12) -> EquivalenceReport:
+    """The circuit ``H 1; CZ 0 1; H 1`` compiled and compared with CNOT (control 0)."""
+    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n"))
+    return equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=tol)

@@ -34,6 +34,8 @@ from .hamiltonians import (
     build_l2,
     build_ring,
     evolve,
+    un,
+    un_dagger,
 )
 from .report import (
     check_results_json,
@@ -42,7 +44,6 @@ from .report import (
     scan_result_summary,
 )
 from .verify import known_check_ids, run_suite, suite_ok
-from .hamiltonians import un, un_dagger
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

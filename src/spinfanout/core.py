@@ -135,10 +135,6 @@ class DiagonalOperator:
     def to_dense(self) -> "DenseOperator":
         return DenseOperator(self.n, np.diag(self.entries))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.entries)
-
     def is_unitary(self, tol: float = NORM_TOL) -> bool:
         return bool(np.max(np.abs(np.abs(self.entries) - 1.0)) < tol)
 
@@ -183,15 +179,6 @@ def _validate_targets(gate: Operator, targets: list[int], n: int) -> None:
         raise IndexError(f"gate acts on {gate.n} qubits but {len(targets)} targets given")
 
 
-def _local_index_map(targets: list[int], n: int) -> np.ndarray:
-    """For each global basis index, the local index formed from the target bits."""
-    idx = np.arange(1 << n)
-    local = np.zeros(1 << n, dtype=np.int64)
-    for j, t in enumerate(targets):
-        local += (((idx >> t) & 1) << j).astype(np.int64)
-    return local
-
-
 def _apply_to_block(
     block: np.ndarray,
     gate: Operator,
@@ -217,7 +204,10 @@ def _apply_to_block(
     now holds the result, and the other one for the next call.
     """
     if isinstance(gate, DiagonalOperator):
-        block *= gate.entries[_local_index_map(targets, n)][:, None]
+        # the local basis index formed from the target bits of each row
+        idx = np.arange(1 << n)
+        local = sum(((idx >> t) & 1) << j for j, t in enumerate(targets))
+        block *= gate.entries[local].reshape(-1, 1)
         return block, work
     if work is None:
         work = np.empty_like(block)
@@ -254,16 +244,6 @@ def apply_gate(state: StateVector, gate: Operator, targets: list[int]) -> StateV
     _validate_targets(gate, targets, state.n)
     block, _ = _apply_to_block(state.amplitudes[:, None].copy(), gate, targets, state.n)
     return StateVector(state.n, block[:, 0])
-
-
-def embed(gate: Operator, targets: list[int], n: int) -> Operator:
-    """Lift a gate on the listed qubits to the full ``n``-qubit operator."""
-    targets = list(targets)
-    _validate_targets(gate, targets, n)
-    if isinstance(gate, DiagonalOperator):
-        return DiagonalOperator(n, gate.entries[_local_index_map(targets, n)])
-    block, _ = _apply_to_block(np.eye(1 << n, dtype=complex), gate, targets, n)
-    return DenseOperator(n, block)
 
 
 def compose(a: Operator, b: Operator) -> Operator:

@@ -18,8 +18,6 @@ from .core import (
     EquivalenceReport,
     Operator,
     SizeCaps,
-    compose,
-    embed,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -120,10 +118,3 @@ def cz_from_ieq(tol: float = 1e-12) -> EquivalenceReport:
     return equiv_up_to_global_phase(
         ieq_restriction(1), standard_gate("CZ").unitary, tol=tol
     )
-
-
-def cnot_from_cz(tol: float = 1e-12) -> EquivalenceReport:
-    """Hadamard conjugation of CZ on the target qubit versus CNOT."""
-    h_on_target = embed(standard_gate("H").unitary, [1], 2)
-    conj = compose(h_on_target, compose(standard_gate("CZ").unitary, h_on_target))
-    return equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=tol)

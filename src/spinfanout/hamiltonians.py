@@ -7,6 +7,7 @@ multiplies all energies for other conventions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,6 @@ from .core import (
     DiagonalOperator,
     Operator,
     SizeCaps,
-    embed,
     popcounts,
 )
 
@@ -26,14 +26,6 @@ TIME_QUARTER = np.pi / 4
 TIME_THREE_QUARTERS = 3 * np.pi / 4
 
 HERMITIAN_TOL = 1e-10
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
@@ -46,6 +38,8 @@ class DiagonalHamiltonian:
         energies = np.asarray(self.energies, dtype=float)
         if energies.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} energies, got {energies.shape}")
+        if not np.all(np.isfinite(energies)):
+            raise ValueError("Hamiltonian energies must be finite")
         object.__setattr__(self, "energies", energies)
         energies.setflags(write=False)
 
@@ -62,6 +56,8 @@ class DenseHamiltonian:
         dim = 1 << self.n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("Hamiltonian matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", mat)
@@ -127,9 +123,10 @@ def build_kn(
     caps.check_state(n)
     idx = np.arange(1 << n)
     energies = np.zeros(1 << n)
-    for i, j, jij in coupling.pairs():
-        signs = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
-        energies += jij * signs
+    with np.errstate(over="ignore", invalid="ignore"):  # DiagonalHamiltonian rejects inf/NaN
+        for i, j, jij in coupling.pairs():
+            signs = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
+            energies += jij * signs
     return DiagonalHamiltonian(n, scale * energies)
 
 
@@ -141,47 +138,37 @@ def build_ring(n: int, J: float) -> CouplingMatrix:
     return CouplingMatrix.from_pairs(n, pairs)
 
 
-def build_total_spin_component(
-    n: int, axis: str, caps: SizeCaps = DEFAULT_CAPS
-) -> DenseHamiltonian:
-    """Total spin component (1/2) sum_i P_i along the given Pauli axis."""
-    axis = axis.upper()
-    if axis not in ("X", "Y", "Z"):
-        raise ValueError(f"axis must be X, Y, or Z, got {axis!r}")
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    caps.check_dense(n)
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        mat += embed(DenseOperator(1, PAULI[axis]), [i], n).matrix
-    return DenseHamiltonian(n, 0.5 * mat)
+def _swap_sum(n: int, offset: float, terms) -> np.ndarray:
+    """``offset * I + sum w SWAP_ij`` over ``(i, j, w)`` in ``terms``, by index arithmetic."""
+    x = np.arange(1 << n)
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    mat[x, x] = offset
+    for i, j, w in terms:
+        differ = ((x >> i) ^ (x >> j)) & 1
+        mat[x ^ (differ * ((1 << i) | (1 << j))), x] += w
+    return mat
 
 
 def build_l2(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
-    """Squared total spin: sum of squares of the three components."""
+    """Squared total spin ``(3n/4 - n(n-1)/4) I + sum_{i<j} SWAP_ij``.
+
+    The sum of the squared spin components, rewritten with Dirac's
+    exchange identity ``XX + YY + ZZ = 2 SWAP - I``.
+    """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     caps.check_l2(n)
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for axis in ("X", "Y", "Z"):
-        comp = build_total_spin_component(n, axis, caps=caps).matrix
-        mat += comp @ comp
-    return DenseHamiltonian(n, mat)
+    pairs = ((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
+    return DenseHamiltonian(n, _swap_sum(n, 3 * n / 4 - n * (n - 1) / 4, pairs))
 
 
 def build_ln(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
-    """Heisenberg-coupled Hamiltonian sum_{i<j} J_ij (XX + YY + ZZ)."""
+    """Heisenberg couplings ``sum_{i<j} J_ij (XX + YY + ZZ) = sum J_ij (2 SWAP_ij - I)``."""
     n = coupling.n
     caps.check_l2(n)
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, j, jij in coupling.pairs():
-        for axis in ("X", "Y", "Z"):
-            pp = DenseOperator(2, np.kron(PAULI[axis], PAULI[axis]))
-            mat += jij * embed(pp, [i, j], n).matrix
-    return DenseHamiltonian(n, mat)
+    pairs = list(coupling.pairs())
+    offset = -sum(jij for _, _, jij in pairs)
+    return DenseHamiltonian(n, _swap_sum(n, offset, [(i, j, 2 * jij) for i, j, jij in pairs]))
 
 
 def evolver(
@@ -191,13 +178,25 @@ def evolver(
 
     Diagonal Hamiltonians stay diagonal.  A dense one is diagonalized
     once, under the eigensolve cap, and every call exponentiates its
-    spectrum.
+    spectrum.  A time whose product with the spectral radius is not
+    finite raises ``ValueError``: its phases would be NaN.
     """
     if isinstance(h, DiagonalHamiltonian):
-        return lambda t: DiagonalOperator(h.n, np.exp(-1j * h.energies * t))
-    caps.check_l2(h.n)
-    w, v = np.linalg.eigh(h.matrix)
-    return lambda t: DenseOperator(h.n, (v * np.exp(-1j * w * t)) @ v.conj().T)
+        w, v = h.energies, None
+    else:
+        caps.check_l2(h.n)
+        w, v = np.linalg.eigh(h.matrix)
+    radius = float(np.max(np.abs(w)))
+
+    def evolve_for(t: float) -> Operator:
+        if not math.isfinite(t * radius):
+            raise ValueError(f"time {t:g} times spectral radius {radius:g} is not finite")
+        phases = np.exp(-1j * w * t)
+        if v is None:
+            return DiagonalOperator(h.n, phases)
+        return DenseOperator(h.n, (v * phases) @ v.conj().T)
+
+    return evolve_for
 
 
 def evolve(

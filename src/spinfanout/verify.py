@@ -30,7 +30,6 @@ from .core import (
     schmidt_rank_one_deviation,
 )
 from .gates import (
-    cnot_from_cz,
     cz_from_ieq,
     fanout_reference,
     ieq_reference,
@@ -41,6 +40,7 @@ from .circuits import (
     Circuit,
     _hadamard_layer,
     _use_swapped_evolution,
+    cnot_from_cz,
     compile_circuit,
     fanout_circuit,
     parity_circuit,

@@ -19,6 +19,7 @@ from spinfanout.core import (
 )
 from spinfanout.circuits import (
     Circuit,
+    cnot_from_cz,
     compile_circuit,
     fanout_circuit,
     parity_circuit,
@@ -27,7 +28,6 @@ from spinfanout.circuits import (
 )
 from spinfanout.explore import default_time_grid, scan
 from spinfanout.gates import (
-    cnot_from_cz,
     cz_from_ieq,
     fanout_reference,
     parity_reference,

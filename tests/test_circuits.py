@@ -259,3 +259,9 @@ class TestTextFormat:
     def test_malformed_line_names_line(self, text):
         with pytest.raises(ValueError, match="line 2"):
             from_text("H 0\n" + text, n=3)
+
+    @pytest.mark.parametrize("text", ["", "H 0\n"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_qubit_count_below_one(self, text, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            from_text(text, n=n)

@@ -100,6 +100,22 @@ class TestMatrixCommand:
         assert code == 2
         assert out == "" and err.startswith("error: line 1:")
 
+    @pytest.mark.parametrize("text", ["", "H 0\n"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_circuit_file_qubit_count_below_one_exits_2(self, capsys, tmp_path, text, n):
+        path = tmp_path / "circ.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "matrix", "--what", "circuit-file", "--n", n, "--file", str(path)
+        )
+        assert code == 2
+        assert out == "" and err == "error: n must be >= 1\n"
+
+    def test_overflowing_time_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "matrix", "--what", "hn", "--n", "2", "--t", "1e308")
+        assert code == 2
+        assert out == "" and "is not finite" in err
+
     def test_circuit_file_over_state_cap_exits_3(self, capsys, tmp_path):
         path = tmp_path / "circ.txt"
         path.write_text("UN 10000000000\n")
@@ -196,6 +212,23 @@ class TestExploreCommand:
             main(["explore", "--hamiltonian", "ring", "--n", "3", "--j", "nan"])
         assert exc.value.code == 2
         assert "argument --j: invalid finite_float value: 'nan'" in capsys.readouterr().err
+
+    def test_overflowing_ring_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "ring", "--n", "3", "--j", "1e308", "--grid", "1"
+        )
+        assert code == 2
+        assert out == "" and err == "error: Hamiltonian energies must be finite\n"
+
+    def test_overflowing_coupling_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "J.txt"
+        path.write_text("1 2 1e308\n2 3 1e308\n3 1 1e308\n")
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "kn-file", "--n", "3",
+            "--coupling-file", str(path), "--grid", "1", "--json",
+        )
+        assert code == 2
+        assert out == "" and err == "error: Hamiltonian energies must be finite\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tolerance_exits_2(self, capsys, tol):

@@ -12,7 +12,6 @@ from spinfanout.core import (
     StateVector,
     apply_gate,
     compose,
-    embed,
     equiv_up_to_global_phase,
     hamming_weight,
     popcounts,
@@ -104,8 +103,6 @@ class TestApplyGate:
         state = StateVector(n, amps)
         out = apply_gate(state, gate, targets)
         assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-        # and the embed() path agrees with the same oracle
-        assert np.max(np.abs(embed(gate, targets, n).to_dense().matrix - full)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_norm_preserved(self, seed):
@@ -201,7 +198,8 @@ class TestApplyAgreesWithCompose:
             targets = list(rng.choice(n, size=m, replace=False))
             gate = random_unitary(m, rng)
             state = apply_gate(state, gate, targets)
-            total = compose(embed(gate, targets, n), total)
+            full = DenseOperator(n, kron_embed_oracle(gate.matrix, targets, n))
+            total = compose(full, total)
         once = total.matrix @ amps
         assert np.max(np.abs(state.amplitudes - once)) < 1e-12
 
@@ -224,7 +222,7 @@ def random_circuit(rng):
 
 
 class TestBlockKernel:
-    """compile_circuit, run_circuit, apply_gate and embed share one kernel;
+    """compile_circuit, run_circuit and apply_gate share one kernel;
     each is checked against an independent path."""
 
     @pytest.mark.parametrize("seed", range(30))
@@ -251,7 +249,7 @@ class TestBlockKernel:
         step = random_step(n, rng)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         out = apply_gate(StateVector(n, amps), step.gate.unitary, list(step.targets))
-        full = embed(step.gate.unitary, list(step.targets), n).to_dense().matrix
+        full = kron_embed_oracle(step.gate.unitary.to_dense().matrix, list(step.targets), n)
         assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
 
 

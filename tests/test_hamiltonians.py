@@ -9,21 +9,54 @@ from spinfanout.core import (
     compose,
     equiv_up_to_global_phase,
     hamming_weight,
+    popcounts,
 )
 from spinfanout.hamiltonians import (
     CouplingMatrix,
     DenseHamiltonian,
+    DiagonalHamiltonian,
     build_hn,
     build_kn,
     build_l2,
     build_ln,
     build_ring,
-    build_total_spin_component,
     evolve,
     evolver,
     un,
     un_dagger,
 )
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_on(axis, i, n):
+    """Independent oracle: the Pauli ``axis`` on qubit i (bit i) of n, by np.kron."""
+    return np.kron(np.kron(np.eye(1 << (n - 1 - i)), PAULI[axis]), np.eye(1 << i))
+
+
+def l2_oracle(n):
+    """Sum of the squared total-spin components (1/2) sum_i P_i."""
+    total = np.zeros((1 << n, 1 << n), dtype=complex)
+    for axis in "XYZ":
+        s = 0.5 * sum(pauli_on(axis, i, n) for i in range(n))
+        total += s @ s
+    return total
+
+
+def ln_oracle(coupling):
+    """sum_{i<j} J_ij (XX + YY + ZZ) as products of Pauli matrices."""
+    n = coupling.n
+    total = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i, j, jij in coupling.pairs():
+        for axis in "XYZ":
+            total += jij * (pauli_on(axis, i, n) @ pauli_on(axis, j, n))
+    return total
 
 
 def brute_force_zz_energy(x, n, J):
@@ -120,30 +153,6 @@ class TestBuildRing:
             build_ring(2, 1.0)
 
 
-class TestTotalSpin:
-    def test_single_qubit_z(self):
-        h = build_total_spin_component(1, "Z")
-        assert np.allclose(h.matrix, np.diag([0.5, -0.5]))
-
-    def test_z_diagonal_formula(self):
-        h = build_total_spin_component(2, "Z")
-        assert h.matrix[0b01, 0b01] == pytest.approx(0.0)
-        for n in (1, 2, 3, 4):
-            hz = build_total_spin_component(n, "Z").matrix
-            for x in range(1 << n):
-                k = hamming_weight(x)
-                assert hz[x, x] == pytest.approx((n - 2 * k) / 2)
-
-    def test_x_hermitian_traceless(self):
-        h = build_total_spin_component(2, "X").matrix
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
-        assert abs(np.trace(h)) < 1e-12
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            build_total_spin_component(2, "Q")
-
-
 class TestL2:
     def test_single_spin(self):
         assert np.allclose(build_l2(1).matrix, 0.75 * np.eye(2))
@@ -153,11 +162,15 @@ class TestL2:
         eigs = np.sort(np.linalg.eigvalsh(build_l2(2).matrix))
         assert np.allclose(eigs, [0, 2, 2, 2], atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pauli_oracle(self, n):
+        assert np.array_equal(build_l2(n).matrix, l2_oracle(n))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_commutes_with_z_total(self, n):
         l2 = build_l2(n).matrix
-        zt = build_total_spin_component(n, "Z").matrix
-        assert np.max(np.abs(l2 @ zt - zt @ l2)) < 1e-10
+        zt = (n - 2 * popcounts(n)) / 2  # the diagonal of Z_tot
+        assert np.max(np.abs(l2 * zt[None, :] - zt[:, None] * l2)) < 1e-10
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -171,6 +184,15 @@ class TestLn:
     def test_two_site_spectrum(self):
         eigs = np.sort(np.linalg.eigvalsh(build_ln(CouplingMatrix.uniform(2, 1.0)).matrix))
         assert np.allclose(eigs, [-3, 1, 1, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_pauli_oracle_random(self, n):
+        coupling = CouplingMatrix(n, np.random.default_rng(n).normal(size=(n, n)))
+        assert np.max(np.abs(build_ln(coupling).matrix - ln_oracle(coupling))) < 1e-14
+
+    def test_matches_pauli_oracle_ring(self):
+        ring = build_ring(6, 1.3)
+        assert np.max(np.abs(build_ln(ring).matrix - ln_oracle(ring))) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_l2_at_half_coupling(self, n):
@@ -242,6 +264,28 @@ class TestEvolve:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             DenseHamiltonian(1, np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes the Hermitian check, since NaN > tol is false
+        with pytest.raises(ValueError, match="finite"):
+            DenseHamiltonian(1, np.array([[bad, 0], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            DiagonalHamiltonian(1, np.array([bad, 0.0]))
+
+    def test_overflowing_couplings_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_kn(build_ring(3, 1e308))
+
+    @pytest.mark.parametrize("h", [build_hn(2), build_l2(2)], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("t", [1e308, -1e308, np.inf, np.nan])
+    def test_overflowing_time_rejected(self, h, t):
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(h, t)
+
+    def test_zero_hamiltonian_any_finite_time(self):
+        h = DiagonalHamiltonian(2, np.zeros(4))
+        assert np.all(evolve(h, 1e308).entries == 1)
 
 
 class TestUnPair:
