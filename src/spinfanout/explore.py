@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_CAPS, DiagonalOperator, Operator, SizeCaps, popcounts
-from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolver
+from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolver, spectral_phases
 
 SCAN_TOL = 1e-8
 
@@ -49,7 +49,6 @@ class ScanResult:
 
 def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagonalVerdict:
     """Measure how far a unitary is from the parity-usable form."""
-    n = u.n
     if isinstance(u, DiagonalOperator):
         diag = u.entries
         off_max = 0.0
@@ -58,12 +57,25 @@ def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagon
         diag = np.diag(mat).copy()
         off = mat - np.diag(diag)
         off_max = float(np.max(np.abs(off)))
+    return _verdict(diag, _odd_parity(u.n), off_max, tol)
+
+
+def _odd_parity(n: int) -> np.ndarray:
+    """Mask of the basis labels with odd Hamming weight."""
+    if n < 1:
+        raise ValueError(f"parity needs at least one qubit, got n={n}")
+    return (popcounts(n) & 1).astype(bool)
+
+
+def _verdict(
+    diag: np.ndarray, odd: np.ndarray, off_max: float, tol: float
+) -> ParityDiagonalVerdict:
+    """The verdict on diagonal entries ``diag``: entry 0 is the even reference, entry 1 the odd."""
     is_diagonal = off_max < tol
     # a unitary far from diagonal can have a vanishing first diagonal entry
-    norm = diag / diag[0] if abs(diag[0]) > 1e-12 else diag.copy()
-    odd = (popcounts(n) & 1).astype(bool)
-    phase_even = complex(norm[~odd][0])  # index 0, so 1 by construction
-    phase_odd = complex(norm[odd][0])
+    norm = diag / diag[0] if abs(diag[0]) > 1e-12 else diag
+    phase_even = complex(norm[0])  # 1 by construction
+    phase_odd = complex(norm[1])
     spread_even = float(np.max(np.abs(norm[~odd] - phase_even)))
     spread_odd = float(np.max(np.abs(norm[odd] - phase_odd)))
     rel = phase_odd / phase_even
@@ -87,6 +99,21 @@ def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagon
     )
 
 
+def _energy_levels(h: DiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Energies 0 and 1, then the distinct energies of each parity class, and the odd mask.
+
+    A verdict over the levels equals the verdict over all 2^n energies:
+    equal energies give equal phases, its spreads are maxima over a parity
+    class, and the references stay basis states 0 (even) and 1 (odd).
+    """
+    odd = _odd_parity(h.n)
+    even_levels = np.unique(h.energies[~odd])
+    odd_levels = np.unique(h.energies[odd])
+    levels = np.concatenate([h.energies[:2], even_levels, odd_levels])
+    level_odd = np.repeat([False, True, False, True], [1, 1, even_levels.size, odd_levels.size])
+    return levels, level_odd
+
+
 def scan(
     h: DiagonalHamiltonian | DenseHamiltonian,
     time_grid: list[float],
@@ -94,10 +121,22 @@ def scan(
     hamiltonian_id: str = "hamiltonian",
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> ScanResult:
-    """Evolve at every grid time and classify each resulting unitary."""
-    evolved = evolver(h, caps)
+    """Classify the evolution at every grid time.
+
+    A diagonal Hamiltonian is reduced to its energy levels once and each
+    time is classified over the levels only; a dense one is evolved and
+    classified by :func:`classify_parity_diagonal`.
+    """
     times = tuple(float(t) for t in time_grid)
-    verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)
+    if not times:
+        raise ValueError("empty time grid")
+    if isinstance(h, DiagonalHamiltonian):
+        levels, odd = _energy_levels(h)
+        phases_at = spectral_phases(levels)
+        verdicts = tuple(_verdict(phases_at(t), odd, 0.0, tol) for t in times)
+    else:
+        evolved = evolver(h, caps)
+        verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)
     best = int(np.argmin([vd.score for vd in verdicts]))
     return ScanResult(hamiltonian_id, times, verdicts, best)
 

@@ -111,7 +111,8 @@ def build_hn(n: int, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS) -> Diago
         raise ValueError(f"need at least one qubit, got n={n}")
     caps.check_state(n)
     k = popcounts(n)
-    energies = scale * (n * n / 2 - 2 * k * (n - k))
+    with np.errstate(over="ignore", invalid="ignore"):  # DiagonalHamiltonian rejects inf/NaN
+        energies = scale * (n * n / 2 - 2 * k * (n - k))
     return DiagonalHamiltonian(n, energies)
 
 
@@ -127,7 +128,8 @@ def build_kn(
         for i, j, jij in coupling.pairs():
             signs = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
             energies += jij * signs
-    return DiagonalHamiltonian(n, scale * energies)
+        energies *= scale
+    return DiagonalHamiltonian(n, energies)
 
 
 def build_ring(n: int, J: float) -> CouplingMatrix:
@@ -171,6 +173,22 @@ def build_ln(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DenseHa
     return DenseHamiltonian(n, _swap_sum(n, offset, [(i, j, 2 * jij) for i, j, jij in pairs]))
 
 
+def spectral_phases(w: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The map ``t -> exp(-i w t)`` over the real spectrum ``w``.
+
+    A time whose product with the spectral radius ``max|w|`` is not
+    finite raises ``ValueError``: its phases would be NaN.
+    """
+    radius = float(np.max(np.abs(w)))
+
+    def phases_at(t: float) -> np.ndarray:
+        if not math.isfinite(t * radius):
+            raise ValueError(f"time {t:g} times spectral radius {radius:g} is not finite")
+        return np.exp(-1j * w * t)
+
+    return phases_at
+
+
 def evolver(
     h: DiagonalHamiltonian | DenseHamiltonian, caps: SizeCaps = DEFAULT_CAPS
 ) -> Callable[[float], Operator]:
@@ -186,12 +204,10 @@ def evolver(
     else:
         caps.check_l2(h.n)
         w, v = np.linalg.eigh(h.matrix)
-    radius = float(np.max(np.abs(w)))
+    phases_at = spectral_phases(w)
 
     def evolve_for(t: float) -> Operator:
-        if not math.isfinite(t * radius):
-            raise ValueError(f"time {t:g} times spectral radius {radius:g} is not finite")
-        phases = np.exp(-1j * w * t)
+        phases = phases_at(t)
         if v is None:
             return DiagonalOperator(h.n, phases)
         return DenseOperator(h.n, (v * phases) @ v.conj().T)

@@ -5,9 +5,17 @@ import pytest
 
 from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator, SizeCaps
 from spinfanout.explore import classify_parity_diagonal, default_time_grid, scan
-from spinfanout.hamiltonians import build_hn, build_kn, build_l2, build_ring
+from spinfanout.hamiltonians import (
+    CouplingMatrix,
+    DiagonalHamiltonian,
+    build_hn,
+    build_kn,
+    build_l2,
+    build_ring,
+    evolve,
+    un,
+)
 from spinfanout.report import scan_result_json, scan_result_summary
-from spinfanout.hamiltonians import un
 
 
 class TestClassify:
@@ -33,6 +41,10 @@ class TestClassify:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_n_never_usable(self, n):
         assert not classify_parity_diagonal(un(n)).parity_usable
+
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            classify_parity_diagonal(DiagonalOperator(0, [1]))
 
     def test_off_diagonal_detected(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -92,3 +104,48 @@ class TestScan:
         res = scan(build_hn(6), [math.pi / 4, math.pi / 2], hamiltonian_id="hn6")
         text = scan_result_summary(res)
         assert "pi/4" in text and "parity-usable" in text
+
+
+_LEVEL_GRID = default_time_grid()[:64] + [k * math.pi / 4 for k in (1, 3, 5, 7)]
+
+
+def _random_kn(n):
+    return build_kn(CouplingMatrix(n, np.random.default_rng(n).normal(size=(n, n))))
+
+
+_DIAGONAL_CASES = (
+    [pytest.param(lambda n=n: build_hn(n), id=f"hn{n}") for n in range(1, 13)]
+    + [
+        pytest.param(lambda n=n, j=j: build_kn(build_ring(n, j)), id=f"ring{n}-J{j}")
+        for n in range(3, 11)
+        for j in (1.0, 0.37)
+    ]
+    + [pytest.param(lambda n=n: _random_kn(n), id=f"kn{n}") for n in range(2, 9)]
+)
+
+
+class TestLevelScan:
+    """A diagonal scan classifies energy levels; it must equal classifying every entry."""
+
+    @pytest.mark.parametrize("build", _DIAGONAL_CASES)
+    def test_verdicts_equal_full_classification(self, build):
+        h = build()
+        expected = tuple(classify_parity_diagonal(evolve(h, t)) for t in _LEVEL_GRID)
+        assert scan(h, _LEVEL_GRID).verdicts == expected  # every field, exactly
+
+    def test_non_finite_time_raises_like_evolve(self):
+        h = build_hn(3)
+        with pytest.raises(ValueError, match="not finite") as from_evolve:
+            evolve(h, 1e308)
+        with pytest.raises(ValueError, match="not finite") as from_scan:
+            scan(h, [1.0, 1e308])
+        assert str(from_scan.value) == str(from_evolve.value)
+
+    @pytest.mark.parametrize("h", [build_hn(3), build_l2(2)], ids=["diagonal", "dense"])
+    def test_empty_grid_rejected(self, h):
+        with pytest.raises(ValueError, match="empty time grid"):
+            scan(h, [])
+
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            scan(DiagonalHamiltonian(0, [0.0]), [1.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,20 @@ class TestEvolve:
     def test_overflowing_couplings_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             build_kn(build_ring(3, 1e308))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_hn(4, scale=1e308),
+            lambda: build_kn(CouplingMatrix.uniform(3, 1.0), scale=1e308),
+        ],
+        ids=["hn", "kn"],
+    )
+    def test_overflowing_scale_rejected_without_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                build()
 
     @pytest.mark.parametrize("h", [build_hn(2), build_l2(2)], ids=["diagonal", "dense"])
     @pytest.mark.parametrize("t", [1e308, -1e308, np.inf, np.nan])
