@@ -13,13 +13,16 @@ building one is bounded by the state cap (through :func:`un`); only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     DEFAULT_CAPS,
     DenseOperator,
+    DiagonalOperator,
     EquivalenceReport,
+    Operator,
     SizeCaps,
     StateVector,
     _apply_to_block,
@@ -28,6 +31,10 @@ from .core import (
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
+
+
+# widest qubit window that a run of steps is fused into
+_FUSE_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,25 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[Operator, list[int]], ...]:
+        """The steps fused into runs, one gate per run: a run takes the next step
+        while both are all diagonal, or while its qubit span ``lo..hi`` stays
+        within ``_FUSE_QUBITS``; otherwise the step starts a new run."""
+        runs: list[list] = []  # [lo, hi, all diagonal, steps]
+        for step in self.steps:
+            lo, hi = min(step.targets, default=0), max(step.targets, default=0)
+            diagonal = isinstance(step.gate.unitary, DiagonalOperator)
+            if runs:
+                run = runs[-1]
+                span_lo, span_hi = min(lo, run[0]), max(hi, run[1])
+                if (diagonal and run[2]) or span_hi - span_lo < _FUSE_QUBITS:
+                    run[:3] = span_lo, span_hi, diagonal and run[2]
+                    run[3].append(step)
+                    continue
+            runs.append([lo, hi, diagonal, [step]])
+        return tuple(_fuse(*run) for run in runs)
+
 
 def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
     """``UN`` or ``UNDAG`` on ``n`` qubits."""
@@ -55,11 +81,29 @@ def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
     return GateDef(name, n, evolution(n, caps=caps))
 
 
+def _fuse(lo: int, hi: int, diagonal: bool, steps: list[Step]) -> tuple[Operator, list[int]]:
+    """One gate on the ascending qubits ``lo..hi`` that applies ``steps`` in order,
+    built by the block kernel on a ones vector (a diagonal run) or the identity.
+    A lone step on ascending adjacent qubits, or wider than ``_FUSE_QUBITS``, is kept."""
+    m = hi - lo + 1
+    if len(steps) == 1:
+        targets = list(steps[0].targets)
+        if targets == list(range(lo, hi + 1)) or m > _FUSE_QUBITS:
+            return steps[0].gate.unitary, targets
+    block = np.ones((1 << m, 1), dtype=complex) if diagonal else np.eye(1 << m, dtype=complex)
+    work = None
+    for step in steps:
+        local = [t - lo for t in step.targets]
+        block, work = _apply_to_block(block, step.gate.unitary, local, m, work)
+    gate = DiagonalOperator(m, block[:, 0]) if diagonal else DenseOperator(m, block)
+    return gate, list(range(lo, hi + 1))
+
+
 def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """Every step applied, in order, to the columns of a ``(2^n, cols)`` block."""
+    """The circuit's fused plan applied, in order, to the columns of a ``(2^n, cols)`` block."""
     work = np.empty_like(block)
-    for step in c.steps:
-        block, work = _apply_to_block(block, step.gate.unitary, list(step.targets), c.n, work)
+    for gate, targets in c._plan:
+        block, work = _apply_to_block(block, gate, targets, c.n, work)
     return block
 
 

@@ -190,12 +190,12 @@ def _apply_to_block(
 
     The one gate-application kernel: state vectors are blocks with one
     column, compiled unitaries start from the identity.  A diagonal gate
-    scales the rows.  A dense gate is first relabelled to act on its
-    targets in ascending order; on adjacent qubits ``lo..hi`` it is then
-    one batched matrix product over the ``(2^(n-1-hi), 2^m, rest)`` view
-    of the block, and on other targets the target axes of the
-    ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is qubit ``q``) are gathered
-    to the front, multiplied and scattered back.
+    scales the rows.  A dense gate on the ascending adjacent qubits
+    ``lo..hi`` (the windows of a fused circuit plan) is one batched matrix
+    product over the ``(2^(n-1-hi), 2^m, rest)`` view of the block; on
+    targets in any other order the target axes of the ``(2,)*n + (cols,)``
+    view (axis ``n-1-q`` is qubit ``q``) are gathered to the front,
+    multiplied and scattered back.
 
     ``block`` (C-contiguous) and ``work``, a scratch array of the same
     shape that is allocated when not given, are both overwritten, so a
@@ -213,16 +213,9 @@ def _apply_to_block(
         work = np.empty_like(block)
     m = len(targets)
     mat = gate.matrix
-    order = sorted(range(m), key=targets.__getitem__)
-    if order != list(range(m)):
-        # local bit i of the sorted targets is local bit order[i] of the gate
-        local = np.arange(1 << m)
-        relabel = sum(((local >> i) & 1) << j for i, j in enumerate(order))
-        mat = mat[np.ix_(relabel, relabel)]
-        targets = [targets[j] for j in order]
-    lo, hi = targets[0], targets[-1]
-    if hi - lo == m - 1:
-        shape = (1 << (n - 1 - hi), 1 << m, -1)
+    lo = targets[0]
+    if targets == list(range(lo, lo + m)):
+        shape = (1 << (n - lo - m), 1 << m, -1)
         np.matmul(mat, block.reshape(shape), out=work.reshape(shape))
         return work, block
     # gate axis k (rows) and m+k (columns) hold local bit m-1-k
@@ -274,7 +267,9 @@ def equiv_up_to_global_phase(
     The phase is taken from the largest-magnitude entry of ``v`` (ties
     broken by lowest row-major index).  If ``v`` is numerically zero
     everywhere the phase defaults to 1 and the check degenerates to
-    ``|u| < tol`` elementwise.
+    ``|u| < tol`` elementwise.  If ``u`` is below ``tol`` at that entry
+    the phase also defaults to 1, rather than the phase of a rounding
+    residue.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -286,12 +281,12 @@ def equiv_up_to_global_phase(
         ua, va = u.to_dense().matrix, v.to_dense().matrix
     flat_v = va.ravel()
     pos = int(np.argmax(np.abs(flat_v)))
-    if np.abs(flat_v[pos]) < 1e-300:
+    u_at = ua.ravel()[pos]
+    if np.abs(flat_v[pos]) < 1e-300 or np.abs(u_at) < tol:
         phase = 1.0 + 0.0j
     else:
-        phase = ua.ravel()[pos] / flat_v[pos]
-        mag = abs(phase)
-        phase = phase / mag if mag > 0 else 1.0 + 0.0j
+        phase = u_at / flat_v[pos]
+        phase = phase / abs(phase)
     max_dev = float(np.max(np.abs(ua - phase * va)))
     return EquivalenceReport(
         equivalent=max_dev < tol,

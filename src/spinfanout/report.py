@@ -62,7 +62,7 @@ def check_results_table(results: list[CheckResult]) -> str:
 
 
 def scan_result_json(res: ScanResult) -> str:
-    """Per-time rows in the same JSON-lines style as the check report."""
+    """Per-time rows in the same JSON-lines style as the check report; no times, no lines."""
     lines = []
     for i, (t, v) in enumerate(zip(res.times, res.verdicts)):
         fields = [
@@ -80,7 +80,7 @@ def scan_result_json(res: ScanResult) -> str:
             f'"best": {str(i == res.best).lower()}',
         ]
         lines.append("{" + ", ".join(fields) + "}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def _pi_label(t: float) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, StateVector, compose, equiv_up_to_global_phase, hamming_weight
+from spinfanout.core import CapExceededError, DiagonalOperator, StateVector, compose, equiv_up_to_global_phase, hamming_weight
 from spinfanout.circuits import (
     Circuit,
     Step,
@@ -35,6 +35,13 @@ class TestCompile:
         expected[0, 0] = expected[2, 2] = 1
         expected[3, 1] = expected[1, 3] = 1
         assert np.allclose(compile_circuit(c).matrix, expected)
+
+    def test_global_phase_step(self):
+        # a diagonal gate on no qubits multiplies every column by its one entry
+        phase = GateDef("P", 0, DiagonalOperator(0, np.array([1j])))
+        c = Circuit(2, (Step(standard_gate("H"), (1,)), Step(phase, ())))
+        expected = 1j * np.kron(standard_gate("H").unitary.matrix, np.eye(2))
+        assert np.max(np.abs(compile_circuit(c).matrix - expected)) < 1e-12
 
     def test_hadamard_pair(self):
         h = standard_gate("H")
@@ -145,6 +152,13 @@ class TestFanoutCircuit:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             fanout_circuit(5)
+
+    def test_fused_plan_has_under_half_the_passes(self):
+        # runs of H, S and S-dagger fuse into one pass per window of <= 4 qubits
+        c = fanout_circuit(8)
+        assert len(c) == 27
+        assert len(c._plan) < len(c) / 2
+        assert c._plan is c._plan
 
 
 class TestSimplify:

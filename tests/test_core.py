@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from spinfanout.core import (
     popcounts,
     schmidt_rank_one_deviation,
 )
-from spinfanout.circuits import Circuit, Step, compile_circuit, run_circuit
+from spinfanout.circuits import _FUSE_QUBITS, Circuit, Step, compile_circuit, run_circuit
 from spinfanout.gates import GateDef, standard_gate
 from spinfanout.hamiltonians import un
 
@@ -30,7 +31,7 @@ def kron_embed_oracle(gate_matrix, targets, n):
     rest_mask = (dim - 1) ^ sum(1 << t for t in targets)
     for col in range(dim):
         loc_in = sum(((col >> t) & 1) << j for j, t in enumerate(targets))
-        for loc_out in range(1 << m):
+        for loc_out in np.flatnonzero(gate_matrix[:, loc_in]):
             row = (col & rest_mask) | sum(
                 ((loc_out >> j) & 1) << t for j, t in enumerate(targets)
             )
@@ -159,6 +160,19 @@ class TestEquivalence:
         rep = equiv_up_to_global_phase(random_unitary(2, rng), random_unitary(2, rng))
         assert not rep.equivalent
 
+    def test_u_vanishing_at_largest_entry_of_v(self):
+        # v's largest entry is [0, 0], where u is zero or a rounding residue
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        v = DenseOperator(1, np.diag([1.0, 0.5]).astype(complex))
+        for residue in (0.0, 1e-32 * np.exp(0.4j)):
+            rep = equiv_up_to_global_phase(DenseOperator(1, x + residue * np.eye(2)), v)
+            assert not rep.equivalent
+            assert rep.phase == 1 + 0j
+        rep = equiv_up_to_global_phase(
+            DiagonalOperator(1, np.array([1e-32j, 1])), DiagonalOperator(1, np.array([1, 0.5]))
+        )
+        assert not rep.equivalent and rep.phase == 1 + 0j
+
     def test_zero_operator_degenerate_case(self):
         zero = DenseOperator(1, np.zeros((2, 2)))
         rep = equiv_up_to_global_phase(zero, zero, tol=1e-10)
@@ -204,21 +218,49 @@ class TestApplyAgreesWithCompose:
         assert np.max(np.abs(state.amplitudes - once)) < 1e-12
 
 
+def random_diagonal(m, rng):
+    return DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
+
+
 def random_step(n, rng):
     """A dense or diagonal gate on 1..3 distinct qubits, in random order."""
     m = int(rng.integers(1, min(n, 3) + 1))
     targets = tuple(int(t) for t in rng.permutation(n)[:m])
-    if rng.random() < 0.5:
-        gate = random_unitary(m, rng)
-    else:
-        gate = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
+    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
+    return Step(GateDef("G", m, gate), targets)
+
+
+def fusion_step(n, rng):
+    """A diagonal on all n qubits (sometimes, in ascending or random order),
+    else a dense or diagonal gate on 1..3 qubits, in random order, of a
+    window of 1..6 adjacent qubits: runs of these steps fuse below, at and
+    past the fusion width."""
+    if rng.random() < 0.1:
+        targets = range(n) if rng.random() < 0.5 else rng.permutation(n)
+        return Step(GateDef("D", n, random_diagonal(n, rng)), tuple(int(t) for t in targets))
+    width = int(rng.integers(1, min(n, 6) + 1))
+    lo = int(rng.integers(0, n - width + 1))
+    m = int(rng.integers(1, min(width, 3) + 1))
+    targets = tuple(lo + int(t) for t in rng.permutation(width)[:m])
+    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
     return Step(GateDef("G", m, gate), targets)
 
 
 def random_circuit(rng):
-    n = int(rng.integers(1, 7))
-    depth = int(rng.integers(1, 9))
-    return Circuit(n, tuple(random_step(n, rng) for _ in range(depth)))
+    n = int(rng.integers(1, 10))
+    depth = int(rng.integers(1, 21))
+    return Circuit(n, tuple(fusion_step(n, rng) for _ in range(depth)))
+
+
+@functools.lru_cache(maxsize=None)
+def random_circuit_and_oracle(seed):
+    """``random_circuit(seed)`` and the product of its kron-embedded steps."""
+    c = random_circuit(np.random.default_rng(seed))
+    total = np.eye(1 << c.n, dtype=complex)
+    for step in c.steps:
+        gate = step.gate.unitary.to_dense().matrix
+        total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
+    return c, total
 
 
 class TestBlockKernel:
@@ -227,20 +269,44 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_compile_matches_kron_oracle_product(self, seed):
-        c = random_circuit(np.random.default_rng(seed))
-        total = np.eye(1 << c.n, dtype=complex)
-        for step in c.steps:
-            gate = step.gate.unitary.to_dense().matrix
-            total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
+        c, total = random_circuit_and_oracle(seed)
         assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(30))
     def test_columns_match_run_circuit(self, seed):
-        c = random_circuit(np.random.default_rng(seed))
-        mat = compile_circuit(c).matrix
+        c, total = random_circuit_and_oracle(seed)
         for x in range(1 << c.n):
             out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
-            assert np.max(np.abs(mat[:, x] - out)) < 1e-12
+            assert np.max(np.abs(total[:, x] - out)) < 1e-12
+
+    def test_random_circuits_cover_the_fusion_cases(self):
+        """The seeded circuits above reach every kind of fused run."""
+        circuits = [random_circuit_and_oracle(seed)[0] for seed in range(30)]
+        steps = [(c.n, s) for c in circuits for s in c.steps]
+        plan = [(gate, targets) for c in circuits for gate, targets in c._plan]
+        assert max(c.n for c in circuits) == 9
+        assert max(len(c) for c in circuits) >= 18
+        # full-width diagonals, on more qubits than a dense window holds
+        assert any(s.gate.arity == n > _FUSE_QUBITS for n, s in steps)
+        assert any(list(s.targets) != sorted(s.targets) for _, s in steps)
+        assert any(max(s.targets) - min(s.targets) >= len(s.targets) for _, s in steps)
+        # every plan gate acts on ascending adjacent qubits, or is a wide lone step
+        windows = set()
+        for gate, targets in plan:
+            span = max(targets) - min(targets) + 1
+            if targets == list(range(min(targets), max(targets) + 1)):
+                windows.add((isinstance(gate, DenseOperator), span))
+            else:
+                assert span > _FUSE_QUBITS
+        dense_widths = {span for dense, span in windows if dense}
+        assert set(range(1, _FUSE_QUBITS + 1)) <= dense_widths
+        # past the width: a dense step too wide to fuse, and wide diagonal runs
+        assert any(
+            isinstance(gate, DenseOperator) and max(t) - min(t) + 1 > _FUSE_QUBITS
+            for gate, t in plan
+        )
+        assert any(not dense and span > _FUSE_QUBITS for dense, span in windows)
+        assert len(plan) < len(steps)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_apply_gate_matches_embed(self, seed):

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator, SizeCaps
-from spinfanout.explore import classify_parity_diagonal, default_time_grid, scan
+from spinfanout.explore import ScanResult, classify_parity_diagonal, default_time_grid, scan
 from spinfanout.hamiltonians import (
     CouplingMatrix,
     DiagonalHamiltonian,
@@ -91,6 +92,13 @@ class TestScan:
         a = scan(build_kn(build_ring(4, 1.0)), grid, hamiltonian_id="r")
         b = scan(build_kn(build_ring(4, 1.0)), grid, hamiltonian_id="r")
         assert scan_result_json(a) == scan_result_json(b)
+
+    def test_json_lines(self):
+        assert scan_result_json(ScanResult("hn", (), (), 0)) == ""
+        text = scan_result_json(scan(build_hn(4), [math.pi / 4, 1.0], hamiltonian_id="hn"))
+        lines = text.split("\n")
+        assert len(lines) == 3 and lines[-1] == ""
+        assert all(json.loads(line)["hamiltonian_id"] == "hn" for line in lines[:-1])
 
     def test_diagonal_path_never_densifies(self, monkeypatch):
         def boom(self):

@@ -49,6 +49,11 @@ class TestRunCheck:
         assert r.negative_control
         assert r.ok
 
+    def test_negative_control_phase_is_one(self):
+        # the compiled circuit vanishes at the reference's largest entry
+        r = run_check("parity_negative_control", {"n": 4})
+        assert r.phase == 1 + 0j
+
 
 @pytest.fixture(scope="module")
 def results():
