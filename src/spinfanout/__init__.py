@@ -8,10 +8,7 @@ from .core import (
     EquivalenceReport,
     SizeCaps,
     StateVector,
-    apply_gate,
-    compose,
     equiv_up_to_global_phase,
-    hamming_weight,
     popcounts,
 )
 from .hamiltonians import (
@@ -29,7 +26,6 @@ from .hamiltonians import (
     un_dagger,
 )
 from .gates import (
-    cz_from_ieq,
     fanout_reference,
     ieq_reference,
     parity_reference,
@@ -38,9 +34,7 @@ from .gates import (
 from .circuits import (
     Circuit,
     Step,
-    cnot_from_cz,
     compile_circuit,
-    dagger,
     fanout_circuit,
     from_text,
     parity_circuit,

@@ -21,13 +21,11 @@ from .core import (
     DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
-    EquivalenceReport,
     Operator,
     SizeCaps,
     StateVector,
     _apply_to_block,
     _validate_targets,
-    equiv_up_to_global_phase,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -51,9 +49,6 @@ class Circuit:
     def __post_init__(self):
         for step in self.steps:
             _validate_targets(step.gate.unitary, list(step.targets), self.n)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     @cached_property
     def _plan(self) -> tuple[tuple[Operator, list[int]], ...]:
@@ -118,17 +113,6 @@ def run_circuit(c: Circuit, state: StateVector) -> StateVector:
     if state.n != c.n:
         raise ValueError(f"circuit on {c.n} qubits applied to a {state.n}-qubit state")
     return StateVector(c.n, _run_steps(c, state.amplitudes[:, None].copy())[:, 0])
-
-
-def dagger(c: Circuit) -> Circuit:
-    """Reversed circuit with each gate replaced by its exact adjoint."""
-    inverse_name = {"S": "SDAG", "SDAG": "S", "UN": "UNDAG", "UNDAG": "UN"}
-    steps = []
-    for step in reversed(c.steps):
-        g = step.gate
-        name = inverse_name.get(g.name, g.name)
-        steps.append(Step(GateDef(name, g.arity, g.unitary.dagger()), step.targets))
-    return Circuit(c.n, tuple(steps))
 
 
 def _use_swapped_evolution(n: int) -> bool:
@@ -237,9 +221,9 @@ def from_text(
     """Parse the line format of :func:`to_text`.
 
     ``n`` defaults to one more than the highest qubit index mentioned.
-    Malformed lines (wrong number of qubits, a repeated qubit, a qubit
-    outside ``0..n-1``) raise ``ValueError`` naming the line, as does a
-    given ``n`` below 1.
+    Malformed lines (an unknown gate, wrong number of qubits, a repeated
+    qubit, a qubit outside ``0..n-1``) raise ``ValueError`` naming the
+    line, as does a given ``n`` below 1.
     """
     if n is not None and n < 1:
         raise ValueError("n must be >= 1")
@@ -260,7 +244,10 @@ def from_text(
             caps.check_state(args[0])  # before the k targets are built
             raw_steps.append((lineno, name, tuple(range(args[0]))))
             continue
-        arity = standard_gate(name).arity  # raises KeyError on unknown gates
+        try:
+            arity = standard_gate(name).arity
+        except KeyError:
+            raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}") from None
         if len(args) != arity:
             raise ValueError(
                 f"line {lineno}: {name} takes {arity} qubit(s), got {len(args)}"
@@ -282,9 +269,3 @@ def from_text(
         else:
             steps.append(Step(standard_gate(name), targets))
     return Circuit(n, tuple(steps))
-
-
-def cnot_from_cz(tol: float = 1e-12) -> EquivalenceReport:
-    """The circuit ``H 1; CZ 0 1; H 1`` compiled and compared with CNOT (control 0)."""
-    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n"))
-    return equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=tol)

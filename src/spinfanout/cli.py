@@ -66,6 +66,13 @@ def positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not > 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfanout",
@@ -75,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity check suite")
     p_verify.add_argument("--filter", help="only run checks whose id starts with this")
-    p_verify.add_argument("--n-max", type=int, help="skip check instances above this size")
+    p_verify.add_argument("--n-max", type=positive_int, help="skip check instances above this size")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_matrix = sub.add_parser("matrix", help="print an operator's entries")
@@ -222,6 +229,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _load_coupling_file(path: str, n: int) -> CouplingMatrix:
     pairs: dict[tuple[int, int], float] = {}
+    first_line: dict[tuple[int, int], int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -236,7 +244,11 @@ def _load_coupling_file(path: str, n: int) -> CouplingMatrix:
                 raise ValueError(f"line {lineno}: {exc}") from None
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"line {lineno}: indices must be distinct, 1..{n}")
-            pairs[(i - 1, j - 1)] = coupling
+            key = (min(i, j) - 1, max(i, j) - 1)
+            if key in first_line:
+                raise ValueError(f"line {lineno}: pair {i} {j} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            pairs[key] = coupling
     return CouplingMatrix.from_pairs(n, pairs)
 
 

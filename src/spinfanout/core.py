@@ -9,16 +9,14 @@ Conventions used throughout the package:
   so on.  A 2-qubit controlled gate therefore has its control on the
   first listed target.
 * Diagonal operators are stored as entry arrays of length ``2**n`` and
-  are never densified unless composed with a dense operator.
+  become matrices only through ``to_dense``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
-UNITARY_TOL = 1e-10
 EQUIV_TOL = 1e-10
 
 
@@ -64,13 +62,6 @@ class SizeCaps:
 DEFAULT_CAPS = SizeCaps()
 
 
-def hamming_weight(x: int) -> int:
-    """Number of set bits in the basis label ``x``."""
-    if x < 0:
-        raise ValueError("basis index must be non-negative")
-    return int(x).bit_count()
-
-
 def popcounts(n: int) -> np.ndarray:
     """Hamming weights of the basis labels ``0 .. 2**n - 1`` (int64)."""
     idx = np.arange(1 << n, dtype=np.int64)
@@ -106,10 +97,6 @@ class StateVector:
         amps[value] = 1.0
         return cls(n, amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DiagonalOperator:
@@ -129,14 +116,8 @@ class DiagonalOperator:
     def identity(cls, n: int) -> "DiagonalOperator":
         return cls(n, np.ones(1 << n, dtype=complex))
 
-    def dagger(self) -> "DiagonalOperator":
-        return DiagonalOperator(self.n, np.conj(self.entries))
-
     def to_dense(self) -> "DenseOperator":
         return DenseOperator(self.n, np.diag(self.entries))
-
-    def is_unitary(self, tol: float = NORM_TOL) -> bool:
-        return bool(np.max(np.abs(np.abs(self.entries) - 1.0)) < tol)
 
 
 @dataclass(frozen=True)
@@ -154,16 +135,8 @@ class DenseOperator:
         object.__setattr__(self, "matrix", mat)
         mat.setflags(write=False)
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.n, self.matrix.conj().T)
-
     def to_dense(self) -> "DenseOperator":
         return self
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        dim = 1 << self.n
-        dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)))
-        return bool(dev < tol)
 
 
 Operator = DiagonalOperator | DenseOperator
@@ -231,23 +204,6 @@ def _apply_to_block(
     return work, block
 
 
-def apply_gate(state: StateVector, gate: Operator, targets: list[int]) -> StateVector:
-    """Apply ``gate`` to the listed qubits of ``state``, identity elsewhere."""
-    targets = list(targets)
-    _validate_targets(gate, targets, state.n)
-    block, _ = _apply_to_block(state.amplitudes[:, None].copy(), gate, targets, state.n)
-    return StateVector(state.n, block[:, 0])
-
-
-def compose(a: Operator, b: Operator) -> Operator:
-    """Operator product ``a @ b`` (apply ``b`` first, then ``a``)."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    if isinstance(a, DiagonalOperator) and isinstance(b, DiagonalOperator):
-        return DiagonalOperator(a.n, a.entries * b.entries)
-    return DenseOperator(a.n, a.to_dense().matrix @ b.to_dense().matrix)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of a global-phase-equivalence check between two operators."""
@@ -256,7 +212,6 @@ class EquivalenceReport:
     phase: complex
     max_deviation: float
     tolerance: float
-    detail: str = field(default="", compare=False)
 
 
 def equiv_up_to_global_phase(

@@ -1,9 +1,8 @@
 """Standard gates and exact reference unitaries for the multi-qubit gates.
 
 Two-qubit gates put the control on the first listed target (local bit 0).
-The multi-qubit reference constructors take an explicit control/accumulator
-position, defaulting to the last qubit index: that is the wire the circuit
-builders treat as special.
+The multi-qubit references put the fanout control and the parity accumulator
+on the last qubit: that is the wire the circuit builders treat as special.
 """
 from __future__ import annotations
 
@@ -15,10 +14,8 @@ from .core import (
     DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
-    EquivalenceReport,
     Operator,
     SizeCaps,
-    equiv_up_to_global_phase,
     popcounts,
 )
 
@@ -61,16 +58,12 @@ def standard_gate(name: str) -> GateDef:
     return _STANDARD[key]
 
 
-def fanout_reference(n_plus_1: int, control: int | None = None,
-                     caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
-    """Permutation XORing the control qubit's value into every other qubit."""
+def fanout_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+    """Permutation XORing the last qubit's value into every other qubit."""
     if n_plus_1 < 2:
         raise ValueError("fanout needs at least 2 qubits")
     caps.check_dense(n_plus_1)
-    if control is None:
-        control = n_plus_1 - 1
-    if not 0 <= control < n_plus_1:
-        raise IndexError(f"control {control} out of range")
+    control = n_plus_1 - 1
     dim = 1 << n_plus_1
     target_mask = (dim - 1) ^ (1 << control)
     x = np.arange(dim)
@@ -79,16 +72,12 @@ def fanout_reference(n_plus_1: int, control: int | None = None,
     return DenseOperator(n_plus_1, mat)
 
 
-def parity_reference(n_plus_1: int, accumulator: int | None = None,
-                     caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
-    """Permutation XORing the parity of the other qubits into the accumulator."""
+def parity_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+    """Permutation XORing the parity of the other qubits into the last qubit."""
     if n_plus_1 < 2:
         raise ValueError("parity needs at least 2 qubits")
     caps.check_dense(n_plus_1)
-    if accumulator is None:
-        accumulator = n_plus_1 - 1
-    if not 0 <= accumulator < n_plus_1:
-        raise IndexError(f"accumulator {accumulator} out of range")
+    accumulator = n_plus_1 - 1
     dim = 1 << n_plus_1
     x = np.arange(dim)
     parity = popcounts(n_plus_1)[x & ~(1 << accumulator)] & 1
@@ -102,19 +91,3 @@ def ieq_reference() -> DiagonalOperator:
     entries = np.ones(8, dtype=complex)
     entries[0] = entries[7] = -1
     return DiagonalOperator(3, entries)
-
-
-def ieq_restriction(bit: int) -> DiagonalOperator:
-    """2-qubit diagonal obtained by fixing the third qubit of the equality gate."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    entries = ieq_reference().entries
-    sub = np.array([entries[(bit << 2) | local] for local in range(4)])
-    return DiagonalOperator(2, sub)
-
-
-def cz_from_ieq(tol: float = 1e-12) -> EquivalenceReport:
-    """Equality-gate restriction with the third qubit set to |1> versus CZ."""
-    return equiv_up_to_global_phase(
-        ieq_restriction(1), standard_gate("CZ").unitary, tol=tol
-    )

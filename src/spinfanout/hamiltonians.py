@@ -2,8 +2,7 @@
 
 Units follow the convention hbar = J/2 = 1, so the squared-total-spin
 Hamiltonian carries J = 2 and the diagonal energy of a basis state with
-``k`` ones out of ``n`` is ``n**2/2 - 2*k*(n-k)``.  An optional ``scale``
-multiplies all energies for other conventions.
+``k`` ones out of ``n`` is ``n**2/2 - 2*k*(n-k)``.
 """
 from __future__ import annotations
 
@@ -101,7 +100,7 @@ class CouplingMatrix:
             yield int(i), int(j), float(self.J[i, j])
 
 
-def build_hn(n: int, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
+def build_hn(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
     """Squared-total-spin-z Hamiltonian on ``n`` qubits.
 
     The energy of a basis state with Hamming weight ``k`` is
@@ -111,14 +110,10 @@ def build_hn(n: int, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS) -> Diago
         raise ValueError(f"need at least one qubit, got n={n}")
     caps.check_state(n)
     k = popcounts(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # DiagonalHamiltonian rejects inf/NaN
-        energies = scale * (n * n / 2 - 2 * k * (n - k))
-    return DiagonalHamiltonian(n, energies)
+    return DiagonalHamiltonian(n, n * n / 2 - 2 * k * (n - k))
 
 
-def build_kn(
-    coupling: CouplingMatrix, scale: float = 1.0, caps: SizeCaps = DEFAULT_CAPS
-) -> DiagonalHamiltonian:
+def build_kn(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
     """Pairwise ZZ-coupling Hamiltonian sum_{i<j} J_ij Z_i Z_j."""
     n = coupling.n
     caps.check_state(n)
@@ -128,7 +123,6 @@ def build_kn(
         for i, j, jij in coupling.pairs():
             signs = 1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1)
             energies += jij * signs
-        energies *= scale
     return DiagonalHamiltonian(n, energies)
 
 

@@ -24,25 +24,24 @@ from .core import (
     Operator,
     SizeCaps,
     StateVector,
-    compose,
     equiv_up_to_global_phase,
     popcounts,
     schmidt_rank_one_deviation,
 )
 from .gates import (
-    cz_from_ieq,
     fanout_reference,
     ieq_reference,
     parity_reference,
+    standard_gate,
 )
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
     _hadamard_layer,
     _use_swapped_evolution,
-    cnot_from_cz,
     compile_circuit,
     fanout_circuit,
+    from_text,
     parity_circuit,
     parity_like_circuit,
     run_circuit,
@@ -108,8 +107,10 @@ def _check_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
 
 
 def _check_cz_from_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    cz_rep = cz_from_ieq()
-    cnot_rep = cnot_from_cz()
+    restriction = DiagonalOperator(2, ieq_reference().entries[4:])  # third qubit in |1>
+    cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
+    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n", caps=caps), caps)  # CNOT, control 0
+    cnot_rep = equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=1e-12)
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
 
@@ -151,8 +152,8 @@ def _check_parity_like(params: dict, caps: SizeCaps) -> tuple[float, complex]:
 def _check_fig3_conjugation(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     m = params["n_plus_1"]
     layer = compile_circuit(Circuit(m, _hadamard_layer(range(m))), caps)
-    conj = compose(layer, compose(parity_reference(m, caps=caps), layer))
-    dev = float(np.max(np.abs(conj.matrix - fanout_reference(m, caps=caps).matrix)))
+    conj = layer.matrix @ (parity_reference(m, caps=caps).matrix @ layer.matrix)
+    dev = float(np.max(np.abs(conj - fanout_reference(m, caps=caps).matrix)))
     return dev, complex(1)
 
 
@@ -166,8 +167,8 @@ def _check_kn_offset(params: dict, caps: SizeCaps) -> tuple[float, complex]:
 
 def _check_unitary_pow4(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    u = un(n, caps)
-    u4 = compose(compose(u, u), compose(u, u))
+    u2 = un(n, caps).entries ** 2
+    u4 = DiagonalOperator(n, u2 * u2)
     rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
     return rep.max_deviation, rep.phase
 

@@ -12,25 +12,24 @@ import pytest
 from spinfanout.core import (
     DiagonalOperator,
     StateVector,
-    compose,
     equiv_up_to_global_phase,
-    hamming_weight,
     schmidt_rank_one_deviation,
 )
 from spinfanout.circuits import (
     Circuit,
-    cnot_from_cz,
     compile_circuit,
     fanout_circuit,
+    from_text,
     parity_circuit,
     run_circuit,
     simplified_fanout_circuit,
 )
 from spinfanout.explore import default_time_grid, scan
 from spinfanout.gates import (
-    cz_from_ieq,
     fanout_reference,
+    ieq_reference,
     parity_reference,
+    standard_gate,
 )
 from spinfanout.hamiltonians import (
     CouplingMatrix,
@@ -66,7 +65,7 @@ def test_criterion_02_phase_formula():
     for n in range(1, 11):
         diag = un(n).entries
         norm = diag / diag[0]
-        k = np.array([hamming_weight(x) for x in range(1 << n)])
+        k = np.array([x.bit_count() for x in range(1 << n)])
         worst = max(worst, float(np.max(np.abs(norm - 1j ** (k * (n - k))))))
     elapsed = time.perf_counter() - start
     report("2 phase-formula", worst < 1e-10 and elapsed < 1.0)
@@ -76,7 +75,7 @@ def test_criterion_03_parity_dichotomy():
     worst = 0.0
     for n, odd_phase in [(2, 1j), (6, 1j), (10, 1j), (4, -1j), (8, -1j)]:
         norm = un(n).entries / un(n).entries[0]
-        k = np.array([hamming_weight(x) for x in range(1 << n)])
+        k = np.array([x.bit_count() for x in range(1 << n)])
         expected = np.where(k % 2 == 0, 1, odd_phase)
         worst = max(worst, float(np.max(np.abs(norm - expected))))
     report("3 parity-dichotomy", worst < 1e-10)
@@ -105,7 +104,7 @@ def test_criterion_05_fanout_circuit():
         rep_s = equiv_up_to_global_phase(
             compile_circuit(simplified), fanout_reference(n + 1), tol=1e-9
         )
-        ok = ok and rep.equivalent and rep_s.equivalent and len(simplified) < len(full)
+        ok = ok and rep.equivalent and rep_s.equivalent and len(simplified.steps) < len(full.steps)
     report("5 fanout-circuit", ok)
 
 
@@ -118,7 +117,7 @@ def test_criterion_06_unentangled_control():
         for x in range(1 << (n + 1)):
             state = run_circuit(prefix, StateVector.basis(n + 1, x))
             worst = max(worst, schmidt_rank_one_deviation(state, control))
-            p = hamming_weight(x & ((1 << (n - 1)) - 1)) & 1
+            p = (x & ((1 << (n - 1)) - 1)).bit_count() & 1
             r = (x >> (n - 1)) & 1
             wrong = [
                 idx for idx in range(1 << (n + 1))
@@ -132,8 +131,8 @@ def test_criterion_07_dagger_and_order():
     ok = True
     for n in range(1, 11):
         u, udag = un(n), un_dagger(n)
-        pair = compose(u, udag)
-        pow4 = compose(compose(u, u), compose(u, u))
+        pair = DiagonalOperator(n, u.entries * udag.entries)
+        pow4 = DiagonalOperator(n, u.entries ** 4)
         identity = DiagonalOperator.identity(n)
         if n % 2 == 0:
             # even n: exact identities, no phase left over
@@ -157,8 +156,11 @@ def test_criterion_08_kn_offset():
 
 
 def test_criterion_09_cz_from_ieq():
-    cz_rep = cz_from_ieq(tol=1e-12)
-    cnot_rep = cnot_from_cz(tol=1e-12)
+    # the equality gate with its third qubit in |1> (entries 4..7), and H 1; CZ 0 1; H 1
+    restriction = DiagonalOperator(2, ieq_reference().entries[4:])
+    cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
+    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n"))
+    cnot_rep = equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=1e-12)
     report("9 cz-from-ieq", cz_rep.equivalent and cnot_rep.equivalent)
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, DiagonalOperator, StateVector, compose, equiv_up_to_global_phase, hamming_weight
+from spinfanout.core import CapExceededError, DiagonalOperator, StateVector, equiv_up_to_global_phase
 from spinfanout.circuits import (
     Circuit,
     Step,
     compile_circuit,
-    dagger,
     fanout_circuit,
     from_text,
     parity_circuit,
@@ -93,7 +92,7 @@ class TestParityCircuit:
             x = x_in & ((1 << (n - 1)) - 1)
             r = (x_in >> (n - 1)) & 1
             b = (x_in >> n) & 1
-            p = hamming_weight(x) & 1
+            p = x.bit_count() & 1
             expected = np.zeros(1 << (n + 1), dtype=complex)
             base = x | (b << n)
             expected[base] = (1j ** p) / np.sqrt(2)
@@ -109,7 +108,7 @@ class TestParityLikeCircuit:
         mat = compile_circuit(parity_like_circuit(n)).matrix
         for x in range(1 << (n - 1)):
             col = mat[:, x]
-            p = hamming_weight(x) & 1
+            p = x.bit_count() & 1
             target = x | (p << (n - 1))
             assert abs(abs(col[target]) - 1) < 1e-9
             rest = np.delete(np.abs(col), target)
@@ -126,7 +125,7 @@ class TestParityLikeCircuit:
         mat = compile_circuit(parity_like_circuit(6)).matrix
         phases = []
         for x in range(32):
-            p = hamming_weight(x) & 1
+            p = x.bit_count() & 1
             phases.append(mat[x | (p << 5), x])
         phases = np.array(phases)
         assert np.max(np.abs(phases - phases[0])) < 1e-12
@@ -156,8 +155,8 @@ class TestFanoutCircuit:
     def test_fused_plan_has_under_half_the_passes(self):
         # runs of H, S and S-dagger fuse into one pass per window of <= 4 qubits
         c = fanout_circuit(8)
-        assert len(c) == 27
-        assert len(c._plan) < len(c) / 2
+        assert len(c.steps) == 27
+        assert len(c._plan) < len(c.steps) / 2
         assert c._plan is c._plan
 
 
@@ -183,29 +182,11 @@ class TestSimplify:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_simplified_fanout(self, n):
         simplified = simplified_fanout_circuit(n)
-        assert len(simplified) < len(fanout_circuit(n))
+        assert len(simplified.steps) < len(fanout_circuit(n).steps)
         rep = equiv_up_to_global_phase(
             compile_circuit(simplified), fanout_reference(n + 1), tol=1e-9
         )
         assert rep.equivalent
-
-
-class TestDagger:
-    @pytest.mark.parametrize(
-        "builder,n",
-        [
-            (parity_circuit, 2),
-            (parity_circuit, 4),
-            (parity_like_circuit, 4),
-            (fanout_circuit, 2),
-            (simplified_fanout_circuit, 4),
-        ],
-    )
-    def test_round_trip(self, builder, n):
-        c = builder(n)
-        prod = compose(compile_circuit(c), compile_circuit(dagger(c)))
-        dim = prod.matrix.shape[0]
-        assert np.max(np.abs(prod.matrix - np.eye(dim))) < 1e-10
 
 
 class TestTextFormat:
@@ -253,8 +234,8 @@ class TestTextFormat:
         assert len(c.steps) == 2 and c.n == 2
 
     def test_unknown_gate(self):
-        with pytest.raises(KeyError):
-            from_text("FOO 0\n")
+        with pytest.raises(ValueError, match="^line 2: unknown gate 'FOO'$"):
+            from_text("H 0\nFOO 1\n")
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

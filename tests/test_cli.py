@@ -29,6 +29,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "SKIP(cap)" in out
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_exits_2(self, capsys, n_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", n_max])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --n-max: invalid positive_int value: {n_max!r}" in err
+
     def test_json_byte_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--filter", "kn_offset", "--json")
         _, out2, _ = run_cli(capsys, "verify", "--filter", "kn_offset", "--json")
@@ -99,6 +107,13 @@ class TestMatrixCommand:
         )
         assert code == 2
         assert out == "" and err.startswith("error: line 1:")
+
+    def test_unknown_gate_in_circuit_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "circ.txt"
+        path.write_text("H 0\nFOO 1\n")
+        code, out, err = run_cli(capsys, "matrix", "--what", "circuit-file", "--file", str(path))
+        assert code == 2
+        assert out == "" and err == "error: line 2: unknown gate 'FOO'\n"
 
     @pytest.mark.parametrize("text", ["", "H 0\n"])
     @pytest.mark.parametrize("n", ["0", "-2"])
@@ -258,6 +273,17 @@ class TestExploreCommand:
         )
         assert code == 2
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("first,second", [("1 2", "1 2"), ("1 2", "2 1"), ("2 1", "1 2")])
+    def test_repeated_coupling_pair_exits_2(self, capsys, tmp_path, first, second):
+        path = tmp_path / "J.txt"
+        path.write_text(f"{first} 0.5\n{second} 7\n")
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "kn-file", "--n", "3",
+            "--coupling-file", str(path), "--grid", "0.25pi",
+        )
+        assert code == 2
+        assert out == "" and err == f"error: line 2: pair {second} repeats line 1\n"
 
     @pytest.mark.parametrize("hamiltonian", ["ring", "kn-file"])
     def test_coupling_over_state_cap_exits_3(self, capsys, tmp_path, hamiltonian):

@@ -11,16 +11,13 @@ from spinfanout.core import (
     DiagonalOperator,
     SizeCaps,
     StateVector,
-    apply_gate,
-    compose,
+    _apply_to_block,
     equiv_up_to_global_phase,
-    hamming_weight,
     popcounts,
     schmidt_rank_one_deviation,
 )
 from spinfanout.circuits import _FUSE_QUBITS, Circuit, Step, compile_circuit, run_circuit
 from spinfanout.gates import GateDef, standard_gate
-from spinfanout.hamiltonians import un
 
 
 def kron_embed_oracle(gate_matrix, targets, n):
@@ -45,51 +42,59 @@ def random_unitary(n, rng):
     return DenseOperator(n, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
+def kernel_matrix(gate, targets, n):
+    """``gate`` on ``targets`` as the block kernel applies it to the full identity block."""
+    block, _ = _apply_to_block(np.eye(1 << n, dtype=complex), gate, list(targets), n)
+    return block
+
+
+def apply_step(state, gate, targets):
+    """``state`` run through the one-step circuit of ``gate`` on ``targets``."""
+    c = Circuit(state.n, (Step(GateDef("G", gate.n, gate), tuple(targets)),))
+    return run_circuit(c, state)
+
+
 class TestHammingWeight:
     def test_zero(self):
-        assert hamming_weight(0) == 0
+        assert popcounts(3)[0] == 0
 
     def test_direct(self):
-        assert hamming_weight(0b101) == 2
+        assert popcounts(3)[0b101] == 2
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_all_ones(self, n):
-        assert hamming_weight((1 << n) - 1) == n
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            hamming_weight(-1)
+        assert popcounts(n)[(1 << n) - 1] == n
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_popcounts_match_scalar(self, n):
         k = popcounts(n)
         assert k.dtype == np.int64
-        assert k.tolist() == [hamming_weight(x) for x in range(1 << n)]
+        assert k.tolist() == [x.bit_count() for x in range(1 << n)]
 
 
 class TestApplyGate:
     def test_identity(self):
         state = StateVector.basis(3, 5)
-        out = apply_gate(state, DiagonalOperator.identity(1), [1])
+        out = apply_step(state, DiagonalOperator.identity(1), [1])
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_x_flips(self):
-        out = apply_gate(StateVector.basis(1, 0), standard_gate("X").unitary, [0])
+        out = apply_step(StateVector.basis(1, 0), standard_gate("X").unitary, [0])
         assert np.allclose(out.amplitudes, [0, 1])
 
     def test_h_involution(self):
         h = standard_gate("H").unitary
         state = StateVector.basis(1, 0)
-        out = apply_gate(apply_gate(state, h, [0]), h, [0])
+        out = apply_step(apply_step(state, h, [0]), h, [0])
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_duplicate_target_rejected(self):
         with pytest.raises(IndexError):
-            apply_gate(StateVector.basis(2, 0), standard_gate("CNOT").unitary, [0, 0])
+            Circuit(2, (Step(standard_gate("CNOT"), (0, 0)),))
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(IndexError):
-            apply_gate(StateVector.basis(2, 0), standard_gate("H").unitary, [2])
+            Circuit(2, (Step(standard_gate("H"), (2,)),))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_kron_oracle(self, seed):
@@ -101,8 +106,8 @@ class TestApplyGate:
         full = kron_embed_oracle(gate.matrix, targets, n)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
-        state = StateVector(n, amps)
-        out = apply_gate(state, gate, targets)
+        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
+        out = apply_step(StateVector(n, amps), gate, targets)
         assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -111,34 +116,8 @@ class TestApplyGate:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         state = StateVector(3, amps)
-        out = apply_gate(state, random_unitary(2, rng), [2, 0])
-        assert abs(out.norm - 1.0) < 1e-12
-
-
-class TestCompose:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        u = random_unitary(2, rng)
-        out = compose(DiagonalOperator.identity(2), u)
-        assert np.allclose(out.to_dense().matrix, u.matrix)
-
-    def test_un_fourth_power_is_identity_up_to_phase(self):
-        u = un(4)
-        u4 = compose(compose(u, u), compose(u, u))
-        rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(4), tol=1e-12)
-        assert rep.equivalent
-
-    def test_diagonal_product_stays_diagonal(self):
-        rng = np.random.default_rng(1)
-        d1 = DiagonalOperator(2, np.exp(1j * rng.normal(size=4)))
-        d2 = DiagonalOperator(2, np.exp(1j * rng.normal(size=4)))
-        out = compose(d1, d2)
-        assert isinstance(out, DiagonalOperator)
-        assert np.allclose(out.entries, d1.entries * d2.entries)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(DiagonalOperator.identity(2), DiagonalOperator.identity(3))
+        out = apply_step(state, random_unitary(2, rng), [2, 0])
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 class TestEquivalence:
@@ -199,6 +178,8 @@ class TestEquivalence:
 
 
 class TestApplyAgreesWithCompose:
+    """Gates applied one at a time agree with the product of their embedded matrices."""
+
     @pytest.mark.parametrize("seed", range(100))
     def test_random_depth_10_circuits(self, seed):
         rng = np.random.default_rng(seed)
@@ -206,15 +187,14 @@ class TestApplyAgreesWithCompose:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         state = StateVector(n, amps)
-        total = DiagonalOperator.identity(n).to_dense()
+        total = np.eye(1 << n, dtype=complex)
         for _ in range(10):
             m = int(rng.integers(1, 3))
             targets = list(rng.choice(n, size=m, replace=False))
             gate = random_unitary(m, rng)
-            state = apply_gate(state, gate, targets)
-            full = DenseOperator(n, kron_embed_oracle(gate.matrix, targets, n))
-            total = compose(full, total)
-        once = total.matrix @ amps
+            state = apply_step(state, gate, targets)
+            total = kron_embed_oracle(gate.matrix, targets, n) @ total
+        once = total @ amps
         assert np.max(np.abs(state.amplitudes - once)) < 1e-12
 
 
@@ -264,7 +244,7 @@ def random_circuit_and_oracle(seed):
 
 
 class TestBlockKernel:
-    """compile_circuit, run_circuit and apply_gate share one kernel;
+    """compile_circuit and run_circuit share one kernel, ``_apply_to_block``;
     each is checked against an independent path."""
 
     @pytest.mark.parametrize("seed", range(30))
@@ -285,7 +265,7 @@ class TestBlockKernel:
         steps = [(c.n, s) for c in circuits for s in c.steps]
         plan = [(gate, targets) for c in circuits for gate, targets in c._plan]
         assert max(c.n for c in circuits) == 9
-        assert max(len(c) for c in circuits) >= 18
+        assert max(len(c.steps) for c in circuits) >= 18
         # full-width diagonals, on more qubits than a dense window holds
         assert any(s.gate.arity == n > _FUSE_QUBITS for n, s in steps)
         assert any(list(s.targets) != sorted(s.targets) for _, s in steps)
@@ -314,10 +294,11 @@ class TestBlockKernel:
         n = int(rng.integers(1, 7))
         step = random_step(n, rng)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        out = apply_gate(StateVector(n, amps), step.gate.unitary, list(step.targets))
-        full = kron_embed_oracle(step.gate.unitary.to_dense().matrix, list(step.targets), n)
+        gate, targets = step.gate.unitary, list(step.targets)
+        full = kron_embed_oracle(gate.to_dense().matrix, targets, n)
+        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
+        out = run_circuit(Circuit(n, (step,)), StateVector(n, amps))
         assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-
 
     @pytest.mark.parametrize(
         "targets",
@@ -335,7 +316,8 @@ class TestBlockKernel:
             full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
             c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
             assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-            out = apply_gate(StateVector(n, amps), gate, list(targets)).amplitudes
+            assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
+            out = run_circuit(c, StateVector(n, amps)).amplitudes
             assert np.max(np.abs(out - full @ amps)) < 1e-12
 
     def test_run_circuit_rejects_other_qubit_count(self):

@@ -8,9 +8,7 @@ from spinfanout.core import (
     DenseOperator,
     DiagonalOperator,
     SizeCaps,
-    compose,
     equiv_up_to_global_phase,
-    hamming_weight,
     popcounts,
 )
 from spinfanout.hamiltonians import (
@@ -92,11 +90,8 @@ class TestBuildHn:
         h = build_hn(n)
         by_weight = {}
         for x in range(1 << n):
-            by_weight.setdefault(hamming_weight(x), set()).add(round(h.energies[x], 12))
+            by_weight.setdefault(x.bit_count(), set()).add(round(h.energies[x], 12))
         assert all(len(v) == 1 for v in by_weight.values())
-
-    def test_scale(self):
-        assert np.allclose(build_hn(3, scale=2.0).energies, 2 * build_hn(3).energies)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -107,7 +102,7 @@ class TestBuildHn:
     def test_diagonal_data_runs_to_state_cap(self):
         # 2^n energies are state-sized work, not a 2^n x 2^n matrix
         assert build_hn(14).energies.shape == (1 << 14,)
-        assert un(14).is_unitary()
+        assert np.max(np.abs(np.abs(un(14).entries) - 1.0)) < 1e-12
 
 
 class TestBuildKn:
@@ -225,8 +220,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fourth_power_identity_up_to_phase(self, n):
-        u = un(n)
-        u4 = compose(compose(u, u), compose(u, u))
+        u = un(n).entries
+        u4 = DiagonalOperator(n, u * u * u * u)
         rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
         assert rep.equivalent
 
@@ -247,8 +242,8 @@ class TestEvolve:
         assert np.max(np.abs(round_trip - np.eye(1 << n))) < 1e-9
 
     def test_dense_result_unitary(self):
-        u = evolve(build_l2(3), 0.7)
-        assert u.is_unitary(1e-10)
+        u = evolve(build_l2(3), 0.7).matrix
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
 
     def test_evolver_kinds(self):
         assert isinstance(evolver(build_hn(3))(0.5), DiagonalOperator)
@@ -276,22 +271,11 @@ class TestEvolve:
             DiagonalHamiltonian(1, np.array([bad, 0.0]))
 
     def test_overflowing_couplings_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            build_kn(build_ring(3, 1e308))
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_hn(4, scale=1e308),
-            lambda: build_kn(CouplingMatrix.uniform(3, 1.0), scale=1e308),
-        ],
-        ids=["hn", "kn"],
-    )
-    def test_overflowing_scale_rejected_without_warning(self, build):
+        # rejected by DiagonalHamiltonian, with no numpy overflow warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                build()
+                build_kn(build_ring(3, 1e308))
 
     @pytest.mark.parametrize("h", [build_hn(2), build_l2(2)], ids=["diagonal", "dense"])
     @pytest.mark.parametrize("t", [1e308, -1e308, np.inf, np.nan])
@@ -307,13 +291,13 @@ class TestEvolve:
 class TestUnPair:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_exact_inverse_for_even_n(self, n):
-        prod = compose(un(n), un_dagger(n))
-        assert np.max(np.abs(prod.entries - 1.0)) < 1e-12
+        prod = un(n).entries * un_dagger(n).entries
+        assert np.max(np.abs(prod - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_inverse_up_to_phase_for_odd_n(self, n):
         # the kept n^2/2 energy constant leaves exactly a global phase
-        prod = compose(un(n), un_dagger(n))
+        prod = DiagonalOperator(n, un(n).entries * un_dagger(n).entries)
         rep = equiv_up_to_global_phase(prod, DiagonalOperator.identity(n), tol=1e-12)
         assert rep.equivalent
 
@@ -327,7 +311,7 @@ class TestUnPair:
     def test_phase_formula(self, n):
         diag = un(n).entries / un(n).entries[0]
         for x in range(1 << n):
-            k = hamming_weight(x)
+            k = x.bit_count()
             assert abs(diag[x] - 1j ** (k * (n - k))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
@@ -335,5 +319,5 @@ class TestUnPair:
         diag = un(n).entries / un(n).entries[0]
         odd_phase = 1j if n % 4 == 2 else -1j
         for x in range(1 << n):
-            expected = odd_phase if hamming_weight(x) % 2 else 1
+            expected = odd_phase if x.bit_count() % 2 else 1
             assert abs(diag[x] - expected) < 1e-10
