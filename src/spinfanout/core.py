@@ -19,6 +19,10 @@ import numpy as np
 
 EQUIV_TOL = 1e-10
 
+# entries per slice when two operators are compared, so that no temporary
+# grows with the operands
+_SLICE = 1 << 14
+
 
 class CapExceededError(Exception):
     """A requested qubit count exceeds the configured size cap."""
@@ -234,21 +238,36 @@ def equiv_up_to_global_phase(
         ua, va = u.entries, v.entries
     else:
         ua, va = u.to_dense().matrix, v.to_dense().matrix
-    flat_v = va.ravel()
-    pos = int(np.argmax(np.abs(flat_v)))
-    u_at = ua.ravel()[pos]
-    if np.abs(flat_v[pos]) < 1e-300 or np.abs(u_at) < tol:
+    u_flat, v_flat = ua.ravel(), va.ravel()
+    # the first largest |v| of each slice; np.argmax over the slice maxima
+    # then keeps the lowest row-major index on a tie, as over the whole
+    peaks = []
+    for s in range(0, v_flat.size, _SLICE):
+        mag = np.abs(v_flat[s:s + _SLICE])
+        k = int(np.argmax(mag))
+        peaks.append((mag[k], s + k))
+    mag_at, pos = peaks[int(np.argmax([m for m, _ in peaks]))]
+    u_at = u_flat[pos]
+    if mag_at < 1e-300 or np.abs(u_at) < tol:
         phase = 1.0 + 0.0j
     else:
-        phase = u_at / flat_v[pos]
+        phase = u_at / v_flat[pos]
         phase = phase / abs(phase)
-    max_dev = float(np.max(np.abs(ua - phase * va)))
+    max_dev = _max_deviation(u_flat, v_flat, phase)
     return EquivalenceReport(
         equivalent=max_dev < tol,
         phase=complex(phase),
         max_deviation=max_dev,
         tolerance=tol,
     )
+
+
+def _max_deviation(u: np.ndarray, v: np.ndarray, phase: complex) -> float:
+    """``max |u - phase * v|`` over two arrays of one shape, a slice at a time."""
+    u, v = u.ravel(), v.ravel()
+    # np.max over the slice maxima keeps a NaN, as one np.max over all would
+    return float(np.max([np.max(np.abs(u[s:s + _SLICE] - phase * v[s:s + _SLICE]))
+                         for s in range(0, v.size, _SLICE)]))
 
 
 def schmidt_rank_one_deviation(state: StateVector, cut_qubit: int) -> float:

@@ -81,12 +81,18 @@ class CouplingMatrix:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: dict[tuple[int, int], float]) -> "CouplingMatrix":
+        """Couplings from ``{(i, j): J_ij}``; ``(i, j)`` and ``(j, i)`` name one pair,
+        so a dict holding both raises ``ValueError``."""
         J = np.zeros((n, n))
+        given: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), val in pairs.items():
             if i == j:
                 raise ValueError("no self-coupling allowed")
-            i, j = min(i, j), max(i, j)
-            J[i, j] = val
+            key = (min(i, j), max(i, j))
+            if key in given:
+                raise ValueError(f"keys {given[key]} and {(i, j)} both name pair {key}")
+            given[key] = (i, j)
+            J[key] = val
         return cls(n, J)
 
     @classmethod

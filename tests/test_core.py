@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spinfanout.core import (
     DiagonalOperator,
     SizeCaps,
     StateVector,
+    _SLICE,
     _apply_to_block,
     equiv_up_to_global_phase,
     popcounts,
@@ -175,6 +177,101 @@ class TestEquivalence:
         assert equiv_up_to_global_phase(a, u, tol).equivalent
         assert equiv_up_to_global_phase(u, a, tol).equivalent
         assert equiv_up_to_global_phase(a, b, 3 * tol).equivalent
+
+
+def one_shot_equiv(ua, va, tol):
+    """Phase and deviation computed over the whole operands at once."""
+    flat_v = va.ravel()
+    pos = int(np.argmax(np.abs(flat_v)))
+    u_at = ua.ravel()[pos]
+    if np.abs(flat_v[pos]) < 1e-300 or np.abs(u_at) < tol:
+        phase = 1.0 + 0.0j
+    else:
+        phase = u_at / flat_v[pos]
+        phase = phase / abs(phase)
+    return complex(phase), float(np.max(np.abs(ua - phase * va)))
+
+
+def random_complex(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestSlicedEquivalence:
+    """The comparison walks the operands in slices of ``_SLICE`` entries and
+    must give bit for bit the phase and deviation of the one-shot oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(u, v, tol=1e-10):
+        rep = equiv_up_to_global_phase(u, v, tol)
+        a, b = (u.matrix, v.matrix) if isinstance(u, DenseOperator) else (u.entries, v.entries)
+        assert (rep.phase, rep.max_deviation) == one_shot_equiv(a, b, tol)
+        return rep
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dense_matches_oracle(self, n):
+        rng = np.random.default_rng(n)
+        v = random_complex((1 << n, 1 << n), rng)
+        u = np.exp(0.9j) * v + 1e-12 * random_complex(v.shape, rng)
+        self.assert_matches_oracle(DenseOperator(n, u), DenseOperator(n, v))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_diagonal_matches_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        v = random_complex(1 << n, rng)
+        u = np.exp(-2.1j) * v + 1e-12 * random_complex(v.shape, rng)
+        self.assert_matches_oracle(DiagonalOperator(n, u), DiagonalOperator(n, v))
+
+    def test_slice_size_fits_the_cases(self):
+        # one slice holds the smallest operands above, and the 16-qubit
+        # diagonals below reach a third slice
+        assert 4 <= _SLICE and 3 * _SLICE <= 1 << 16
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_tie_across_slices_takes_lower_index(self, dense):
+        n = 8 if dense else 16
+        rng = np.random.default_rng(7)
+        v = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << 16))
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << 16))
+        lo, hi = 3, 2 * _SLICE + 5  # |v| = 1 exactly in the first and the third slice
+        v[lo], v[hi] = 1j, -1.0
+        u[lo], u[hi] = np.exp(0.2j), np.exp(2.0j)
+        if dense:
+            u, v = u.reshape(256, 256), v.reshape(256, 256)
+            rep = self.assert_matches_oracle(DenseOperator(n, u), DenseOperator(n, v))
+        else:
+            rep = self.assert_matches_oracle(DiagonalOperator(n, u), DiagonalOperator(n, v))
+        assert rep.phase == pytest.approx(np.exp(1j * (0.2 - np.pi / 2)), abs=1e-15)
+
+    def test_u_zero_at_largest_entry_gives_phase_one(self):
+        rng = np.random.default_rng(8)
+        v = 0.5 * random_complex(1 << 15, rng) / 8
+        u = random_complex(1 << 15, rng)
+        peak = _SLICE + 11  # in the second slice
+        v[peak], u[peak] = 2.0 * np.exp(0.4j), 0.0
+        rep = self.assert_matches_oracle(DiagonalOperator(15, u), DiagonalOperator(15, v))
+        assert rep.phase == 1 + 0j and type(rep.phase) is complex
+
+    def test_nan_in_a_later_slice_is_kept(self):
+        v = np.ones(1 << 15, dtype=complex)
+        v[_SLICE + 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            rep = equiv_up_to_global_phase(DiagonalOperator(15, v), DiagonalOperator(15, v))
+            phase, dev = one_shot_equiv(v, v, 1e-10)
+        assert np.isnan(rep.max_deviation) and np.isnan(dev)
+        assert np.isnan(rep.phase) and np.isnan(phase)
+        assert not rep.equivalent
+
+    def test_no_operand_sized_temporaries(self):
+        rng = np.random.default_rng(9)
+        v = DenseOperator(9, random_complex((512, 512), rng))
+        u = DenseOperator(9, np.exp(0.3j) * v.matrix)
+        tracemalloc.start()
+        try:
+            equiv_up_to_global_phase(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # each operand is 4 MiB
 
 
 class TestApplyAgreesWithCompose:

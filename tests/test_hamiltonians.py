@@ -136,6 +136,20 @@ class TestBuildKn:
             assert kn.energies[x] == pytest.approx(brute_force_zz_energy(int(x), n, J))
 
 
+class TestCouplingMatrix:
+    @pytest.mark.parametrize("pairs", [
+        {(0, 1): 0.5, (1, 0): 7.0},
+        {(1, 0): 7.0, (0, 1): 0.5},
+    ])
+    def test_from_pairs_rejects_one_pair_named_twice(self, pairs):
+        with pytest.raises(ValueError, match=r"both name pair \(0, 1\)"):
+            CouplingMatrix.from_pairs(3, pairs)
+
+    def test_from_pairs_takes_either_order(self):
+        J = CouplingMatrix.from_pairs(3, {(1, 0): 0.5, (2, 1): 7.0}).J
+        assert J[0, 1] == 0.5 and J[1, 2] == 7.0 and J[1, 0] == 0.0
+
+
 class TestBuildRing:
     def test_n3_pairs(self):
         ring = build_ring(3, 2.5)

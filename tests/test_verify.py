@@ -2,9 +2,18 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, SizeCaps
+from spinfanout import verify
+from spinfanout.circuits import Circuit, _run_steps, parity_circuit, run_circuit
+from spinfanout.core import (
+    CapExceededError,
+    SizeCaps,
+    StateVector,
+    popcounts,
+    schmidt_rank_one_deviation,
+)
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import known_check_ids, run_check, run_suite, suite_ok
 
@@ -53,6 +62,59 @@ class TestRunCheck:
         # the compiled circuit vanishes at the reference's largest entry
         r = run_check("parity_negative_control", {"n": 4})
         assert r.phase == 1 + 0j
+
+
+def unentangled_control_per_state(n: int) -> float:
+    """The unentangled-control check, one basis state and one SVD at a time."""
+    circ = parity_circuit(n)
+    prefix = Circuit(circ.n, circ.steps[:4])
+    control = n - 1
+    control_bit = (np.arange(1 << (n + 1)) >> control) & 1
+    source_parity = popcounts(n - 1) & 1
+    worst = 0.0
+    for x in range(1 << (n + 1)):
+        state = run_circuit(prefix, StateVector.basis(n + 1, x))
+        dev = schmidt_rank_one_deviation(state, control)
+        p = source_parity[x & ((1 << (n - 1)) - 1)]
+        r = (x >> (n - 1)) & 1
+        wrong_value = 1 - (p ^ r)
+        dev = max(dev, float(np.linalg.norm(state.amplitudes[control_bit == wrong_value])))
+        worst = max(worst, dev)
+    return worst
+
+
+class TestUnentangledControl:
+    """The check runs blocks of basis columns through the circuit at once; it
+    must report exactly the deviation of the per-state loop."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_per_state_loop(self, n):
+        # default caps: all 2^(n+1) columns in one block
+        r = run_check("unentangled_control", {"n": n})
+        assert r.passed and r.max_deviation == unentangled_control_per_state(n)
+
+    def test_matches_per_state_loop_in_several_blocks(self, monkeypatch):
+        # 2^6 amplitudes per block: 2 of the 32 five-qubit basis columns at a time
+        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        blocks = []
+
+        def recording(c, block):
+            blocks.append(block.copy())
+            return _run_steps(c, block)
+
+        monkeypatch.setattr(verify, "_run_steps", recording)
+        r = run_check("unentangled_control", {"n": 4}, caps=caps)
+        assert r.max_deviation == unentangled_control_per_state(4)
+        assert all(b.shape == (32, 2) for b in blocks)
+        assert np.array_equal(np.hstack(blocks), np.eye(32))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_skipped_below_n_plus_one_qubits(self, n):
+        caps = SizeCaps(dense_cap=n - 1, l2_cap=n - 1, state_cap=n)
+        with pytest.raises(CapExceededError):
+            run_check("unentangled_control", {"n": n}, caps=caps)
+        [r] = [r for r in run_suite(filter="unentangled", caps=caps) if r.params == {"n": n}]
+        assert r.skipped
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +243,10 @@ class TestReportFormat:
         table = check_results_table(results)
         assert table.count("kn_offset") == len(results)
         assert "PASS" in table
+
+    def test_table_shows_elapsed_ms(self):
+        ran = dataclasses.replace(run_check("ieq"), elapsed=0.01234)
+        skipped = dataclasses.replace(ran, check_id="skipped_one", skipped=True)
+        header, _, ran_row, skipped_row = check_results_table([ran, skipped]).splitlines()
+        assert header.split()[4] == "elapsed_ms"
+        assert ran_row.split()[4] == "12.3" and skipped_row.split()[4] == "-"
