@@ -18,7 +18,6 @@ from .hamiltonians import (
     build_hn,
     build_kn,
     build_l2,
-    build_ln,
     build_ring,
     evolve,
     evolver,

@@ -24,7 +24,9 @@ from .core import (
     Operator,
     SizeCaps,
     StateVector,
+    _MonomialOperator,
     _apply_to_block,
+    _local_index,
     _validate_targets,
 )
 from .gates import GateDef, standard_gate
@@ -51,22 +53,23 @@ class Circuit:
             _validate_targets(step.gate.unitary, list(step.targets), self.n)
 
     @cached_property
-    def _plan(self) -> tuple[tuple[Operator, list[int]], ...]:
+    def _plan(self) -> tuple[tuple[Operator | _MonomialOperator, list[int]], ...]:
         """The steps fused into runs, one gate per run: a run takes the next step
-        while both are all diagonal, or while its qubit span ``lo..hi`` stays
-        within ``_FUSE_QUBITS``; otherwise the step starts a new run."""
-        runs: list[list] = []  # [lo, hi, all diagonal, steps]
+        while both are all monomial (see :func:`_monomial_form`), at any span, or
+        while its qubit span ``lo..hi`` stays within ``_FUSE_QUBITS``; otherwise
+        the step starts a new run."""
+        runs: list[list] = []  # [lo, hi, all monomial, steps]
         for step in self.steps:
             lo, hi = min(step.targets, default=0), max(step.targets, default=0)
-            diagonal = isinstance(step.gate.unitary, DiagonalOperator)
+            monomial = _monomial_form(step.gate.unitary) is not None
             if runs:
                 run = runs[-1]
                 span_lo, span_hi = min(lo, run[0]), max(hi, run[1])
-                if (diagonal and run[2]) or span_hi - span_lo < _FUSE_QUBITS:
-                    run[:3] = span_lo, span_hi, diagonal and run[2]
+                if (monomial and run[2]) or span_hi - span_lo < _FUSE_QUBITS:
+                    run[:3] = span_lo, span_hi, monomial and run[2]
                     run[3].append(step)
                     continue
-            runs.append([lo, hi, diagonal, [step]])
+            runs.append([lo, hi, monomial, [step]])
         return tuple(_fuse(*run) for run in runs)
 
 
@@ -76,22 +79,70 @@ def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
     return GateDef(name, n, evolution(n, caps=caps))
 
 
-def _fuse(lo: int, hi: int, diagonal: bool, steps: list[Step]) -> tuple[Operator, list[int]]:
-    """One gate on the ascending qubits ``lo..hi`` that applies ``steps`` in order,
-    built by the block kernel on a ones vector (a diagonal run) or the identity.
-    A lone step on ascending adjacent qubits, or wider than ``_FUSE_QUBITS``, is kept."""
+def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """``(source, phases)`` of a gate whose matrix has exactly one nonzero in
+    each row and column: local row ``r`` of its output is ``phases[r]`` times
+    local row ``source[r]`` of its input, and ``source`` is None for a
+    diagonal.  None for any other gate."""
+    if isinstance(gate, DiagonalOperator):
+        return None, gate.entries
+    dim = 1 << gate.n
+    nonzero = gate.matrix != 0
+    # 2^n nonzeros, none of its rows or columns without one: one in each
+    if np.count_nonzero(nonzero) != dim or not (
+        nonzero.any(axis=0).all() and nonzero.any(axis=1).all()
+    ):
+        return None
+    source = np.argmax(nonzero, axis=1)
+    return source, gate.matrix[np.arange(dim), source]
+
+
+def _set_target_bits(values: np.ndarray, targets: list[int], m: int) -> np.ndarray:
+    """Each of the 2^m basis indices with its target bits set from ``values``:
+    bit ``j`` of ``values[r]`` goes to qubit ``targets[j]`` of row ``r``."""
+    rows = np.arange(1 << m) & ~sum(1 << t for t in targets)
+    for j, t in enumerate(targets):
+        rows |= ((values >> j) & 1) << t
+    return rows
+
+
+def _fuse(
+    lo: int, hi: int, monomial: bool, steps: list[Step]
+) -> tuple[Operator | _MonomialOperator, list[int]]:
+    """One gate on the ascending qubits ``lo..hi`` that applies ``steps`` in order.
+
+    A monomial run composes its steps' source rows and phases; it is a
+    diagonal when its rows stay in place.  Any other run is built by the
+    block kernel on the identity.  A lone step that is diagonal or not
+    monomial is kept when it is on ascending adjacent qubits, or wider
+    than ``_FUSE_QUBITS``.
+    """
     m = hi - lo + 1
-    if len(steps) == 1:
-        targets = list(steps[0].targets)
-        if targets == list(range(lo, hi + 1)) or m > _FUSE_QUBITS:
-            return steps[0].gate.unitary, targets
-    block = np.ones((1 << m, 1), dtype=complex) if diagonal else np.eye(1 << m, dtype=complex)
+    span = list(range(lo, hi + 1))
+    gate, targets = steps[0].gate.unitary, list(steps[0].targets)
+    permutes = monomial and not isinstance(gate, DiagonalOperator)
+    if len(steps) == 1 and not permutes and (targets == span or m > _FUSE_QUBITS):
+        return gate, targets
+    if monomial:
+        identity = np.arange(1 << m)
+        source, phases = identity, np.ones(1 << m, dtype=complex)
+        for step in steps:
+            local = [t - lo for t in step.targets]
+            step_source, step_phases = _monomial_form(step.gate.unitary)
+            index = _local_index(local, m)
+            if step_source is not None:
+                rows = _set_target_bits(step_source[index], local, m)
+                source, phases = source[rows], phases[rows]
+            phases = phases * step_phases[index]
+        if np.array_equal(source, identity):
+            return DiagonalOperator(m, phases), span
+        return _MonomialOperator(m, source, None if np.all(phases == 1) else phases), span
+    block = np.eye(1 << m, dtype=complex)
     work = None
     for step in steps:
         local = [t - lo for t in step.targets]
         block, work = _apply_to_block(block, step.gate.unitary, local, m, work)
-    gate = DiagonalOperator(m, block[:, 0]) if diagonal else DenseOperator(m, block)
-    return gate, list(range(lo, hi + 1))
+    return DenseOperator(m, block), span
 
 
 def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:

@@ -156,9 +156,32 @@ def _validate_targets(gate: Operator, targets: list[int], n: int) -> None:
         raise IndexError(f"gate acts on {gate.n} qubits but {len(targets)} targets given")
 
 
+@dataclass(frozen=True)
+class _MonomialOperator:
+    """Operator with one nonzero per row and column: row ``r`` of its product
+    with a block is ``phases[r]`` times row ``source[r]`` of the block.
+    ``phases`` is None when every phase is 1.  Only fused circuit plans hold one.
+    """
+
+    n: int
+    source: np.ndarray
+    phases: np.ndarray | None
+
+
+def _local_index(targets: list[int], n: int) -> np.ndarray:
+    """The local basis index formed from the target bits of each of the 2^n rows."""
+    idx = np.arange(1 << n)
+    if targets and targets == list(range(targets[0], targets[0] + len(targets))):
+        return (idx >> targets[0]) & ((1 << len(targets)) - 1)
+    local = np.zeros_like(idx)
+    for j, t in enumerate(targets):
+        local |= ((idx >> t) & 1) << j
+    return local
+
+
 def _apply_to_block(
     block: np.ndarray,
-    gate: Operator,
+    gate: Operator | _MonomialOperator,
     targets: list[int],
     n: int,
     work: np.ndarray | None = None,
@@ -167,12 +190,14 @@ def _apply_to_block(
 
     The one gate-application kernel: state vectors are blocks with one
     column, compiled unitaries start from the identity.  A diagonal gate
-    scales the rows.  A dense gate on the ascending adjacent qubits
-    ``lo..hi`` (the windows of a fused circuit plan) is one batched matrix
-    product over the ``(2^(n-1-hi), 2^m, rest)`` view of the block; on
-    targets in any other order the target axes of the ``(2,)*n + (cols,)``
-    view (axis ``n-1-q`` is qubit ``q``) are gathered to the front,
-    multiplied and scattered back.
+    scales the rows.  A gate on the ascending adjacent qubits ``lo..hi``
+    (every gate of a fused circuit plan) acts on the middle axis of the
+    ``(2^(n-1-hi), 2^m, rest)`` view of the block: a dense one as one
+    batched matrix product, a monomial one (a fused run of
+    basis-permuting steps, which only plans hold) as one gather of that
+    axis and one scale.  For a dense gate on targets in any other order
+    the target axes of the ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is
+    qubit ``q``) are gathered to the front, multiplied and scattered back.
 
     ``block`` (C-contiguous) and ``work``, a scratch array of the same
     shape that is allocated when not given, are both overwritten, so a
@@ -181,20 +206,24 @@ def _apply_to_block(
     now holds the result, and the other one for the next call.
     """
     if isinstance(gate, DiagonalOperator):
-        # the local basis index formed from the target bits of each row
-        idx = np.arange(1 << n)
-        local = sum(((idx >> t) & 1) << j for j, t in enumerate(targets))
-        block *= gate.entries[local].reshape(-1, 1)
+        block *= gate.entries[_local_index(targets, n)].reshape(-1, 1)
         return block, work
     if work is None:
         work = np.empty_like(block)
     m = len(targets)
-    mat = gate.matrix
     lo = targets[0]
     if targets == list(range(lo, lo + m)):
         shape = (1 << (n - lo - m), 1 << m, -1)
-        np.matmul(mat, block.reshape(shape), out=work.reshape(shape))
+        out = work.reshape(shape)
+        if isinstance(gate, _MonomialOperator):
+            # the source is in range by construction; mode="raise" would buffer `out`
+            np.take(block.reshape(shape), gate.source, axis=1, out=out, mode="wrap")
+            if gate.phases is not None:
+                out *= gate.phases.reshape(-1, 1)
+        else:
+            np.matmul(gate.matrix, block.reshape(shape), out=out)
         return work, block
+    mat = gate.matrix
     # gate axis k (rows) and m+k (columns) hold local bit m-1-k
     axes = [n - 1 - targets[m - 1 - k] for k in range(m)]
     perm = axes + [a for a in range(n + 1) if a not in axes]
@@ -268,15 +297,3 @@ def _max_deviation(u: np.ndarray, v: np.ndarray, phase: complex) -> float:
     # np.max over the slice maxima keeps a NaN, as one np.max over all would
     return float(np.max([np.max(np.abs(u[s:s + _SLICE] - phase * v[s:s + _SLICE]))
                          for s in range(0, v.size, _SLICE)]))
-
-
-def schmidt_rank_one_deviation(state: StateVector, cut_qubit: int) -> float:
-    """Second singular value across the (cut qubit)/(rest) bipartition.
-
-    Zero (within solver noise) iff the state is a product state across
-    the cut.
-    """
-    n = state.n
-    mat = np.moveaxis(state.amplitudes.reshape((2,) * n), n - 1 - cut_qubit, 0)
-    sv = np.linalg.svd(mat.reshape(2, -1), compute_uv=False)
-    return float(sv[1]) if len(sv) > 1 else 0.0

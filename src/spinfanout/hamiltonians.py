@@ -140,14 +140,14 @@ def build_ring(n: int, J: float) -> CouplingMatrix:
     return CouplingMatrix.from_pairs(n, pairs)
 
 
-def _swap_sum(n: int, offset: float, terms) -> np.ndarray:
-    """``offset * I + sum w SWAP_ij`` over ``(i, j, w)`` in ``terms``, by index arithmetic."""
+def _swap_sum(n: int, offset: float, pairs) -> np.ndarray:
+    """``offset * I + sum SWAP_ij`` over ``(i, j)`` in ``pairs``, by index arithmetic."""
     x = np.arange(1 << n)
     mat = np.zeros((1 << n, 1 << n), dtype=complex)
     mat[x, x] = offset
-    for i, j, w in terms:
+    for i, j in pairs:
         differ = ((x >> i) ^ (x >> j)) & 1
-        mat[x ^ (differ * ((1 << i) | (1 << j))), x] += w
+        mat[x ^ (differ * ((1 << i) | (1 << j))), x] += 1.0
     return mat
 
 
@@ -160,17 +160,8 @@ def build_l2(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     caps.check_l2(n)
-    pairs = ((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
     return DenseHamiltonian(n, _swap_sum(n, 3 * n / 4 - n * (n - 1) / 4, pairs))
-
-
-def build_ln(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
-    """Heisenberg couplings ``sum_{i<j} J_ij (XX + YY + ZZ) = sum J_ij (2 SWAP_ij - I)``."""
-    n = coupling.n
-    caps.check_l2(n)
-    pairs = list(coupling.pairs())
-    offset = -sum(jij for _, _, jij in pairs)
-    return DenseHamiltonian(n, _swap_sum(n, offset, [(i, j, 2 * jij) for i, j, jij in pairs]))
 
 
 def spectral_phases(w: np.ndarray) -> Callable[[float], np.ndarray]:

@@ -46,12 +46,12 @@ def check_results_json(results: list[CheckResult]) -> str:
 
 
 def check_results_table(results: list[CheckResult]) -> str:
-    header = (f"{'check':<26} {'params':<16} {'status':<10} {'max_dev':<12} "
+    header = (f"{'check':<26} {'params':<16} {'status':<11} {'max_dev':<12} "
               f"{'elapsed_ms':>10}  {'anchor'}")
     lines = [header, "-" * len(header)]
     for r in results:
         if r.skipped:
-            status = "SKIP(cap)"
+            status = f"SKIP({r.skip_reason})"
         elif r.negative_control:
             status = "NEG-OK" if r.ok else "NEG-BAD"
         else:
@@ -59,7 +59,7 @@ def check_results_table(results: list[CheckResult]) -> str:
         params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
         dev = "-" if math.isnan(r.max_deviation) else f"{r.max_deviation:.3e}"
         ms = "-" if r.skipped else f"{r.elapsed * 1e3:.1f}"
-        lines.append(f"{r.check_id:<26} {params:<16} {status:<10} {dev:<12} {ms:>10}  {r.anchor}")
+        lines.append(f"{r.check_id:<26} {params:<16} {status:<11} {dev:<12} {ms:>10}  {r.anchor}")
     return "\n".join(lines) + "\n"
 
 

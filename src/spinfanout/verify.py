@@ -60,6 +60,7 @@ class CheckResult:
     anchor: str
     negative_control: bool = False
     skipped: bool = False
+    skip_reason: str = ""  # "cap" or "n-max" for a skipped instance
 
     @property
     def ok(self) -> bool:
@@ -281,7 +282,7 @@ def run_check(
     )
 
 
-def _skipped(defn: CheckDef, params: dict) -> CheckResult:
+def _skipped(defn: CheckDef, params: dict, reason: str) -> CheckResult:
     return CheckResult(
         check_id=defn.check_id,
         params=dict(params),
@@ -293,6 +294,7 @@ def _skipped(defn: CheckDef, params: dict) -> CheckResult:
         anchor=defn.anchor,
         negative_control=defn.negative_control,
         skipped=True,
+        skip_reason=reason,
     )
 
 
@@ -313,13 +315,13 @@ def run_suite(
             continue
         for params in defn.default_params:
             size = next(iter(params.values())) if params else 0
-            result = None
-            if n_max is None or not params or size <= n_max:
-                try:
-                    result = run_check(defn.check_id, params, caps=caps)
-                except CapExceededError:
-                    pass
-            results.append(result if result is not None else _skipped(defn, params))
+            if n_max is not None and params and size > n_max:
+                results.append(_skipped(defn, params, "n-max"))
+                continue
+            try:
+                results.append(run_check(defn.check_id, params, caps=caps))
+            except CapExceededError:
+                results.append(_skipped(defn, params, "cap"))
     results.sort(key=lambda r: (r.check_id, sorted(r.params.items())))
     return results
 

@@ -13,7 +13,6 @@ from spinfanout.core import (
     DiagonalOperator,
     StateVector,
     equiv_up_to_global_phase,
-    schmidt_rank_one_deviation,
 )
 from spinfanout.circuits import (
     Circuit,
@@ -42,6 +41,8 @@ from spinfanout.hamiltonians import (
     un_dagger,
 )
 from spinfanout.report import scan_result_json
+
+from helpers import schmidt_rank_one_deviation
 
 
 def report(name, ok):

@@ -27,7 +27,8 @@ class TestVerifyCommand:
     def test_n_max_skips(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 0
-        assert "SKIP(cap)" in out
+        # every instance fits the default caps: each skip is an n-max skip
+        assert "SKIP(n-max)" in out and "SKIP(cap)" not in out
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_exits_2(self, capsys, n_max):

@@ -13,13 +13,25 @@ from spinfanout.core import (
     SizeCaps,
     StateVector,
     _SLICE,
+    _MonomialOperator,
     _apply_to_block,
     equiv_up_to_global_phase,
     popcounts,
-    schmidt_rank_one_deviation,
 )
-from spinfanout.circuits import _FUSE_QUBITS, Circuit, Step, compile_circuit, run_circuit
+from spinfanout.circuits import (
+    _FUSE_QUBITS,
+    Circuit,
+    Step,
+    compile_circuit,
+    fanout_circuit,
+    from_text,
+    parity_circuit,
+    run_circuit,
+)
 from spinfanout.gates import GateDef, standard_gate
+from spinfanout.hamiltonians import un, un_dagger
+
+from helpers import schmidt_rank_one_deviation
 
 
 def kron_embed_oracle(gate_matrix, targets, n):
@@ -329,15 +341,54 @@ def random_circuit(rng):
     return Circuit(n, tuple(fusion_step(n, rng) for _ in range(depth)))
 
 
-@functools.lru_cache(maxsize=None)
-def random_circuit_and_oracle(seed):
-    """``random_circuit(seed)`` and the product of its kron-embedded steps."""
-    c = random_circuit(np.random.default_rng(seed))
+def monomial_step(n, rng):
+    """Mostly X, CNOT or CZ on any qubits in either order, else an evolution
+    ``UN k`` or ``UNDAG k`` on qubits 0..k-1, or H: runs of these steps fuse
+    into monomial runs of every span, broken by the Hadamards."""
+    name = str(rng.choice(["X", "CNOT", "CZ", "X", "CNOT", "CZ", "UN", "UNDAG", "H"]))
+    if name in ("UN", "UNDAG"):
+        k = int(rng.integers(1, n + 1))
+        return Step(GateDef(name, k, (un if name == "UN" else un_dagger)(k)), tuple(range(k)))
+    gate = standard_gate(name if n > 1 or name == "H" else "X")
+    return Step(gate, tuple(int(t) for t in rng.permutation(n)[:gate.arity]))
+
+
+def monomial_circuit(rng, seed):
+    """A circuit of ``monomial_step`` on n = 1..9 qubits, cycling with the seed."""
+    n = 1 + seed % 9
+    depth = int(rng.integers(1, 21))
+    return Circuit(n, tuple(monomial_step(n, rng) for _ in range(depth)))
+
+
+def kron_oracle_product(c):
+    """The product of the kron-embedded steps of ``c``."""
     total = np.eye(1 << c.n, dtype=complex)
     for step in c.steps:
         gate = step.gate.unitary.to_dense().matrix
         total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
-    return c, total
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def random_circuit_and_oracle(seed):
+    """``random_circuit(seed)`` and the product of its kron-embedded steps."""
+    c = random_circuit(np.random.default_rng(seed))
+    return c, kron_oracle_product(c)
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_circuit_and_oracle(seed):
+    """``monomial_circuit(seed)`` and the product of its kron-embedded steps."""
+    c = monomial_circuit(np.random.default_rng(seed), seed)
+    return c, kron_oracle_product(c)
+
+
+def monomial_matrix(gate):
+    """The dense matrix of a ``_MonomialOperator``: ``phases[r]`` at ``(r, source[r])``."""
+    dim = 1 << gate.n
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.arange(dim), gate.source] = 1 if gate.phases is None else gate.phases
+    return mat
 
 
 class TestBlockKernel:
@@ -357,8 +408,10 @@ class TestBlockKernel:
             assert np.max(np.abs(total[:, x] - out)) < 1e-12
 
     def test_random_circuits_cover_the_fusion_cases(self):
-        """The seeded circuits above reach every kind of fused run."""
+        """The seeded circuits above and in ``TestMonomialRuns`` reach every kind
+        of fused run."""
         circuits = [random_circuit_and_oracle(seed)[0] for seed in range(30)]
+        circuits += [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
         steps = [(c.n, s) for c in circuits for s in c.steps]
         plan = [(gate, targets) for c in circuits for gate, targets in c._plan]
         assert max(c.n for c in circuits) == 9
@@ -383,6 +436,10 @@ class TestBlockKernel:
             for gate, t in plan
         )
         assert any(not dense and span > _FUSE_QUBITS for dense, span in windows)
+        # monomial runs, narrow and wide, with and without phases
+        monomial = [(g, t) for g, t in plan if isinstance(g, _MonomialOperator)]
+        assert {len(t) <= _FUSE_QUBITS for _, t in monomial} == {True, False}
+        assert {g.phases is None for g, _ in monomial} == {True, False}
         assert len(plan) < len(steps)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -409,9 +466,16 @@ class TestBlockKernel:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         dense = random_unitary(m, rng)
         diagonal = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
-        for gate in (dense, diagonal):
+        # a cycle through all 2^m rows, with phases: the plan gathers its rows
+        perm = rng.permutation(1 << m)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m))
+        cycle = _MonomialOperator(m, perm[(np.argsort(perm) - 1) % (1 << m)], phases)
+        monomial = DenseOperator(m, monomial_matrix(cycle))
+        for gate in (dense, diagonal, monomial):
             full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
             c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
+            if gate is monomial:
+                assert isinstance(c._plan[0][0], _MonomialOperator)
             assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
             assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
             out = run_circuit(c, StateVector(n, amps)).amplitudes
@@ -421,6 +485,90 @@ class TestBlockKernel:
         c = Circuit(2, (Step(standard_gate("H"), (0,)),))
         with pytest.raises(ValueError):
             run_circuit(c, StateVector.basis(3, 0))
+
+
+class TestMonomialRuns:
+    """Runs of basis-permuting steps fuse into one row gather and one phase
+    scale; each is checked against the kron oracle and ``run_circuit``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_compile_matches_kron_oracle_product(self, seed):
+        c, total = monomial_circuit_and_oracle(seed)
+        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_columns_match_run_circuit(self, seed):
+        c, total = monomial_circuit_and_oracle(seed)
+        for x in range(1 << c.n):
+            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
+            assert np.max(np.abs(total[:, x] - out)) < 1e-12
+
+    def test_pure_permutation_run(self):
+        # every phase is 1: one gather over qubits 0..5 and no scale
+        c = from_text("X 0\nCNOT 5 1\nCNOT 0 4\nX 3\nCNOT 2 0\nCNOT 1 5\n", n=6)
+        [(gate, targets)] = c._plan
+        assert isinstance(gate, _MonomialOperator) and gate.phases is None
+        assert targets == list(range(6))
+        total = kron_oracle_product(c)
+        assert np.array_equal(compile_circuit(c).matrix, total)
+        for x in range(1 << c.n):
+            assert np.array_equal(run_circuit(c, StateVector.basis(c.n, x)).amplitudes, total[:, x])
+
+    @pytest.mark.parametrize("text", ["CNOT 0 8\n", "CNOT 8 0\n"])
+    def test_lone_cnot_across_nine_qubits(self, text):
+        c = from_text(text, n=9)
+        [(gate, targets)] = c._plan
+        assert isinstance(gate, _MonomialOperator) and targets == list(range(9))
+        total = kron_oracle_product(c)
+        assert np.array_equal(compile_circuit(c).matrix, total)
+        for x in (0, 1, 256, 257, 300, 511):
+            assert np.array_equal(run_circuit(c, StateVector.basis(9, x)).amplitudes, total[:, x])
+
+    def test_rows_in_place_fuse_to_a_diagonal(self):
+        # X CZ X on qubit 0 moves no row: the run is the diagonal of CZ with
+        # the control flipped
+        c = from_text("X 0\nCZ 0 1\nX 0\n", n=2)
+        [(gate, targets)] = c._plan
+        assert isinstance(gate, DiagonalOperator) and targets == [0, 1]
+        assert np.array_equal(gate.entries, [1, 1, -1, 1])
+
+    def test_monomial_is_read_from_the_matrix(self):
+        # a gate named H with the matrix of Y joins the run of X and CZ; a
+        # gate named X whose matrix has two nonzeros in one row (and a row
+        # with none) does not
+        y = GateDef("H", 1, DenseOperator(1, np.array([[0, -1j], [1j, 0]])))
+        lopsided = GateDef("X", 1, DenseOperator(1, np.array([[1, 1], [0, 0]])))
+        c = Circuit(6, (
+            Step(standard_gate("X"), (0,)), Step(y, (5,)), Step(standard_gate("CZ"), (5, 0)),
+            Step(lopsided, (3,)),
+        ))
+        assert [(type(g), t) for g, t in c._plan] == [
+            (_MonomialOperator, [0, 1, 2, 3, 4, 5]), (DenseOperator, [3])
+        ]
+        total = kron_oracle_product(c)
+        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+
+    def test_paper_circuits_keep_their_plans(self):
+        # H breaks every run of the paper circuits before a CNOT joins one
+        for c, passes in ((fanout_circuit(8), 10), (parity_circuit(8), 5)):
+            assert len(c._plan) == passes
+            assert not any(isinstance(g, _MonomialOperator) for g, _ in c._plan)
+
+    def test_fused_sources_are_permutations(self):
+        """The kernel gathers with ``mode="wrap"``, which checks no index: every
+        fused source array must be a permutation of ``0..2^m-1``."""
+        circuits = [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
+        circuits += [random_circuit_and_oracle(seed)[0] for seed in range(30)]
+        circuits.append(from_text("CNOT 0 8\n", n=9))
+        fused = [
+            (g, t) for c in circuits for g, t in c._plan if isinstance(g, _MonomialOperator)
+        ]
+        assert len(fused) >= 20
+        for gate, targets in fused:
+            assert targets == list(range(targets[0], targets[0] + gate.n))
+            assert np.array_equal(np.sort(gate.source), np.arange(1 << gate.n))
+            assert gate.phases is None or np.max(np.abs(np.abs(gate.phases) - 1)) < 1e-12
+
 
 class TestSizeCaps:
     def test_ordering_enforced(self):

@@ -18,7 +18,6 @@ from spinfanout.hamiltonians import (
     build_hn,
     build_kn,
     build_l2,
-    build_ln,
     build_ring,
     evolve,
     evolver,
@@ -46,16 +45,6 @@ def l2_oracle(n):
     for axis in "XYZ":
         s = 0.5 * sum(pauli_on(axis, i, n) for i in range(n))
         total += s @ s
-    return total
-
-
-def ln_oracle(coupling):
-    """sum_{i<j} J_ij (XX + YY + ZZ) as products of Pauli matrices."""
-    n = coupling.n
-    total = np.zeros((1 << n, 1 << n), dtype=complex)
-    for i, j, jij in coupling.pairs():
-        for axis in "XYZ":
-            total += jij * (pauli_on(axis, i, n) @ pauli_on(axis, j, n))
     return total
 
 
@@ -186,37 +175,6 @@ class TestL2:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             build_l2(9)
-
-
-class TestLn:
-    def test_zero(self):
-        assert np.all(build_ln(CouplingMatrix.uniform(3, 0.0)).matrix == 0)
-
-    def test_two_site_spectrum(self):
-        eigs = np.sort(np.linalg.eigvalsh(build_ln(CouplingMatrix.uniform(2, 1.0)).matrix))
-        assert np.allclose(eigs, [-3, 1, 1, 1], atol=1e-12)
-
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_matches_pauli_oracle_random(self, n):
-        coupling = CouplingMatrix(n, np.random.default_rng(n).normal(size=(n, n)))
-        assert np.max(np.abs(build_ln(coupling).matrix - ln_oracle(coupling))) < 1e-14
-
-    def test_matches_pauli_oracle_ring(self):
-        ring = build_ring(6, 1.3)
-        assert np.max(np.abs(build_ln(ring).matrix - ln_oracle(ring))) < 1e-14
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_l2_at_half_coupling(self, n):
-        # coefficient sweep finding: c = 1/2 makes Ln - L2 a multiple of I
-        # (offset -3n/4), not the c = 2 one might expect from other conventions
-        l2 = build_l2(n).matrix
-        found = []
-        for c in np.arange(0.25, 2.51, 0.25):
-            d = build_ln(CouplingMatrix.uniform(n, c)).matrix - l2
-            off = d - np.diag(np.diag(d))
-            if np.max(np.abs(off)) < 1e-12 and np.ptp(np.diag(d).real) < 1e-12:
-                found.append((c, np.diag(d)[0].real))
-        assert found == [(0.5, pytest.approx(-3 * n / 4))]
 
 
 class TestEvolve:

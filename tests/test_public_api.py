@@ -7,7 +7,7 @@ PUBLIC = [
     "CapExceededError", "CheckResult", "Circuit", "CouplingMatrix", "DEFAULT_CAPS",
     "DenseHamiltonian", "DenseOperator", "DiagonalHamiltonian", "DiagonalOperator",
     "EquivalenceReport", "ParityDiagonalVerdict", "ScanResult", "SizeCaps",
-    "StateVector", "Step", "build_hn", "build_kn", "build_l2", "build_ln",
+    "StateVector", "Step", "build_hn", "build_kn", "build_l2",
     "build_ring", "circuits", "classify_parity_diagonal", "compile_circuit", "core",
     "default_time_grid", "equiv_up_to_global_phase", "evolve", "evolver", "explore",
     "fanout_circuit", "fanout_reference", "from_text", "gates", "hamiltonians",

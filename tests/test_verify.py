@@ -12,10 +12,11 @@ from spinfanout.core import (
     SizeCaps,
     StateVector,
     popcounts,
-    schmidt_rank_one_deviation,
 )
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import known_check_ids, run_check, run_suite, suite_ok
+
+from helpers import schmidt_rank_one_deviation
 
 
 class TestRunCheck:
@@ -192,6 +193,22 @@ class TestRunSuite:
         ran = [r for r in results if not r.skipped]
         assert all(r.params["n"] <= 4 for r in ran)
         assert any(r.skipped for r in results)
+
+    def test_skip_reason_tells_n_max_from_cap(self):
+        # parity n=4 fits the caps but not n_max; n=6 and n=8 are over the dense cap
+        caps = SizeCaps(dense_cap=5, l2_cap=5, state_cap=6)
+        results = run_suite(filter="parity", caps=caps, n_max=2)
+        reasons = {r.params["n"]: r.skip_reason for r in results if r.check_id == "parity"}
+        assert reasons == {2: "", 4: "n-max", 6: "n-max", 8: "n-max"}
+        results = run_suite(filter="parity", caps=caps)
+        reasons = {r.params["n"]: r.skip_reason for r in results if r.check_id == "parity"}
+        assert reasons == {2: "", 4: "", 6: "cap", 8: "cap"}
+        rows = check_results_table(results).splitlines()[2:]
+        assert [row.split()[2] for row in rows if row.startswith("parity ")] == [
+            "PASS", "PASS", "SKIP(cap)", "SKIP(cap)"
+        ]
+        # the reason stays out of the JSON report
+        assert "n-max" not in check_results_json(run_suite(filter="parity", n_max=2))
 
     def test_determinism(self):
         a = run_suite(filter="parity")
