@@ -36,6 +36,12 @@ from .hamiltonians import un, un_dagger
 # widest qubit window that a run of steps is fused into
 _FUSE_QUBITS = 4
 
+# entries per column block of a compiled unitary: a block of at most 2^16
+# complex entries (1 MiB) and the kernel's scratch array of the same size
+# fit together in a 2 MiB per-core L2 cache, and no second full-size
+# matrix is allocated
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Step:
@@ -79,11 +85,12 @@ def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
     return GateDef(name, n, evolution(n, caps=caps))
 
 
-def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray] | None:
+def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray | None] | None:
     """``(source, phases)`` of a gate whose matrix has exactly one nonzero in
     each row and column: local row ``r`` of its output is ``phases[r]`` times
-    local row ``source[r]`` of its input, and ``source`` is None for a
-    diagonal.  None for any other gate."""
+    local row ``source[r]`` of its input.  ``source`` is None for a diagonal,
+    and ``phases`` is None for a dense gate whose every phase is 1 (X,
+    CNOT).  None for any other gate."""
     if isinstance(gate, DiagonalOperator):
         return None, gate.entries
     dim = 1 << gate.n
@@ -94,7 +101,8 @@ def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray] | Non
     ):
         return None
     source = np.argmax(nonzero, axis=1)
-    return source, gate.matrix[np.arange(dim), source]
+    phases = gate.matrix[np.arange(dim), source]
+    return source, None if np.all(phases == 1) else phases
 
 
 def _set_target_bits(values: np.ndarray, targets: list[int], m: int) -> np.ndarray:
@@ -111,7 +119,8 @@ def _fuse(
 ) -> tuple[Operator | _MonomialOperator, list[int]]:
     """One gate on the ascending qubits ``lo..hi`` that applies ``steps`` in order.
 
-    A monomial run composes its steps' source rows and phases; it is a
+    A monomial run composes its steps' source rows and phases, each left
+    as None (rows in place, every phase 1) until a step sets it; it is a
     diagonal when its rows stay in place.  Any other run is built by the
     block kernel on the identity.  A lone step that is diagonal or not
     monomial is kept when it is on ascending adjacent qubits, or wider
@@ -124,19 +133,23 @@ def _fuse(
     if len(steps) == 1 and not permutes and (targets == span or m > _FUSE_QUBITS):
         return gate, targets
     if monomial:
-        identity = np.arange(1 << m)
-        source, phases = identity, np.ones(1 << m, dtype=complex)
+        source = phases = None
         for step in steps:
             local = [t - lo for t in step.targets]
             step_source, step_phases = _monomial_form(step.gate.unitary)
             index = _local_index(local, m)
             if step_source is not None:
                 rows = _set_target_bits(step_source[index], local, m)
-                source, phases = source[rows], phases[rows]
-            phases = phases * step_phases[index]
-        if np.array_equal(source, identity):
-            return DiagonalOperator(m, phases), span
-        return _MonomialOperator(m, source, None if np.all(phases == 1) else phases), span
+                source = rows if source is None else source[rows]
+                phases = None if phases is None else phases[rows]
+            if step_phases is not None:
+                step_phases = step_phases[index]
+                phases = step_phases if phases is None else phases * step_phases
+        if source is None or np.array_equal(source, np.arange(1 << m)):
+            return DiagonalOperator(m, np.ones(1 << m) if phases is None else phases), span
+        if phases is not None and np.all(phases == 1):
+            phases = None
+        return _MonomialOperator(m, source, phases), span
     block = np.eye(1 << m, dtype=complex)
     work = None
     for step in steps:
@@ -153,10 +166,32 @@ def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _column_blocks(c: Circuit):
+    """``(start, block)`` for each block of columns of the circuit's unitary:
+    the plan applied to the basis inputs ``start, start + 1, ...``, one per
+    column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or one column)."""
+    dim = 1 << c.n
+    cols = max(1, min(dim, _BLOCK_ENTRIES >> c.n))
+    for start in range(0, dim, cols):
+        yield start, _run_steps(c, np.eye(dim, cols, -start, dtype=complex))
+
+
 def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
-    """Circuit unitary: every step applied, in order, to the columns of the identity."""
+    """Circuit unitary: every step applied, in order, to the columns of the identity.
+
+    The result is allocated once and filled one block of columns at a
+    time, each block at most 2^16 entries, so a compile holds the result
+    and two blocks; a result that fits in one block is that block.
+    """
     caps.check_dense(c.n)
-    return DenseOperator(c.n, _run_steps(c, np.eye(1 << c.n, dtype=complex)))
+    dim = 1 << c.n
+    if dim * dim <= _BLOCK_ENTRIES:
+        return DenseOperator(c.n, _run_steps(c, np.eye(dim, dtype=complex)))
+    matrix = np.empty((dim, dim), dtype=complex)
+    for start, block in _column_blocks(c):
+        matrix[:, start:start + block.shape[1]] = block
+        del block  # freed before the next block is made
+    return DenseOperator(c.n, matrix)
 
 
 def run_circuit(c: Circuit, state: StateVector) -> StateVector:

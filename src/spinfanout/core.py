@@ -189,15 +189,19 @@ def _apply_to_block(
     """Apply ``gate`` on ``targets`` to every column of a ``(2^n, cols)`` block.
 
     The one gate-application kernel: state vectors are blocks with one
-    column, compiled unitaries start from the identity.  A diagonal gate
-    scales the rows.  A gate on the ascending adjacent qubits ``lo..hi``
-    (every gate of a fused circuit plan) acts on the middle axis of the
-    ``(2^(n-1-hi), 2^m, rest)`` view of the block: a dense one as one
-    batched matrix product, a monomial one (a fused run of
-    basis-permuting steps, which only plans hold) as one gather of that
-    axis and one scale.  For a dense gate on targets in any other order
-    the target axes of the ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is
-    qubit ``q``) are gathered to the front, multiplied and scattered back.
+    column, and a compiled unitary is filled one block of columns of the
+    identity at a time.  The columns never mix, so any block of them
+    gives the same result.  A diagonal gate scales the rows.  A gate on
+    the ascending adjacent qubits ``lo..hi`` (every gate of a fused
+    circuit plan) acts on the middle axis of the ``(2^(n-1-hi), 2^m,
+    rest)`` view of the block: a dense one as one batched matrix product,
+    a monomial one (a fused run of basis-permuting steps, which only
+    plans hold) as one gather of that axis and one scale.  For a dense
+    gate on targets in any other order the target axes of the
+    ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is qubit ``q``) are
+    gathered to the front, multiplied and scattered back.  A dense gate
+    with a real matrix (H, CNOT, X and their fused windows) is one real
+    product over the real and imaginary parts of the block.
 
     ``block`` (C-contiguous) and ``work``, a scratch array of the same
     shape that is allocated when not given, are both overwritten, so a
@@ -221,7 +225,7 @@ def _apply_to_block(
             if gate.phases is not None:
                 out *= gate.phases.reshape(-1, 1)
         else:
-            np.matmul(gate.matrix, block.reshape(shape), out=out)
+            _matmul(gate.matrix, block.reshape(shape), out)
         return work, block
     mat = gate.matrix
     # gate axis k (rows) and m+k (columns) hold local bit m-1-k
@@ -231,10 +235,21 @@ def _apply_to_block(
     gathered = work.reshape([shape[a] for a in perm])
     # target axes first: the gate is then one matrix product over the rest
     np.copyto(gathered, block.reshape(shape).transpose(perm))
-    np.matmul(mat, work.reshape(1 << m, -1), out=block.reshape(1 << m, -1))
+    _matmul(mat, work.reshape(1 << m, -1), block.reshape(1 << m, -1))
     inverse = np.argsort(perm)
     np.copyto(work.reshape(shape), block.reshape(gathered.shape).transpose(inverse))
     return work, block
+
+
+def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
+    """``mat @ operand`` into ``out``, over the last two axes of complex arrays
+    whose last axis is contiguous.  A real ``mat`` multiplies the ``float64``
+    view, whose last axis interleaves the real and imaginary parts: half the
+    work of a complex product, and the same sums."""
+    if not mat.imag.any():
+        mat = np.ascontiguousarray(mat.real)
+        operand, out = operand.view(np.float64), out.view(np.float64)
+    np.matmul(mat, operand, out=out)
 
 
 @dataclass(frozen=True)

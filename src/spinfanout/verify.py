@@ -36,8 +36,8 @@ from .gates import (
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
+    _column_blocks,
     _hadamard_layer,
-    _run_steps,
     _use_swapped_evolution,
     compile_circuit,
     fanout_circuit,
@@ -174,19 +174,16 @@ def _check_unitary_pow4(params: dict, caps: SizeCaps) -> tuple[float, complex]:
 
 def _check_unentangled_control(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
-    caps.check_state(n + 1)  # blocks of (n+1)-qubit states, 2^state_cap amplitudes at most
+    caps.check_state(n + 1)  # each column of a block is an (n+1)-qubit state
     circ = parity_circuit(n, caps=caps)
     prefix = Circuit(circ.n, circ.steps[:4])  # everything before the CNOT
     control = n - 1
-    dim = 1 << (n + 1)
-    cols = min(dim, 1 << (caps.state_cap - n - 1))
     # the mass of the control qubit must sit entirely on |p xor r>, the
     # parity of input bits 0..n-1 (p of the sources 0..n-2, r of bit n-1)
     wrong_value = np.tile(1 - (popcounts(n) & 1), 2)
     worst = 0.0
-    for start in range(0, dim, cols):
-        # the basis inputs start .. start + cols - 1, one per column
-        out = _run_steps(prefix, np.eye(dim, cols, -start, dtype=complex))
+    for start, out in _column_blocks(prefix):
+        cols = out.shape[1]
         # axes (qubit n, control, qubits 0..n-2, input) to one
         # (control) x (other qubits) matrix per input
         cut = out.reshape(2, 2, 1 << control, cols).transpose(3, 1, 0, 2).reshape(cols, 2, -1)

@@ -18,14 +18,17 @@ from spinfanout.core import (
     equiv_up_to_global_phase,
     popcounts,
 )
+from spinfanout import circuits
 from spinfanout.circuits import (
     _FUSE_QUBITS,
     Circuit,
     Step,
+    _run_steps,
     compile_circuit,
     fanout_circuit,
     from_text,
     parity_circuit,
+    parity_like_circuit,
     run_circuit,
 )
 from spinfanout.gates import GateDef, standard_gate
@@ -54,6 +57,12 @@ def random_unitary(n, rng):
     a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     q, r = np.linalg.qr(a)
     return DenseOperator(n, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def random_orthogonal(n, rng):
+    """A real dense gate: the kernel multiplies it as a real matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
+    return DenseOperator(n, q * np.sign(np.diag(r)))
 
 
 def kernel_matrix(gate, targets, n):
@@ -321,9 +330,9 @@ def random_step(n, rng):
 
 def fusion_step(n, rng):
     """A diagonal on all n qubits (sometimes, in ascending or random order),
-    else a dense or diagonal gate on 1..3 qubits, in random order, of a
-    window of 1..6 adjacent qubits: runs of these steps fuse below, at and
-    past the fusion width."""
+    else a complex dense, real dense or diagonal gate on 1..3 qubits, in
+    random order, of a window of 1..6 adjacent qubits: runs of these steps
+    fuse below, at and past the fusion width."""
     if rng.random() < 0.1:
         targets = range(n) if rng.random() < 0.5 else rng.permutation(n)
         return Step(GateDef("D", n, random_diagonal(n, rng)), tuple(int(t) for t in targets))
@@ -331,7 +340,13 @@ def fusion_step(n, rng):
     lo = int(rng.integers(0, n - width + 1))
     m = int(rng.integers(1, min(width, 3) + 1))
     targets = tuple(lo + int(t) for t in rng.permutation(width)[:m])
-    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
+    kind = rng.random()
+    if kind < 0.3:
+        gate = random_unitary(m, rng)
+    elif kind < 0.6:
+        gate = random_orthogonal(m, rng)
+    else:
+        gate = random_diagonal(m, rng)
     return Step(GateDef("G", m, gate), targets)
 
 
@@ -430,6 +445,11 @@ class TestBlockKernel:
                 assert span > _FUSE_QUBITS
         dense_widths = {span for dense, span in windows if dense}
         assert set(range(1, _FUSE_QUBITS + 1)) <= dense_widths
+        # real dense windows of every width: the kernel's real products
+        real_widths = {
+            len(t) for g, t in plan if isinstance(g, DenseOperator) and not g.matrix.imag.any()
+        }
+        assert set(range(1, _FUSE_QUBITS + 1)) <= real_widths
         # past the width: a dense step too wide to fuse, and wide diagonal runs
         assert any(
             isinstance(gate, DenseOperator) and max(t) - min(t) + 1 > _FUSE_QUBITS
@@ -441,6 +461,30 @@ class TestBlockKernel:
         assert {len(t) <= _FUSE_QUBITS for _, t in monomial} == {True, False}
         assert {g.phases is None for g, _ in monomial} == {True, False}
         assert len(plan) < len(steps)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_compile_in_many_blocks(self, seed, monkeypatch):
+        """With blocks of 2^4 entries the seeded circuits on three qubits or
+        more compile in several blocks, from four qubits one column at a time."""
+        for c, total in (random_circuit_and_oracle(seed), monomial_circuit_and_oracle(seed)):
+            one_block = _run_steps(c, np.eye(1 << c.n, dtype=complex))
+            with monkeypatch.context() as patch:
+                patch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
+                blocked = compile_circuit(c).matrix
+            assert np.max(np.abs(blocked - total)) < 1e-12
+            assert np.max(np.abs(blocked - one_block)) < 1e-14
+
+    def test_compile_allocates_one_full_size_matrix(self):
+        c = parity_like_circuit(10)
+        c._plan  # built once per circuit, before the traced compile
+        tracemalloc.start()
+        try:
+            u = compile_circuit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MiB result and two blocks; a full-size scratch array would be 2x
+        assert peak < 1.25 * u.matrix.nbytes
 
     @pytest.mark.parametrize("seed", range(30))
     def test_apply_gate_matches_embed(self, seed):
@@ -465,13 +509,14 @@ class TestBlockKernel:
         rng = np.random.default_rng(list(targets))
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         dense = random_unitary(m, rng)
+        real = random_orthogonal(m, rng)
         diagonal = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
         # a cycle through all 2^m rows, with phases: the plan gathers its rows
         perm = rng.permutation(1 << m)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m))
         cycle = _MonomialOperator(m, perm[(np.argsort(perm) - 1) % (1 << m)], phases)
         monomial = DenseOperator(m, monomial_matrix(cycle))
-        for gate in (dense, diagonal, monomial):
+        for gate in (dense, real, diagonal, monomial):
             full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
             c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
             if gate is monomial:

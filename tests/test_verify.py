@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfanout import verify
+from spinfanout import circuits
 from spinfanout.circuits import Circuit, _run_steps, parity_circuit, run_circuit
 from spinfanout.core import (
     CapExceededError,
@@ -95,17 +95,19 @@ class TestUnentangledControl:
         assert r.passed and r.max_deviation == unentangled_control_per_state(n)
 
     def test_matches_per_state_loop_in_several_blocks(self, monkeypatch):
-        # 2^6 amplitudes per block: 2 of the 32 five-qubit basis columns at a time
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+        # 2^6 entries per block, the rule compile_circuit follows too: 2 of
+        # the 32 five-qubit basis columns at a time
+        expected = unentangled_control_per_state(4)
         blocks = []
 
         def recording(c, block):
             blocks.append(block.copy())
             return _run_steps(c, block)
 
-        monkeypatch.setattr(verify, "_run_steps", recording)
-        r = run_check("unentangled_control", {"n": 4}, caps=caps)
-        assert r.max_deviation == unentangled_control_per_state(4)
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 6)
+        monkeypatch.setattr(circuits, "_run_steps", recording)
+        r = run_check("unentangled_control", {"n": 4})
+        assert r.max_deviation == expected
         assert all(b.shape == (32, 2) for b in blocks)
         assert np.array_equal(np.hstack(blocks), np.eye(32))
 
