@@ -24,10 +24,6 @@ from .core import (
     Operator,
     SizeCaps,
     StateVector,
-    _MonomialOperator,
-    _apply_to_block,
-    _local_index,
-    _validate_targets,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -56,14 +52,20 @@ class Circuit:
 
     def __post_init__(self):
         for step in self.steps:
-            _validate_targets(step.gate.unitary, list(step.targets), self.n)
+            targets, m = list(step.targets), step.gate.unitary.n
+            if len(set(targets)) != len(targets):
+                raise IndexError(f"duplicate targets in {targets}")
+            if not all(0 <= t < self.n for t in targets):
+                raise IndexError(f"targets {targets} out of range for {self.n} qubits")
+            if m != len(targets):
+                raise IndexError(f"gate acts on {m} qubits but {len(targets)} targets given")
 
     @cached_property
-    def _plan(self) -> tuple[tuple[Operator | _MonomialOperator, list[int]], ...]:
-        """The steps fused into runs, one gate per run: a run takes the next step
-        while both are all monomial (see :func:`_monomial_form`), at any span, or
-        while its qubit span ``lo..hi`` stays within ``_FUSE_QUBITS``; otherwise
-        the step starts a new run."""
+    def _plan(self) -> tuple[_Entry, ...]:
+        """The steps as plan entries (see ``_Entry``), fused into runs: a run takes
+        the next step while both are all monomial (see :func:`_monomial_form`),
+        at any span, or while its qubit span ``lo..hi`` stays within
+        ``_FUSE_QUBITS``; otherwise the step starts a new run."""
         runs: list[list] = []  # [lo, hi, all monomial, steps]
         for step in self.steps:
             lo, hi = min(step.targets, default=0), max(step.targets, default=0)
@@ -76,7 +78,23 @@ class Circuit:
                     run[3].append(step)
                     continue
             runs.append([lo, hi, monomial, [step]])
-        return tuple(_fuse(*run) for run in runs)
+        return tuple(entry for run in runs for entry in _fuse(*run))
+
+
+@dataclass(frozen=True)
+class _MonomialOperator:
+    """Operator with one nonzero per row and column: row ``r`` of its product
+    with a block is ``phases[r]`` times row ``source[r]`` of the block.
+    ``phases`` is None when every phase is 1.  Only circuit plans hold one.
+    """
+
+    n: int
+    source: np.ndarray
+    phases: np.ndarray | None
+
+
+# a plan entry ``(gate, lo)``: the gate on the qubits ``lo .. lo + gate.n - 1``
+_Entry = tuple[Operator | _MonomialOperator, int]
 
 
 def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
@@ -96,13 +114,22 @@ def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray | None
     dim = 1 << gate.n
     nonzero = gate.matrix != 0
     # 2^n nonzeros, none of its rows or columns without one: one in each
-    if np.count_nonzero(nonzero) != dim or not (
-        nonzero.any(axis=0).all() and nonzero.any(axis=1).all()
-    ):
+    if np.count_nonzero(nonzero) != dim or not (nonzero.any(0).all() and nonzero.any(1).all()):
         return None
     source = np.argmax(nonzero, axis=1)
     phases = gate.matrix[np.arange(dim), source]
     return source, None if np.all(phases == 1) else phases
+
+
+def _local_index(targets: list[int], m: int) -> np.ndarray:
+    """The local basis index formed from the target bits of each of the 2^m rows."""
+    idx = np.arange(1 << m)
+    if targets and targets == list(range(targets[0], targets[0] + len(targets))):
+        return (idx >> targets[0]) & ((1 << len(targets)) - 1)
+    local = np.zeros_like(idx)
+    for j, t in enumerate(targets):
+        local |= ((idx >> t) & 1) << j
+    return local
 
 
 def _set_target_bits(values: np.ndarray, targets: list[int], m: int) -> np.ndarray:
@@ -114,24 +141,42 @@ def _set_target_bits(values: np.ndarray, targets: list[int], m: int) -> np.ndarr
     return rows
 
 
-def _fuse(
-    lo: int, hi: int, monomial: bool, steps: list[Step]
-) -> tuple[Operator | _MonomialOperator, list[int]]:
-    """One gate on the ascending qubits ``lo..hi`` that applies ``steps`` in order.
+def _adjacent(gate: Operator, targets: list[int]) -> list[_Entry]:
+    """``gate`` on ``targets`` as plan entries on ascending adjacent qubits.
+
+    Targets that already are give the gate itself.  Otherwise a gather
+    brings the targets, in order, to the bottom of their span ``lo..hi``
+    (the other qubits of the span above them, in ascending order), the gate
+    acts there, and a second gather puts every qubit back.
+    """
+    lo = min(targets, default=0)
+    if targets == list(range(lo, lo + len(targets))):
+        return [(gate, lo)]
+    order = [t - lo for t in targets]
+    m = max(order) + 1
+    order += [q for q in range(m) if q not in order]
+    to_bottom = _MonomialOperator(m, _set_target_bits(np.arange(1 << m), order, m), None)
+    back = _MonomialOperator(m, _local_index(order, m), None)
+    return [(to_bottom, lo), (gate, lo), (back, lo)]
+
+
+def _fuse(lo: int, hi: int, monomial: bool, steps: list[Step]) -> list[_Entry]:
+    """Plan entries that apply ``steps`` in order, on ascending adjacent qubits.
 
     A monomial run composes its steps' source rows and phases, each left
-    as None (rows in place, every phase 1) until a step sets it; it is a
-    diagonal when its rows stay in place.  Any other run is built by the
-    block kernel on the identity.  A lone step that is diagonal or not
-    monomial is kept when it is on ascending adjacent qubits, or wider
-    than ``_FUSE_QUBITS``.
+    as None (rows in place, every phase 1) until a step sets it, into one
+    gate on ``lo..hi``: a diagonal when its rows stay in place.  Any other
+    run is one dense gate on ``lo..hi``, built by the kernel on the
+    identity from its steps placed by :func:`_adjacent`.  A lone step that
+    does not permute rows is kept when it is on ``lo..hi`` in order, and
+    a lone dense step wider than ``_FUSE_QUBITS`` is placed by :func:`_adjacent`.
     """
     m = hi - lo + 1
-    span = list(range(lo, hi + 1))
     gate, targets = steps[0].gate.unitary, list(steps[0].targets)
     permutes = monomial and not isinstance(gate, DiagonalOperator)
-    if len(steps) == 1 and not permutes and (targets == span or m > _FUSE_QUBITS):
-        return gate, targets
+    on_span = targets == list(range(lo, hi + 1))
+    if len(steps) == 1 and not permutes and (on_span or not monomial and m > _FUSE_QUBITS):
+        return _adjacent(gate, targets)
     if monomial:
         source = phases = None
         for step in steps:
@@ -146,23 +191,65 @@ def _fuse(
                 step_phases = step_phases[index]
                 phases = step_phases if phases is None else phases * step_phases
         if source is None or np.array_equal(source, np.arange(1 << m)):
-            return DiagonalOperator(m, np.ones(1 << m) if phases is None else phases), span
+            return [(DiagonalOperator(m, np.ones(1 << m) if phases is None else phases), lo)]
         if phases is not None and np.all(phases == 1):
             phases = None
-        return _MonomialOperator(m, source, phases), span
+        return [(_MonomialOperator(m, source, phases), lo)]
     block = np.eye(1 << m, dtype=complex)
-    work = None
+    work = np.empty_like(block)
     for step in steps:
-        local = [t - lo for t in step.targets]
-        block, work = _apply_to_block(block, step.gate.unitary, local, m, work)
-    return DenseOperator(m, block), span
+        for placed, at in _adjacent(step.gate.unitary, [t - lo for t in step.targets]):
+            block, work = _apply_to_block(block, placed, at, m, work)
+    return [(DenseOperator(m, block), lo)]
+
+
+def _apply_to_block(
+    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``gate`` on the qubits ``lo .. lo + m - 1`` (``m = gate.n``) to
+    every column of a ``(2^n, cols)`` block, as one operation on the middle
+    axis of its ``(2^(n-lo-m), 2^m, cols)`` view: a diagonal scales it in
+    place, a monomial gate gathers and scales it, and a dense gate is one
+    batched matrix product.
+
+    The one gate-application kernel: state vectors are blocks with one
+    column, and a compiled unitary is filled one block of columns of the
+    identity at a time.  ``block`` (C-contiguous) and ``work``, a scratch
+    array of the same shape, are both overwritten, so a loop of calls
+    allocates no large arrays.  Returns ``(result, scratch)``: the array
+    that now holds the result, and the other one for the next call.
+    """
+    view = block.reshape(1 << (n - lo - gate.n), 1 << gate.n, -1)
+    if isinstance(gate, DiagonalOperator):
+        view *= gate.entries.reshape(-1, 1)
+        return block, work
+    out = work.reshape(view.shape)
+    if isinstance(gate, _MonomialOperator):
+        # the source is in range by construction; mode="raise" would buffer `out`
+        np.take(view, gate.source, axis=1, out=out, mode="wrap")
+        if gate.phases is not None:
+            out *= gate.phases.reshape(-1, 1)
+    else:
+        _matmul(gate.matrix, view, out)
+    return work, block
+
+
+def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
+    """``mat @ operand`` into ``out``, over the last two axes of complex arrays
+    whose last axis is contiguous.  A real ``mat`` multiplies the ``float64``
+    view, whose last axis interleaves the real and imaginary parts: half the
+    work of a complex product, and the same sums."""
+    if not mat.imag.any():
+        mat = np.ascontiguousarray(mat.real)
+        operand, out = operand.view(np.float64), out.view(np.float64)
+    np.matmul(mat, operand, out=out)
 
 
 def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """The circuit's fused plan applied, in order, to the columns of a ``(2^n, cols)`` block."""
+    """The circuit's plan applied, in order, to the columns of a ``(2^n, cols)`` block."""
     work = np.empty_like(block)
-    for gate, targets in c._plan:
-        block, work = _apply_to_block(block, gate, targets, c.n, work)
+    for gate, lo in c._plan:
+        block, work = _apply_to_block(block, gate, lo, c.n, work)
     return block
 
 

@@ -172,6 +172,13 @@ def _require_n(args, parser) -> int:
 
 def _cmd_matrix(args, parser) -> int:
     what = args.what
+    # refuse an option the target would silently ignore
+    if args.t is not None and what not in ("hn", "l2"):
+        parser.error(f"--t does not apply to --what {what}")
+    if args.file is not None and what != "circuit-file":
+        parser.error(f"--file does not apply to --what {what}")
+    if args.n is not None and what == "ieq":
+        parser.error("--n does not apply to --what ieq")
     if what == "circuit-file":
         if not args.file:
             parser.error("--what circuit-file requires --file")

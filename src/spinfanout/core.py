@@ -146,112 +146,6 @@ class DenseOperator:
 Operator = DiagonalOperator | DenseOperator
 
 
-def _validate_targets(gate: Operator, targets: list[int], n: int) -> None:
-    if len(set(targets)) != len(targets):
-        raise IndexError(f"duplicate targets in {targets}")
-    for t in targets:
-        if not 0 <= t < n:
-            raise IndexError(f"target {t} out of range for {n} qubits")
-    if gate.n != len(targets):
-        raise IndexError(f"gate acts on {gate.n} qubits but {len(targets)} targets given")
-
-
-@dataclass(frozen=True)
-class _MonomialOperator:
-    """Operator with one nonzero per row and column: row ``r`` of its product
-    with a block is ``phases[r]`` times row ``source[r]`` of the block.
-    ``phases`` is None when every phase is 1.  Only fused circuit plans hold one.
-    """
-
-    n: int
-    source: np.ndarray
-    phases: np.ndarray | None
-
-
-def _local_index(targets: list[int], n: int) -> np.ndarray:
-    """The local basis index formed from the target bits of each of the 2^n rows."""
-    idx = np.arange(1 << n)
-    if targets and targets == list(range(targets[0], targets[0] + len(targets))):
-        return (idx >> targets[0]) & ((1 << len(targets)) - 1)
-    local = np.zeros_like(idx)
-    for j, t in enumerate(targets):
-        local |= ((idx >> t) & 1) << j
-    return local
-
-
-def _apply_to_block(
-    block: np.ndarray,
-    gate: Operator | _MonomialOperator,
-    targets: list[int],
-    n: int,
-    work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply ``gate`` on ``targets`` to every column of a ``(2^n, cols)`` block.
-
-    The one gate-application kernel: state vectors are blocks with one
-    column, and a compiled unitary is filled one block of columns of the
-    identity at a time.  The columns never mix, so any block of them
-    gives the same result.  A diagonal gate scales the rows.  A gate on
-    the ascending adjacent qubits ``lo..hi`` (every gate of a fused
-    circuit plan) acts on the middle axis of the ``(2^(n-1-hi), 2^m,
-    rest)`` view of the block: a dense one as one batched matrix product,
-    a monomial one (a fused run of basis-permuting steps, which only
-    plans hold) as one gather of that axis and one scale.  For a dense
-    gate on targets in any other order the target axes of the
-    ``(2,)*n + (cols,)`` view (axis ``n-1-q`` is qubit ``q``) are
-    gathered to the front, multiplied and scattered back.  A dense gate
-    with a real matrix (H, CNOT, X and their fused windows) is one real
-    product over the real and imaginary parts of the block.
-
-    ``block`` (C-contiguous) and ``work``, a scratch array of the same
-    shape that is allocated when not given, are both overwritten, so a
-    loop of calls allocates no large arrays and its memory use does not
-    depend on the targets.  Returns ``(result, scratch)``: the array that
-    now holds the result, and the other one for the next call.
-    """
-    if isinstance(gate, DiagonalOperator):
-        block *= gate.entries[_local_index(targets, n)].reshape(-1, 1)
-        return block, work
-    if work is None:
-        work = np.empty_like(block)
-    m = len(targets)
-    lo = targets[0]
-    if targets == list(range(lo, lo + m)):
-        shape = (1 << (n - lo - m), 1 << m, -1)
-        out = work.reshape(shape)
-        if isinstance(gate, _MonomialOperator):
-            # the source is in range by construction; mode="raise" would buffer `out`
-            np.take(block.reshape(shape), gate.source, axis=1, out=out, mode="wrap")
-            if gate.phases is not None:
-                out *= gate.phases.reshape(-1, 1)
-        else:
-            _matmul(gate.matrix, block.reshape(shape), out)
-        return work, block
-    mat = gate.matrix
-    # gate axis k (rows) and m+k (columns) hold local bit m-1-k
-    axes = [n - 1 - targets[m - 1 - k] for k in range(m)]
-    perm = axes + [a for a in range(n + 1) if a not in axes]
-    shape = (2,) * n + (block.shape[1],)
-    gathered = work.reshape([shape[a] for a in perm])
-    # target axes first: the gate is then one matrix product over the rest
-    np.copyto(gathered, block.reshape(shape).transpose(perm))
-    _matmul(mat, work.reshape(1 << m, -1), block.reshape(1 << m, -1))
-    inverse = np.argsort(perm)
-    np.copyto(work.reshape(shape), block.reshape(gathered.shape).transpose(inverse))
-    return work, block
-
-
-def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
-    """``mat @ operand`` into ``out``, over the last two axes of complex arrays
-    whose last axis is contiguous.  A real ``mat`` multiplies the ``float64``
-    view, whose last axis interleaves the real and imaginary parts: half the
-    work of a complex product, and the same sums."""
-    if not mat.imag.any():
-        mat = np.ascontiguousarray(mat.real)
-        operand, out = operand.view(np.float64), out.view(np.float64)
-    np.matmul(mat, operand, out=out)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of a global-phase-equivalence check between two operators."""

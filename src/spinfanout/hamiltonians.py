@@ -82,12 +82,15 @@ class CouplingMatrix:
     @classmethod
     def from_pairs(cls, n: int, pairs: dict[tuple[int, int], float]) -> "CouplingMatrix":
         """Couplings from ``{(i, j): J_ij}``; ``(i, j)`` and ``(j, i)`` name one pair,
-        so a dict holding both raises ``ValueError``."""
+        so a dict holding both raises ``ValueError``, as does an index outside
+        ``0..n-1``."""
         J = np.zeros((n, n))
         given: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), val in pairs.items():
             if i == j:
                 raise ValueError("no self-coupling allowed")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair {(i, j)} has an index outside 0..{n - 1}")
             key = (min(i, j), max(i, j))
             if key in given:
                 raise ValueError(f"keys {given[key]} and {(i, j)} both name pair {key}")

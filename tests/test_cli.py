@@ -139,6 +139,32 @@ class TestMatrixCommand:
         assert code == 3
         assert out == "" and "state-vector cap" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--what", "un", "--n", "2", "--t", "5"], "--t"),
+        (["--what", "fanout_circuit", "--n", "2", "--t", "1"], "--t"),
+        (["--what", "circuit-file", "--file", "c.txt", "--t", "1"], "--t"),
+        (["--what", "un", "--n", "2", "--file", "c.txt"], "--file"),
+        (["--what", "ieq", "--file", "c.txt"], "--file"),
+        (["--what", "ieq", "--n", "2"], "--n"),
+    ])
+    def test_option_the_target_ignores_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix"] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} does not apply to --what {argv[1]}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--what", "ieq"],
+        ["--what", "hn", "--n", "2", "--t", "0.5"],
+        ["--what", "l2", "--n", "2", "--t", "0.5"],
+        ["--what", "un", "--n", "2"],
+    ])
+    def test_options_the_target_uses_are_accepted(self, capsys, argv):
+        code, out, err = run_cli(capsys, "matrix", *argv)
+        assert code == 0 and out and err == ""
+
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "matrix", "--what", "circuit-file", "--file", str(tmp_path / "nope")

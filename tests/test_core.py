@@ -13,8 +13,6 @@ from spinfanout.core import (
     SizeCaps,
     StateVector,
     _SLICE,
-    _MonomialOperator,
-    _apply_to_block,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -23,6 +21,7 @@ from spinfanout.circuits import (
     _FUSE_QUBITS,
     Circuit,
     Step,
+    _MonomialOperator,
     _run_steps,
     compile_circuit,
     fanout_circuit,
@@ -66,9 +65,8 @@ def random_orthogonal(n, rng):
 
 
 def kernel_matrix(gate, targets, n):
-    """``gate`` on ``targets`` as the block kernel applies it to the full identity block."""
-    block, _ = _apply_to_block(np.eye(1 << n, dtype=complex), gate, list(targets), n)
-    return block
+    """``gate`` on ``targets``, compiled as a one-step circuit."""
+    return compile_circuit(Circuit(n, (Step(GateDef("G", gate.n, gate), tuple(targets)),))).matrix
 
 
 def apply_step(state, gate, targets):
@@ -428,39 +426,63 @@ class TestBlockKernel:
         circuits = [random_circuit_and_oracle(seed)[0] for seed in range(30)]
         circuits += [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
         steps = [(c.n, s) for c in circuits for s in c.steps]
-        plan = [(gate, targets) for c in circuits for gate, targets in c._plan]
+        plan = [(gate, lo) for c in circuits for gate, lo in c._plan]
+        # the one layout the kernel handles: every gate on qubits lo .. lo + gate.n - 1
+        assert all(0 <= lo and lo + g.n <= c.n for c in circuits for g, lo in c._plan)
         assert max(c.n for c in circuits) == 9
         assert max(len(c.steps) for c in circuits) >= 18
         # full-width diagonals, on more qubits than a dense window holds
         assert any(s.gate.arity == n > _FUSE_QUBITS for n, s in steps)
         assert any(list(s.targets) != sorted(s.targets) for _, s in steps)
         assert any(max(s.targets) - min(s.targets) >= len(s.targets) for _, s in steps)
-        # every plan gate acts on ascending adjacent qubits, or is a wide lone step
-        windows = set()
-        for gate, targets in plan:
-            span = max(targets) - min(targets) + 1
-            if targets == list(range(min(targets), max(targets) + 1)):
-                windows.add((isinstance(gate, DenseOperator), span))
-            else:
-                assert span > _FUSE_QUBITS
-        dense_widths = {span for dense, span in windows if dense}
+        dense_widths = {g.n for g, _ in plan if isinstance(g, DenseOperator)}
         assert set(range(1, _FUSE_QUBITS + 1)) <= dense_widths
         # real dense windows of every width: the kernel's real products
         real_widths = {
-            len(t) for g, t in plan if isinstance(g, DenseOperator) and not g.matrix.imag.any()
+            g.n for g, _ in plan if isinstance(g, DenseOperator) and not g.matrix.imag.any()
         }
         assert set(range(1, _FUSE_QUBITS + 1)) <= real_widths
-        # past the width: a dense step too wide to fuse, and wide diagonal runs
+        # past the width: a dense step too wide to fuse, placed between two
+        # gathers over its span, and wide diagonal runs
+        triples = [t for c in circuits for t in zip(c._plan, c._plan[1:], c._plan[2:])]
         assert any(
-            isinstance(gate, DenseOperator) and max(t) - min(t) + 1 > _FUSE_QUBITS
-            for gate, t in plan
+            isinstance(a, _MonomialOperator) and a.n > _FUSE_QUBITS
+            and isinstance(b, DenseOperator) and isinstance(z, _MonomialOperator)
+            and lo_a == lo_b == lo_z
+            for (a, lo_a), (b, lo_b), (z, lo_z) in triples
         )
-        assert any(not dense and span > _FUSE_QUBITS for dense, span in windows)
+        assert any(isinstance(g, DiagonalOperator) and g.n > _FUSE_QUBITS for g, _ in plan)
         # monomial runs, narrow and wide, with and without phases
-        monomial = [(g, t) for g, t in plan if isinstance(g, _MonomialOperator)]
-        assert {len(t) <= _FUSE_QUBITS for _, t in monomial} == {True, False}
-        assert {g.phases is None for g, _ in monomial} == {True, False}
+        monomial = [g for g, _ in plan if isinstance(g, _MonomialOperator)]
+        assert {g.n <= _FUSE_QUBITS for g in monomial} == {True, False}
+        assert {g.phases is None for g in monomial} == {True, False}
         assert len(plan) < len(steps)
+
+    @pytest.mark.parametrize(
+        "targets", [(5, 0), (0, 5), (6, 1), (6, 1, 3), (0, 3, 6)],
+        ids=lambda t: "-".join(map(str, t)),
+    )
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_lone_dense_step_wider_than_the_window(self, targets, real):
+        """A lone dense step whose span is wider than ``_FUSE_QUBITS`` plans as a
+        gather of its targets to the bottom of the span, the gate, and the
+        gather back."""
+        n, m = 7, len(targets)
+        rng = np.random.default_rng(list(targets))
+        gate = (random_orthogonal if real else random_unitary)(m, rng)
+        c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
+        lo, span = min(targets), max(targets) - min(targets) + 1
+        assert span > _FUSE_QUBITS
+        [(to_bottom, lo_a), (g, lo_b), (back, lo_c)] = c._plan
+        assert g is gate and lo_a == lo_b == lo_c == lo
+        for gather in (to_bottom, back):
+            assert isinstance(gather, _MonomialOperator) and gather.phases is None
+            assert gather.n == span
+        full = kron_embed_oracle(gate.matrix, list(targets), n)
+        assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        out = run_circuit(c, StateVector(n, amps)).amplitudes
+        assert np.max(np.abs(out - full @ amps)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(30))
     def test_compile_in_many_blocks(self, seed, monkeypatch):
@@ -522,7 +544,6 @@ class TestBlockKernel:
             if gate is monomial:
                 assert isinstance(c._plan[0][0], _MonomialOperator)
             assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-            assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
             out = run_circuit(c, StateVector(n, amps)).amplitudes
             assert np.max(np.abs(out - full @ amps)) < 1e-12
 
@@ -551,9 +572,9 @@ class TestMonomialRuns:
     def test_pure_permutation_run(self):
         # every phase is 1: one gather over qubits 0..5 and no scale
         c = from_text("X 0\nCNOT 5 1\nCNOT 0 4\nX 3\nCNOT 2 0\nCNOT 1 5\n", n=6)
-        [(gate, targets)] = c._plan
+        [(gate, lo)] = c._plan
         assert isinstance(gate, _MonomialOperator) and gate.phases is None
-        assert targets == list(range(6))
+        assert (lo, gate.n) == (0, 6)
         total = kron_oracle_product(c)
         assert np.array_equal(compile_circuit(c).matrix, total)
         for x in range(1 << c.n):
@@ -562,8 +583,8 @@ class TestMonomialRuns:
     @pytest.mark.parametrize("text", ["CNOT 0 8\n", "CNOT 8 0\n"])
     def test_lone_cnot_across_nine_qubits(self, text):
         c = from_text(text, n=9)
-        [(gate, targets)] = c._plan
-        assert isinstance(gate, _MonomialOperator) and targets == list(range(9))
+        [(gate, lo)] = c._plan
+        assert isinstance(gate, _MonomialOperator) and (lo, gate.n) == (0, 9)
         total = kron_oracle_product(c)
         assert np.array_equal(compile_circuit(c).matrix, total)
         for x in (0, 1, 256, 257, 300, 511):
@@ -573,8 +594,8 @@ class TestMonomialRuns:
         # X CZ X on qubit 0 moves no row: the run is the diagonal of CZ with
         # the control flipped
         c = from_text("X 0\nCZ 0 1\nX 0\n", n=2)
-        [(gate, targets)] = c._plan
-        assert isinstance(gate, DiagonalOperator) and targets == [0, 1]
+        [(gate, lo)] = c._plan
+        assert isinstance(gate, DiagonalOperator) and (lo, gate.n) == (0, 2)
         assert np.array_equal(gate.entries, [1, 1, -1, 1])
 
     def test_monomial_is_read_from_the_matrix(self):
@@ -587,8 +608,8 @@ class TestMonomialRuns:
             Step(standard_gate("X"), (0,)), Step(y, (5,)), Step(standard_gate("CZ"), (5, 0)),
             Step(lopsided, (3,)),
         ))
-        assert [(type(g), t) for g, t in c._plan] == [
-            (_MonomialOperator, [0, 1, 2, 3, 4, 5]), (DenseOperator, [3])
+        assert [(type(g), lo, g.n) for g, lo in c._plan] == [
+            (_MonomialOperator, 0, 6), (DenseOperator, 3, 1)
         ]
         total = kron_oracle_product(c)
         assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
@@ -605,12 +626,9 @@ class TestMonomialRuns:
         circuits = [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
         circuits += [random_circuit_and_oracle(seed)[0] for seed in range(30)]
         circuits.append(from_text("CNOT 0 8\n", n=9))
-        fused = [
-            (g, t) for c in circuits for g, t in c._plan if isinstance(g, _MonomialOperator)
-        ]
+        fused = [g for c in circuits for g, _ in c._plan if isinstance(g, _MonomialOperator)]
         assert len(fused) >= 20
-        for gate, targets in fused:
-            assert targets == list(range(targets[0], targets[0] + gate.n))
+        for gate in fused:
             assert np.array_equal(np.sort(gate.source), np.arange(1 << gate.n))
             assert gate.phases is None or np.max(np.abs(np.abs(gate.phases) - 1)) < 1e-12
 

@@ -134,6 +134,13 @@ class TestCouplingMatrix:
         with pytest.raises(ValueError, match=r"both name pair \(0, 1\)"):
             CouplingMatrix.from_pairs(3, pairs)
 
+    @pytest.mark.parametrize("pair", [(-1, 1), (1, -1), (3, 0), (0, 3)])
+    def test_from_pairs_rejects_an_index_outside_the_qubits(self, pair):
+        # a negative index once landed in the discarded lower triangle, and an
+        # index >= n raised a bare numpy IndexError
+        with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\).*0\.\.2"):
+            CouplingMatrix.from_pairs(3, {pair: 1.0})
+
     def test_from_pairs_takes_either_order(self):
         J = CouplingMatrix.from_pairs(3, {(1, 0): 0.5, (2, 1): 7.0}).J
         assert J[0, 1] == 0.5 and J[1, 2] == 7.0 and J[1, 0] == 0.0
