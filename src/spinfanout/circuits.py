@@ -253,13 +253,16 @@ def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _column_blocks(c: Circuit):
+def _column_blocks(c: Circuit, first: int = 0):
     """``(start, block)`` for each block of columns of the circuit's unitary:
     the plan applied to the basis inputs ``start, start + 1, ...``, one per
-    column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or one column)."""
+    column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or one column).
+    The block that holds column ``first`` comes first, the others follow in
+    column order."""
     dim = 1 << c.n
     cols = max(1, min(dim, _BLOCK_ENTRIES >> c.n))
-    for start in range(0, dim, cols):
+    head = first - first % cols
+    for start in [head] + [s for s in range(0, dim, cols) if s != head]:
         yield start, _run_steps(c, np.eye(dim, cols, -start, dtype=complex))
 
 

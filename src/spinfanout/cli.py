@@ -109,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--hamiltonian", required=True, choices=["hn", "ring", "l2", "kn-file"]
     )
     p_explore.add_argument("--n", type=int, required=True)
-    p_explore.add_argument("--j", type=finite_float, default=1.0, help="ring coupling strength")
+    p_explore.add_argument(
+        "--j", type=finite_float, help="ring coupling strength (default: 1)"
+    )
     p_explore.add_argument("--coupling-file", help="lines 'i j J_ij' (1-indexed) for kn-file")
     p_explore.add_argument("--grid", help="comma-separated times; suffix 'pi' scales by pi")
     p_explore.add_argument("--tol", type=positive_float, default=1e-8)
@@ -263,6 +265,11 @@ def _cmd_explore(args, parser) -> int:
     n = args.n
     if n < 1:
         parser.error("--n must be positive")
+    # refuse an option the Hamiltonian would silently ignore
+    if args.j is not None and args.hamiltonian != "ring":
+        parser.error(f"--j does not apply to --hamiltonian {args.hamiltonian}")
+    if args.coupling_file is not None and args.hamiltonian != "kn-file":
+        parser.error(f"--coupling-file does not apply to --hamiltonian {args.hamiltonian}")
     grid = _parse_grid(args.grid) if args.grid else default_time_grid()
     caps = DEFAULT_CAPS
     if args.hamiltonian == "hn":
@@ -270,8 +277,9 @@ def _cmd_explore(args, parser) -> int:
         ham_id = f"hn(n={n})"
     elif args.hamiltonian == "ring":
         caps.check_state(n)  # before the n x n coupling matrix
-        h = build_kn(build_ring(n, args.j), caps=caps)
-        ham_id = f"ring(n={n},J={args.j:g})"
+        j = 1.0 if args.j is None else args.j
+        h = build_kn(build_ring(n, j), caps=caps)
+        ham_id = f"ring(n={n},J={j:g})"
     elif args.hamiltonian == "l2":
         h = build_l2(n, caps=caps)
         ham_id = f"l2(n={n})"

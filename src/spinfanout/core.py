@@ -173,25 +173,12 @@ def equiv_up_to_global_phase(
     if u.n != v.n:
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n} qubits")
     if isinstance(u, DiagonalOperator) and isinstance(v, DiagonalOperator):
-        ua, va = u.entries, v.entries
+        ua, va = u.entries[:, None], v.entries[:, None]
     else:
         ua, va = u.to_dense().matrix, v.to_dense().matrix
-    u_flat, v_flat = ua.ravel(), va.ravel()
-    # the first largest |v| of each slice; np.argmax over the slice maxima
-    # then keeps the lowest row-major index on a tie, as over the whole
-    peaks = []
-    for s in range(0, v_flat.size, _SLICE):
-        mag = np.abs(v_flat[s:s + _SLICE])
-        k = int(np.argmax(mag))
-        peaks.append((mag[k], s + k))
-    mag_at, pos = peaks[int(np.argmax([m for m, _ in peaks]))]
-    u_at = u_flat[pos]
-    if mag_at < 1e-300 or np.abs(u_at) < tol:
-        phase = 1.0 + 0.0j
-    else:
-        phase = u_at / v_flat[pos]
-        phase = phase / abs(phase)
-    max_dev = _max_deviation(u_flat, v_flat, phase)
+    pos = _peak(va)
+    phase = _phase(ua.flat[pos], va.flat[pos], tol)
+    max_dev = _max_deviation(ua, va, phase)
     return EquivalenceReport(
         equivalent=max_dev < tol,
         phase=complex(phase),
@@ -200,9 +187,34 @@ def equiv_up_to_global_phase(
     )
 
 
+def _peak(v: np.ndarray) -> int:
+    """Row-major index of the first largest ``|v|`` entry of a contiguous array."""
+    v_flat = v.ravel()
+    # the first largest |v| of each slice; np.argmax over the slice maxima
+    # then keeps the lowest row-major index on a tie, as over the whole
+    peaks = []
+    for s in range(0, v_flat.size, _SLICE):
+        mag = np.abs(v_flat[s:s + _SLICE])
+        k = int(np.argmax(mag))
+        peaks.append((mag[k], s + k))
+    return peaks[int(np.argmax([m for m, _ in peaks]))][1]
+
+
+def _phase(u_at: complex, v_at: complex, tol: float) -> complex:
+    """The unit phase taking ``v_at`` to ``u_at``, or 1 when ``|v_at|`` is
+    numerically zero or ``|u_at| < tol`` (rather than the phase of a
+    rounding residue)."""
+    if np.abs(v_at) < 1e-300 or np.abs(u_at) < tol:
+        return 1.0 + 0.0j
+    phase = u_at / v_at
+    return phase / abs(phase)
+
+
 def _max_deviation(u: np.ndarray, v: np.ndarray, phase: complex) -> float:
-    """``max |u - phase * v|`` over two arrays of one shape, a slice at a time."""
-    u, v = u.ravel(), v.ravel()
-    # np.max over the slice maxima keeps a NaN, as one np.max over all would
-    return float(np.max([np.max(np.abs(u[s:s + _SLICE] - phase * v[s:s + _SLICE]))
-                         for s in range(0, v.size, _SLICE)]))
+    """``max |u - phase * v|`` over two 2-D arrays of one shape whose rows are
+    contiguous (either may be a column slice of a wider array), a chunk of
+    at most ``_SLICE`` entries (or one row) at a time."""
+    rows = max(1, _SLICE // u.shape[1])
+    # np.max over the chunk maxima keeps a NaN, as one np.max over all would
+    return float(np.max([np.max(np.abs(u[r:r + rows] - phase * v[r:r + rows]))
+                         for r in range(0, u.shape[0], rows)]))

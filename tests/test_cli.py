@@ -317,12 +317,48 @@ class TestExploreCommand:
         # an n x n coupling at this size would exceed the address space
         path = tmp_path / "J.txt"
         path.write_text("1 2 1.0\n")
+        file_args = ("--coupling-file", str(path)) if hamiltonian == "kn-file" else ()
         code, out, err = run_cli(
             capsys, "explore", "--hamiltonian", hamiltonian, "--n", str(10**7),
-            "--coupling-file", str(path), "--grid", "1",
+            *file_args, "--grid", "1",
         )
         assert code == 3
         assert out == "" and "state-vector cap" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--hamiltonian", "hn", "--n", "4", "--j", "5"], "--j"),
+        (["--hamiltonian", "l2", "--n", "3", "--j", "1"], "--j"),
+        (["--hamiltonian", "kn-file", "--n", "3", "--j", "1",
+          "--coupling-file", "J.txt"], "--j"),
+        (["--hamiltonian", "l2", "--n", "3", "--coupling-file", "/nonexistent"],
+         "--coupling-file"),
+        (["--hamiltonian", "hn", "--n", "3", "--coupling-file", "J.txt"], "--coupling-file"),
+        (["--hamiltonian", "ring", "--n", "3", "--coupling-file", "J.txt"],
+         "--coupling-file"),
+    ])
+    def test_option_the_hamiltonian_ignores_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore"] + argv + ["--grid", "0.25pi"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} does not apply to --hamiltonian {argv[1]}" in captured.err
+
+    def test_options_the_hamiltonian_uses_are_accepted(self, capsys, tmp_path):
+        path = tmp_path / "J.txt"
+        path.write_text("1 2 1.0\n")
+        for argv in (
+            ["--hamiltonian", "ring", "--n", "3", "--j", "2"],
+            ["--hamiltonian", "kn-file", "--n", "3", "--coupling-file", str(path)],
+        ):
+            code, out, err = run_cli(capsys, "explore", *argv, "--grid", "0.25pi", "--json")
+            assert code == 0 and out and err == ""
+
+    def test_ring_coupling_defaults_to_one(self, capsys):
+        args = ("explore", "--hamiltonian", "ring", "--n", "4", "--grid", "0.25pi", "--json")
+        _, default, _ = run_cli(capsys, *args)
+        _, explicit, _ = run_cli(capsys, *args, "--j", "1")
+        assert default == explicit and '"ring(n=4,J=1)"' in default
 
     def test_deterministic_json(self, capsys):
         args = ("explore", "--hamiltonian", "ring", "--n", "4", "--json",

@@ -13,6 +13,7 @@ from spinfanout.core import (
     SizeCaps,
     StateVector,
     _SLICE,
+    _max_deviation,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -291,6 +292,29 @@ class TestSlicedEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # each operand is 4 MiB
+
+    @pytest.mark.parametrize("start, cols", [(0, 1), (3, 5), (128, 128), (0, 512)])
+    def test_column_slice_matches_contiguous(self, start, cols):
+        rng = np.random.default_rng(10)
+        v = random_complex((512, 512), rng)
+        u = np.exp(0.3j) * v[:, start:start + cols] + 1e-12 * random_complex((512, cols), rng)
+        phase = np.exp(0.3j)
+        expected = float(np.max(np.abs(u - phase * v[:, start:start + cols])))
+        contiguous = np.ascontiguousarray(v[:, start:start + cols])
+        assert _max_deviation(u, v[:, start:start + cols], phase) == expected
+        assert _max_deviation(u, contiguous, phase) == expected
+
+    def test_column_slice_is_not_copied(self):
+        rng = np.random.default_rng(11)
+        v = random_complex((512, 512), rng)
+        u = random_complex((512, 128), rng)  # 1 MiB, as one column block of 9 qubits
+        tracemalloc.start()
+        try:
+            _max_deviation(u, v[:, 256:384], 1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a copy of the slice alone is 1 MiB
 
 
 class TestApplyAgreesWithCompose:

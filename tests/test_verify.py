@@ -1,20 +1,43 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinfanout import circuits
-from spinfanout.circuits import Circuit, _run_steps, parity_circuit, run_circuit
+from spinfanout.circuits import (
+    Circuit,
+    _column_blocks,
+    _hadamard_layer,
+    _run_steps,
+    _use_swapped_evolution,
+    compile_circuit,
+    fanout_circuit,
+    parity_circuit,
+    run_circuit,
+    simplified_fanout_circuit,
+)
 from spinfanout.core import (
+    DEFAULT_CAPS,
     CapExceededError,
+    DenseOperator,
     SizeCaps,
     StateVector,
+    equiv_up_to_global_phase,
     popcounts,
 )
+from spinfanout.gates import fanout_reference, parity_reference
 from spinfanout.report import check_results_json, check_results_table
-from spinfanout.verify import known_check_ids, run_check, run_suite, suite_ok
+from spinfanout.verify import (
+    _matches_reference,
+    _permutation_rows,
+    known_check_ids,
+    run_check,
+    run_suite,
+    suite_ok,
+)
 
 from helpers import schmidt_rank_one_deviation
 
@@ -118,6 +141,146 @@ class TestUnentangledControl:
             run_check("unentangled_control", {"n": n}, caps=caps)
         [r] = [r for r in run_suite(filter="unentangled", caps=caps) if r.params == {"n": n}]
         assert r.skipped
+
+
+BUILDS = {
+    "parity": (parity_circuit, parity_reference),
+    "fanout": (fanout_circuit, fanout_reference),
+    "fanout_simplified": (simplified_fanout_circuit, fanout_reference),
+}
+
+
+def compiled_comparison(build, reference, n, swapped):
+    """Deviation and phase of the assembled unitary against the reference."""
+    rep = equiv_up_to_global_phase(compile_circuit(build(n, swapped=swapped)), reference(n + 1))
+    return rep.max_deviation, rep.phase
+
+
+def with_order(build, order):
+    """``build`` with its evolution order fixed to ``order``."""
+
+    def fixed(n, swapped=None, caps=DEFAULT_CAPS):
+        return build(n, swapped=order, caps=caps)
+
+    return fixed
+
+
+class TestColumnBlockComparison:
+    """The reference rows compare the circuit one column block at a time and
+    must report exactly the deviation and phase of comparing the compiled
+    unitary with ``equiv_up_to_global_phase``."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize(
+        "check_id", ["parity", "parity_negative_control", "fanout", "fanout_simplified"]
+    )
+    def test_run_check_matches_the_compiled_comparison(self, check_id, n):
+        build, reference = BUILDS[check_id.removesuffix("_negative_control")]
+        swapped = not _use_swapped_evolution(n) if check_id.endswith("control") else None
+        r = run_check(check_id, {"n": n})
+        assert (r.max_deviation, r.phase) == compiled_comparison(build, reference, n, swapped)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("swapped", [None, True, False])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_every_evolution_order(self, name, swapped, n):
+        build, reference = BUILDS[name]
+        run = _matches_reference(with_order(build, swapped), reference)
+        assert run({"n": n}, DEFAULT_CAPS) == compiled_comparison(build, reference, n, swapped)
+
+    @pytest.mark.parametrize(
+        "check_id", ["parity", "parity_negative_control", "fanout", "fanout_simplified"]
+    )
+    def test_in_many_blocks(self, check_id, monkeypatch):
+        # 2^10 entries per block: 2 of the 512 nine-qubit columns at a time;
+        # the compile uses the same blocks, so its columns round the same
+        build, reference = BUILDS[check_id.removesuffix("_negative_control")]
+        swapped = not _use_swapped_evolution(8) if check_id.endswith("control") else None
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 10)
+        expected = compiled_comparison(build, reference, 8, swapped)
+        r = run_check(check_id, {"n": 8})
+        assert (r.max_deviation, r.phase) == expected
+
+    @staticmethod
+    def late_peak_reference(column):
+        """The fanout reference times a phase, with its largest entry moved
+        to ``column`` by a relative 1e-11 (still within the tolerance)."""
+
+        def reference(m, caps=DEFAULT_CAPS):
+            mat = np.exp(0.4j) * fanout_reference(m, caps=caps).matrix
+            mat[np.flatnonzero(mat[:, column]), column] *= 1 + 1e-11
+            return DenseOperator(m, mat)
+
+        return reference
+
+    @pytest.mark.parametrize("n, column", [(2, 5), (4, 29), (8, 300)])
+    def test_peak_block_that_is_not_first(self, n, column, monkeypatch):
+        reference = self.late_peak_reference(column)
+        # 2^(n+1) columns in blocks of 2: the peak column is in a later block
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << (n + 2))
+        expected = compiled_comparison(fanout_circuit, reference, n, None)
+        blocks = []
+
+        def recording(c, block):
+            blocks.append(int(np.argmax(block[:, 0])))  # the block's first input
+            return _run_steps(c, block)
+
+        monkeypatch.setattr(circuits, "_run_steps", recording)
+        got = _matches_reference(fanout_circuit, reference)({"n": n}, DEFAULT_CAPS)
+        assert got == expected
+        assert expected[0] < 1e-9
+        assert blocks[0] == column - column % 2 > 0
+        assert sorted(blocks) == list(range(0, 1 << (n + 1), 2))
+
+    def test_nan_entry_gives_nan_deviation(self, monkeypatch):
+        def reference(m, caps=DEFAULT_CAPS):
+            mat = fanout_reference(m, caps=caps).matrix.copy()
+            mat[7, 20] = np.nan
+            return DenseOperator(m, mat)
+
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
+        with np.errstate(invalid="ignore"):
+            dev, phase = _matches_reference(fanout_circuit, reference)({"n": 4}, DEFAULT_CAPS)
+        assert np.isnan(dev)
+
+    def test_column_blocks_start_at_the_given_column(self, monkeypatch):
+        c = fanout_circuit(4)
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
+        natural = dict(_column_blocks(c))
+        for first, head in [(0, 0), (7, 0), (8, 8), (29, 24)]:
+            order = list(_column_blocks(c, first))
+            assert [s for s, _ in order] == [head] + [s for s in natural if s != head]
+            assert all(np.array_equal(block, natural[s]) for s, block in order)
+
+    def test_nine_qubit_fanout_never_assembles_its_unitary(self):
+        run_check("fanout", {"n": 8})  # warm-up
+        tracemalloc.start()
+        try:
+            run_check("fanout", {"n": 8})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense reference is 4 MiB; with the compiled unitary it was 8.6 MiB
+        assert peak < 7 << 20
+
+
+class TestFig3Gather:
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_gather_equals_the_product(self, m):
+        layer = compile_circuit(Circuit(m, _hadamard_layer(range(m)))).matrix
+        p = parity_reference(m).matrix
+        assert np.array_equal(layer[_permutation_rows(p)], p @ layer)
+
+    @pytest.mark.parametrize("p", [
+        [[0, 1], [1, 0.5]],  # an entry other than 0 or 1
+        [[0, -1], [1, 0]],
+        [[1, 1], [0, 1]],  # two 1s in a row
+        [[1, 0], [1, 0]],  # a row selection, not a permutation
+        [[1, 0], [0, 0]],  # a row with no 1
+    ])
+    def test_rejects_all_but_a_0_1_permutation(self, p):
+        with pytest.raises(ValueError):
+            _permutation_rows(np.array(p, dtype=complex))
 
 
 @pytest.fixture(scope="module")
