@@ -245,25 +245,31 @@ def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
     np.matmul(mat, operand, out=out)
 
 
-def _run_steps(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """The circuit's plan applied, in order, to the columns of a ``(2^n, cols)`` block."""
-    work = np.empty_like(block)
+def _run_steps(c: Circuit, block: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The circuit's plan applied, in order, to the columns of a ``(2^n, cols)``
+    block with ``work`` as scratch; returns whichever of the two holds the result."""
     for gate, lo in c._plan:
         block, work = _apply_to_block(block, gate, lo, c.n, work)
     return block
 
 
-def _column_blocks(c: Circuit, first: int = 0):
-    """``(start, block)`` for each block of columns of the circuit's unitary:
-    the plan applied to the basis inputs ``start, start + 1, ...``, one per
-    column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or one column).
-    The block that holds column ``first`` comes first, the others follow in
-    column order."""
+def _column_blocks(c: Circuit):
+    """``(start, block)`` for each block of columns of the circuit's unitary, in
+    column order: the plan applied to the basis inputs ``start, start + 1,
+    ...``, one per column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or
+    one column).  Every block is overwritten by the next one."""
     dim = 1 << c.n
     cols = max(1, min(dim, _BLOCK_ENTRIES >> c.n))
-    head = first - first % cols
-    for start in [head] + [s for s in range(0, dim, cols) if s != head]:
-        yield start, _run_steps(c, np.eye(dim, cols, -start, dtype=complex))
+    # the block and its scratch are one array made once per loop: whether a
+    # fresh 1 MiB array is mmapped or taken from the heap depends on glibc's
+    # dynamic mmap threshold, which freeing a larger mmapped array raises, and
+    # one taken from a trimmed heap faults its pages in anew each time
+    pair = np.empty((2, dim, cols), dtype=complex)
+    for start in range(0, dim, cols):
+        block, work = pair
+        block.fill(0)
+        np.fill_diagonal(block[start:start + cols], 1)
+        yield start, _run_steps(c, block, work)
 
 
 def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
@@ -271,16 +277,13 @@ def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
 
     The result is allocated once and filled one block of columns at a
     time, each block at most 2^16 entries, so a compile holds the result
-    and two blocks; a result that fits in one block is that block.
+    and two blocks.
     """
     caps.check_dense(c.n)
     dim = 1 << c.n
-    if dim * dim <= _BLOCK_ENTRIES:
-        return DenseOperator(c.n, _run_steps(c, np.eye(dim, dtype=complex)))
     matrix = np.empty((dim, dim), dtype=complex)
     for start, block in _column_blocks(c):
         matrix[:, start:start + block.shape[1]] = block
-        del block  # freed before the next block is made
     return DenseOperator(c.n, matrix)
 
 
@@ -288,7 +291,8 @@ def run_circuit(c: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit's steps to a state, in order."""
     if state.n != c.n:
         raise ValueError(f"circuit on {c.n} qubits applied to a {state.n}-qubit state")
-    return StateVector(c.n, _run_steps(c, state.amplitudes[:, None].copy())[:, 0])
+    amps = state.amplitudes[:, None].copy()
+    return StateVector(c.n, _run_steps(c, amps, np.empty_like(amps))[:, 0])
 
 
 def _use_swapped_evolution(n: int) -> bool:

@@ -58,18 +58,30 @@ def standard_gate(name: str) -> GateDef:
     return _STANDARD[key]
 
 
+def _fanout_targets(m: int) -> np.ndarray:
+    """Row of the 1 in each column of :func:`fanout_reference` on ``m`` qubits."""
+    x = np.arange(1 << m)
+    return x ^ ((x >> (m - 1)) * ((1 << (m - 1)) - 1))
+
+
+def _parity_targets(m: int) -> np.ndarray:
+    """Row of the 1 in each column of :func:`parity_reference` on ``m`` qubits."""
+    return np.arange(1 << m) ^ (np.tile(popcounts(m - 1) & 1, 2) << (m - 1))
+
+
+def _permutation(m: int, targets: np.ndarray) -> DenseOperator:
+    """The ``m``-qubit permutation whose column ``x`` has its 1 in row ``targets[x]``."""
+    mat = np.zeros((1 << m, 1 << m), dtype=complex)
+    mat[targets, np.arange(1 << m)] = 1
+    return DenseOperator(m, mat)
+
+
 def fanout_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
     """Permutation XORing the last qubit's value into every other qubit."""
     if n_plus_1 < 2:
         raise ValueError("fanout needs at least 2 qubits")
     caps.check_dense(n_plus_1)
-    control = n_plus_1 - 1
-    dim = 1 << n_plus_1
-    target_mask = (dim - 1) ^ (1 << control)
-    x = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[x ^ (((x >> control) & 1) * target_mask), x] = 1
-    return DenseOperator(n_plus_1, mat)
+    return _permutation(n_plus_1, _fanout_targets(n_plus_1))
 
 
 def parity_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
@@ -77,13 +89,7 @@ def parity_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOpera
     if n_plus_1 < 2:
         raise ValueError("parity needs at least 2 qubits")
     caps.check_dense(n_plus_1)
-    accumulator = n_plus_1 - 1
-    dim = 1 << n_plus_1
-    x = np.arange(dim)
-    parity = popcounts(n_plus_1)[x & ~(1 << accumulator)] & 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[x ^ (parity << accumulator), x] = 1
-    return DenseOperator(n_plus_1, mat)
+    return _permutation(n_plus_1, _parity_targets(n_plus_1))
 
 
 def ieq_reference() -> DiagonalOperator:

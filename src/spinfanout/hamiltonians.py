@@ -74,8 +74,9 @@ class CouplingMatrix:
         J = np.asarray(self.J, dtype=float)
         if J.shape != (self.n, self.n):
             raise ValueError(f"expected {self.n}x{self.n} coupling array")
-        # keep only the upper triangle; callers may pass full symmetric arrays
-        J = np.triu(J, k=1)
+        J, lower = np.triu(J, k=1), np.tril(J, k=-1)
+        if lower.any() and not np.array_equal(lower, J.T, equal_nan=True):
+            raise ValueError("couplings below the diagonal must be zero or mirror those above")
         object.__setattr__(self, "J", J)
         J.setflags(write=False)
 

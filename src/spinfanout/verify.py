@@ -22,20 +22,13 @@ from .core import (
     EQUIV_TOL,
     CapExceededError,
     DiagonalOperator,
-    Operator,
     SizeCaps,
-    _max_deviation,
-    _peak,
+    _SLICE,
     _phase,
     equiv_up_to_global_phase,
     popcounts,
 )
-from .gates import (
-    fanout_reference,
-    ieq_reference,
-    parity_reference,
-    standard_gate,
-)
+from .gates import _fanout_targets, _parity_targets, ieq_reference, standard_gate
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
@@ -117,32 +110,39 @@ def _check_cz_from_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
 
+def _permutation_deviation(block: np.ndarray, rows: np.ndarray, phase: complex) -> float:
+    """``max |block - phase * P|``, overwriting ``block``, for the permutation
+    ``P`` with column ``c``'s 1 in row ``rows[c]``: as ``b - phase * 1`` and
+    ``b - phase * 0`` are exact, bit for bit :func:`core._max_deviation`
+    against the dense ``P``, in its row chunks, so a NaN is kept."""
+    block[rows, np.arange(block.shape[1])] -= phase
+    step = max(1, _SLICE // block.shape[1])
+    return float(np.max([np.max(np.abs(block[r:r + step])) for r in range(0, len(block), step)]))
+
+
 def _matches_reference(
     build: Callable[..., Circuit],
-    reference: Callable[..., Operator],
+    targets: Callable[[int], np.ndarray],
     wrong_variant: bool = False,
 ) -> Callable[[dict, SizeCaps], tuple[float, complex]]:
-    """Check: ``build(n)`` equals the dense ``reference(n + 1)`` up to a global phase.
-
-    Compares as :func:`equiv_up_to_global_phase` of the compiled circuit
-    would, with the same phase and deviation, but one column block of the
-    circuit at a time, so its unitary is never assembled: the block that
-    holds the reference's peak entry comes first and gives the phase.
-    ``wrong_variant`` builds the other evolution order than the mod-4
-    rule picks, for a negative control.
-    """
+    """Check: ``build(n)`` equals the permutation with index map ``targets(n + 1)``
+    up to a global phase, with the phase and deviation that
+    :func:`equiv_up_to_global_phase` gives for the dense matrices, but one
+    column block of the circuit at a time, so neither matrix is assembled.
+    ``wrong_variant`` builds the other evolution order than the mod-4 rule
+    picks, for a negative control."""
 
     def run(params: dict, caps: SizeCaps) -> tuple[float, complex]:
         n = params["n"]
+        caps.check_dense(n + 1)  # the cap of the dense reference it stands for
         swapped = not _use_swapped_evolution(n) if wrong_variant else None
-        ref = reference(n + 1, caps=caps).matrix  # checks the dense cap first
-        row, col = divmod(_peak(ref), ref.shape[1])
+        rows = targets(n + 1)
+        assert rows[0] == 0  # a GF(2)-linear map: the dense reference peaks at (0, 0)
         phase, devs = None, []
-        for start, block in _column_blocks(build(n, swapped=swapped, caps=caps), col):
+        for start, block in _column_blocks(build(n, swapped=swapped, caps=caps)):
             if phase is None:
-                phase = _phase(block[row, col - start], ref[row, col], EQUIV_TOL)
-            devs.append(_max_deviation(block, ref[:, start:start + block.shape[1]], phase))
-            del block  # freed before the next block is made
+                phase = _phase(block[0, 0], 1.0 + 0.0j, EQUIV_TOL)
+            devs.append(_permutation_deviation(block, rows[start:start + block.shape[1]], phase))
         return float(np.max(devs)), complex(phase)
 
     return run
@@ -151,31 +151,19 @@ def _matches_reference(
 def _check_parity_like(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     n = params["n"]
     mat = compile_circuit(parity_like_circuit(n, caps=caps), caps).matrix
-    x = np.arange(1 << (n - 1))  # inputs with the last qubit in |0>
-    target = x | ((popcounts(n - 1) & 1) << (n - 1))
-    mags = np.abs(mat[:, x])
-    on_target = mags[target, x]
-    mags[target, x] = 0.0
-    dev = np.maximum(np.abs(on_target - 1.0), mags.max(axis=0))
-    return float(dev.max()), complex(1)
-
-
-def _permutation_rows(p: np.ndarray) -> np.ndarray:
-    """``rows`` with ``p @ a == a[rows]`` exactly, for a permutation matrix
-    ``p`` whose every entry is 0 or 1: the column of the 1 in each row."""
-    rows = np.argmax(p != 0, axis=1)
-    if np.unique(rows).size != rows.size or not np.array_equal(p, np.eye(rows.size)[rows]):
-        raise ValueError("not a 0/1 permutation matrix")
-    return rows
+    # each input with the last qubit in |0> goes to a unit-phase multiple of
+    # its column of the parity permutation
+    half = 1 << (n - 1)
+    return _permutation_deviation(np.abs(mat[:, :half]), _parity_targets(n)[:half], 1.0), complex(1)
 
 
 def _check_fig3_conjugation(params: dict, caps: SizeCaps) -> tuple[float, complex]:
     m = params["n_plus_1"]
     layer = compile_circuit(Circuit(m, _hadamard_layer(range(m))), caps).matrix
-    # P @ layer as a row gather; the outer product stays complex, as a real
-    # product would round the m=8 deviation differently
-    conj = layer @ layer[_permutation_rows(parity_reference(m, caps=caps).matrix)]
-    return _max_deviation(conj, fanout_reference(m, caps=caps).matrix, 1.0 + 0.0j), complex(1)
+    # P @ layer as a row gather by the parity map, an involution; the product
+    # stays complex, as a real one would round the m=8 deviation differently
+    conj = layer @ layer[_parity_targets(m)]
+    return _permutation_deviation(conj, _fanout_targets(m), 1.0 + 0.0j), complex(1)
 
 
 def _check_kn_offset(params: dict, caps: SizeCaps) -> tuple[float, complex]:
@@ -227,12 +215,12 @@ _REGISTRY: tuple[CheckDef, ...] = (
     CheckDef("ieq", "Sec. 2.2", 1e-10, _check_ieq, ({},)),
     CheckDef("cz_from_ieq", "Sec. 1", 1e-12, _check_cz_from_ieq, ({},)),
     CheckDef(
-        "parity", "Fig. 4", 1e-9, _matches_reference(parity_circuit, parity_reference),
+        "parity", "Fig. 4", 1e-9, _matches_reference(parity_circuit, _parity_targets),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
         "parity_negative_control", "Fig. 4 (wrong mod-4 variant)", 1e-9,
-        _matches_reference(parity_circuit, parity_reference, wrong_variant=True),
+        _matches_reference(parity_circuit, _parity_targets, wrong_variant=True),
         ({"n": 4},), negative_control=True,
     ),
     CheckDef(
@@ -240,12 +228,12 @@ _REGISTRY: tuple[CheckDef, ...] = (
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
-        "fanout", "Fig. 6", 1e-9, _matches_reference(fanout_circuit, fanout_reference),
+        "fanout", "Fig. 6", 1e-9, _matches_reference(fanout_circuit, _fanout_targets),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(
         "fanout_simplified", "Fig. 6 (simplified)", 1e-9,
-        _matches_reference(simplified_fanout_circuit, fanout_reference),
+        _matches_reference(simplified_fanout_circuit, _fanout_targets),
         tuple({"n": n} for n in (2, 4, 6, 8)),
     ),
     CheckDef(

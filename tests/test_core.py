@@ -513,7 +513,8 @@ class TestBlockKernel:
         """With blocks of 2^4 entries the seeded circuits on three qubits or
         more compile in several blocks, from four qubits one column at a time."""
         for c, total in (random_circuit_and_oracle(seed), monomial_circuit_and_oracle(seed)):
-            one_block = _run_steps(c, np.eye(1 << c.n, dtype=complex))
+            eye = np.eye(1 << c.n, dtype=complex)
+            one_block = _run_steps(c, eye, np.empty_like(eye))
             with monkeypatch.context() as patch:
                 patch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
                 blocked = compile_circuit(c).matrix

@@ -118,7 +118,7 @@ _LEVEL_GRID = default_time_grid()[:64] + [k * math.pi / 4 for k in (1, 3, 5, 7)]
 
 
 def _random_kn(n):
-    return build_kn(CouplingMatrix(n, np.random.default_rng(n).normal(size=(n, n))))
+    return build_kn(CouplingMatrix(n, np.triu(np.random.default_rng(n).normal(size=(n, n)), 1)))
 
 
 _DIAGONAL_CASES = (

@@ -4,6 +4,8 @@ import pytest
 from spinfanout.circuits import compile_circuit, from_text
 from spinfanout.core import DenseOperator, DiagonalOperator, equiv_up_to_global_phase
 from spinfanout.gates import (
+    _fanout_targets,
+    _parity_targets,
     fanout_reference,
     ieq_reference,
     parity_reference,
@@ -75,6 +77,10 @@ class TestFanoutReference:
             loop[x ^ (mask if (x >> control) & 1 else 0), x] = 1
         assert np.array_equal(fanout_reference(m).matrix, loop)
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_index_map_is_the_row_of_each_columns_1(self, m):
+        assert np.array_equal(_fanout_targets(m), np.argmax(fanout_reference(m).matrix, axis=0))
+
 
 class TestParityReference:
     def test_two_qubits_is_cnot(self):
@@ -104,6 +110,12 @@ class TestParityReference:
             p = (x & ~(1 << acc)).bit_count() & 1
             loop[x ^ (p << acc), x] = 1
         assert np.array_equal(parity_reference(m).matrix, loop)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_index_map_is_the_row_of_each_columns_1(self, m):
+        targets = _parity_targets(m)
+        assert np.array_equal(targets, np.argmax(parity_reference(m).matrix, axis=0))
+        assert np.array_equal(targets[targets], np.arange(1 << m))  # an involution
 
 
 class TestIeq:

@@ -145,6 +145,24 @@ class TestCouplingMatrix:
         J = CouplingMatrix.from_pairs(3, {(1, 0): 0.5, (2, 1): 7.0}).J
         assert J[0, 1] == 0.5 and J[1, 2] == 7.0 and J[1, 0] == 0.0
 
+    @pytest.mark.parametrize("J", [
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],  # lower triangle only: once read as no pairs
+        [[0, 1, 0], [2, 0, 0], [0, 0, 0]],  # not symmetric: once kept the 1
+        [[0, 1, 0], [1, 0, 0], [0, 3, 0]],  # one pair mirrored, one below only
+    ])
+    def test_rejects_a_lower_triangle_that_does_not_mirror_the_upper(self, J):
+        with pytest.raises(ValueError, match="below the diagonal"):
+            CouplingMatrix(3, J)
+
+    def test_keeps_the_upper_triangle_of_symmetric_or_upper_input(self):
+        upper = [[0, 0.5, 2.0], [0, 0, -1.0], [0, 0, 0]]
+        symmetric = np.array(upper) + np.transpose(upper) + np.diag([3.0, 4.0, 5.0])
+        for J in (upper, symmetric):
+            assert list(CouplingMatrix(3, J).pairs()) == [(0, 1, 0.5), (0, 2, 2.0), (1, 2, -1.0)]
+        assert list(CouplingMatrix.uniform(3, 1.5).pairs()) == [
+            (0, 1, 1.5), (0, 2, 1.5), (1, 2, 1.5)
+        ]
+
 
 class TestBuildRing:
     def test_n3_pairs(self):

@@ -9,7 +9,6 @@ import pytest
 from spinfanout import circuits
 from spinfanout.circuits import (
     Circuit,
-    _column_blocks,
     _hadamard_layer,
     _run_steps,
     _use_swapped_evolution,
@@ -22,17 +21,15 @@ from spinfanout.circuits import (
 from spinfanout.core import (
     DEFAULT_CAPS,
     CapExceededError,
-    DenseOperator,
     SizeCaps,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,
 )
-from spinfanout.gates import fanout_reference, parity_reference
+from spinfanout.gates import _fanout_targets, _parity_targets, fanout_reference, parity_reference
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import (
     _matches_reference,
-    _permutation_rows,
     known_check_ids,
     run_check,
     run_suite,
@@ -123,9 +120,9 @@ class TestUnentangledControl:
         expected = unentangled_control_per_state(4)
         blocks = []
 
-        def recording(c, block):
+        def recording(c, block, work):
             blocks.append(block.copy())
-            return _run_steps(c, block)
+            return _run_steps(c, block, work)
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 6)
         monkeypatch.setattr(circuits, "_run_steps", recording)
@@ -144,9 +141,9 @@ class TestUnentangledControl:
 
 
 BUILDS = {
-    "parity": (parity_circuit, parity_reference),
-    "fanout": (fanout_circuit, fanout_reference),
-    "fanout_simplified": (simplified_fanout_circuit, fanout_reference),
+    "parity": (parity_circuit, parity_reference, _parity_targets),
+    "fanout": (fanout_circuit, fanout_reference, _fanout_targets),
+    "fanout_simplified": (simplified_fanout_circuit, fanout_reference, _fanout_targets),
 }
 
 
@@ -175,7 +172,7 @@ class TestColumnBlockComparison:
         "check_id", ["parity", "parity_negative_control", "fanout", "fanout_simplified"]
     )
     def test_run_check_matches_the_compiled_comparison(self, check_id, n):
-        build, reference = BUILDS[check_id.removesuffix("_negative_control")]
+        build, reference, _ = BUILDS[check_id.removesuffix("_negative_control")]
         swapped = not _use_swapped_evolution(n) if check_id.endswith("control") else None
         r = run_check(check_id, {"n": n})
         assert (r.max_deviation, r.phase) == compiled_comparison(build, reference, n, swapped)
@@ -184,8 +181,8 @@ class TestColumnBlockComparison:
     @pytest.mark.parametrize("swapped", [None, True, False])
     @pytest.mark.parametrize("name", list(BUILDS))
     def test_every_evolution_order(self, name, swapped, n):
-        build, reference = BUILDS[name]
-        run = _matches_reference(with_order(build, swapped), reference)
+        build, reference, targets = BUILDS[name]
+        run = _matches_reference(with_order(build, swapped), targets)
         assert run({"n": n}, DEFAULT_CAPS) == compiled_comparison(build, reference, n, swapped)
 
     @pytest.mark.parametrize(
@@ -194,63 +191,29 @@ class TestColumnBlockComparison:
     def test_in_many_blocks(self, check_id, monkeypatch):
         # 2^10 entries per block: 2 of the 512 nine-qubit columns at a time;
         # the compile uses the same blocks, so its columns round the same
-        build, reference = BUILDS[check_id.removesuffix("_negative_control")]
+        build, reference, _ = BUILDS[check_id.removesuffix("_negative_control")]
         swapped = not _use_swapped_evolution(8) if check_id.endswith("control") else None
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 10)
         expected = compiled_comparison(build, reference, 8, swapped)
         r = run_check(check_id, {"n": 8})
         assert (r.max_deviation, r.phase) == expected
 
-    @staticmethod
-    def late_peak_reference(column):
-        """The fanout reference times a phase, with its largest entry moved
-        to ``column`` by a relative 1e-11 (still within the tolerance)."""
-
-        def reference(m, caps=DEFAULT_CAPS):
-            mat = np.exp(0.4j) * fanout_reference(m, caps=caps).matrix
-            mat[np.flatnonzero(mat[:, column]), column] *= 1 + 1e-11
-            return DenseOperator(m, mat)
-
-        return reference
-
-    @pytest.mark.parametrize("n, column", [(2, 5), (4, 29), (8, 300)])
-    def test_peak_block_that_is_not_first(self, n, column, monkeypatch):
-        reference = self.late_peak_reference(column)
-        # 2^(n+1) columns in blocks of 2: the peak column is in a later block
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << (n + 2))
-        expected = compiled_comparison(fanout_circuit, reference, n, None)
-        blocks = []
-
-        def recording(c, block):
-            blocks.append(int(np.argmax(block[:, 0])))  # the block's first input
-            return _run_steps(c, block)
-
-        monkeypatch.setattr(circuits, "_run_steps", recording)
-        got = _matches_reference(fanout_circuit, reference)({"n": n}, DEFAULT_CAPS)
-        assert got == expected
-        assert expected[0] < 1e-9
-        assert blocks[0] == column - column % 2 > 0
-        assert sorted(blocks) == list(range(0, 1 << (n + 1), 2))
-
     def test_nan_entry_gives_nan_deviation(self, monkeypatch):
-        def reference(m, caps=DEFAULT_CAPS):
-            mat = fanout_reference(m, caps=caps).matrix.copy()
-            mat[7, 20] = np.nan
-            return DenseOperator(m, mat)
+        calls = []
+
+        def with_nan(c, block, work):
+            out = _run_steps(c, block, work)
+            if len(calls) == 2:  # the third of four blocks
+                out[7, 4] = np.nan
+            calls.append(out.shape)
+            return out
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
+        monkeypatch.setattr(circuits, "_run_steps", with_nan)
         with np.errstate(invalid="ignore"):
-            dev, phase = _matches_reference(fanout_circuit, reference)({"n": 4}, DEFAULT_CAPS)
-        assert np.isnan(dev)
-
-    def test_column_blocks_start_at_the_given_column(self, monkeypatch):
-        c = fanout_circuit(4)
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
-        natural = dict(_column_blocks(c))
-        for first, head in [(0, 0), (7, 0), (8, 8), (29, 24)]:
-            order = list(_column_blocks(c, first))
-            assert [s for s, _ in order] == [head] + [s for s in natural if s != head]
-            assert all(np.array_equal(block, natural[s]) for s, block in order)
+            dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4}, DEFAULT_CAPS)
+        assert calls == [(32, 8)] * 4
+        assert np.isnan(dev) and abs(abs(phase) - 1) < 1e-12
 
     def test_nine_qubit_fanout_never_assembles_its_unitary(self):
         run_check("fanout", {"n": 8})  # warm-up
@@ -260,8 +223,8 @@ class TestColumnBlockComparison:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the dense reference is 4 MiB; with the compiled unitary it was 8.6 MiB
-        assert peak < 7 << 20
+        # a block and its scratch are 2 MiB; a dense 9-qubit reference alone is 4 MiB
+        assert peak < 3 << 20
 
 
 class TestFig3Gather:
@@ -269,18 +232,7 @@ class TestFig3Gather:
     def test_gather_equals_the_product(self, m):
         layer = compile_circuit(Circuit(m, _hadamard_layer(range(m)))).matrix
         p = parity_reference(m).matrix
-        assert np.array_equal(layer[_permutation_rows(p)], p @ layer)
-
-    @pytest.mark.parametrize("p", [
-        [[0, 1], [1, 0.5]],  # an entry other than 0 or 1
-        [[0, -1], [1, 0]],
-        [[1, 1], [0, 1]],  # two 1s in a row
-        [[1, 0], [1, 0]],  # a row selection, not a permutation
-        [[1, 0], [0, 0]],  # a row with no 1
-    ])
-    def test_rejects_all_but_a_0_1_permutation(self, p):
-        with pytest.raises(ValueError):
-            _permutation_rows(np.array(p, dtype=complex))
+        assert np.array_equal(layer[_parity_targets(m)], p @ layer)
 
 
 @pytest.fixture(scope="module")
