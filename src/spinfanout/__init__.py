@@ -2,11 +2,9 @@
 
 from .core import (
     CapExceededError,
-    DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
     EquivalenceReport,
-    SizeCaps,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,

@@ -18,12 +18,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
     Operator,
-    SizeCaps,
     StateVector,
+    check_dense,
+    check_state,
 )
 from .gates import GateDef, standard_gate
 from .hamiltonians import un, un_dagger
@@ -97,10 +97,9 @@ class _MonomialOperator:
 _Entry = tuple[Operator | _MonomialOperator, int]
 
 
-def _evolution_gate(name: str, n: int, caps: SizeCaps) -> GateDef:
+def _evolution_gate(name: str, n: int) -> GateDef:
     """``UN`` or ``UNDAG`` on ``n`` qubits."""
-    evolution = un if name == "UN" else un_dagger
-    return GateDef(name, n, evolution(n, caps=caps))
+    return GateDef(name, (un if name == "UN" else un_dagger)(n))
 
 
 def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray | None] | None:
@@ -272,14 +271,14 @@ def _column_blocks(c: Circuit):
         yield start, _run_steps(c, block, work)
 
 
-def compile_circuit(c: Circuit, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+def compile_circuit(c: Circuit) -> DenseOperator:
     """Circuit unitary: every step applied, in order, to the columns of the identity.
 
     The result is allocated once and filled one block of columns at a
     time, each block at most 2^16 entries, so a compile holds the result
     and two blocks.
     """
-    caps.check_dense(c.n)
+    check_dense(c.n)
     dim = 1 << c.n
     matrix = np.empty((dim, dim), dtype=complex)
     for start, block in _column_blocks(c):
@@ -300,14 +299,14 @@ def _use_swapped_evolution(n: int) -> bool:
     return n % 4 == 0
 
 
-def _parity_steps(n: int, swapped: bool | None, caps: SizeCaps) -> tuple[Step, ...]:
+def _parity_steps(n: int, swapped: bool | None) -> tuple[Step, ...]:
     """The nine steps of Fig. 4 on qubits 0..n; every circuit below is built from them."""
     if n % 2 != 0 or n < 2:
         raise ValueError(f"parity construction needs even n >= 2, got {n}")
     if swapped is None:
         swapped = _use_swapped_evolution(n)
-    e = _evolution_gate("UNDAG" if swapped else "UN", n, caps)
-    e_inv = _evolution_gate("UN" if swapped else "UNDAG", n, caps)
+    e = _evolution_gate("UNDAG" if swapped else "UN", n)
+    e_inv = _evolution_gate("UN" if swapped else "UNDAG", n)
     h, s, sdag, cnot = (standard_gate(g) for g in ("H", "S", "SDAG", "CNOT"))
     all_n = tuple(range(n))
     r = n - 1  # the rotated helper wire
@@ -329,9 +328,7 @@ def _hadamard_layer(qubits) -> tuple[Step, ...]:
     return tuple(Step(h, (q,)) for q in qubits)
 
 
-def parity_circuit(
-    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
+def parity_circuit(n: int, swapped: bool | None = None) -> Circuit:
     """(n+1)-qubit circuit computing the parity of qubits 0..n-1 into qubit n.
 
     ``swapped`` selects which of the evolution/adjoint pair comes first
@@ -339,41 +336,35 @@ def parity_circuit(
     makes the identity hold. Forcing the wrong value is useful as a
     negative control.
     """
-    return Circuit(n + 1, _parity_steps(n, swapped, caps))
+    return Circuit(n + 1, _parity_steps(n, swapped))
 
 
-def parity_like_circuit(
-    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
+def parity_like_circuit(n: int, swapped: bool | None = None) -> Circuit:
     """n-qubit circuit with one evolution: parity lands on qubit n-1.
 
     For inputs with qubit n-1 in |0>, the output is a unit-phase multiple
     of the input with qubit n-1 replaced by the parity of the others.
     """
-    steps = _parity_steps(n, swapped, caps)[:4]
+    steps = _parity_steps(n, swapped)[:4]
     return Circuit(n, steps + (Step(standard_gate("SDAG"), (n - 1,)),))
 
 
-def fanout_circuit(
-    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
+def fanout_circuit(n: int, swapped: bool | None = None) -> Circuit:
     """(n+1)-qubit fanout from the parity circuit conjugated by Hadamards.
 
     The fanout control is qubit n (the parity accumulator wire).
     """
-    steps = _parity_steps(n, swapped, caps)
+    steps = _parity_steps(n, swapped)
     layer = _hadamard_layer(range(n + 1))
     return Circuit(n + 1, layer + steps + layer)
 
 
-def simplified_fanout_circuit(
-    n: int, swapped: bool | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
+def simplified_fanout_circuit(n: int, swapped: bool | None = None) -> Circuit:
     """Fanout circuit with the two H pairs on the helper wire n-1 cancelled.
 
     Same unitary as :func:`fanout_circuit`, four fewer gates.
     """
-    steps = _parity_steps(n, swapped, caps)
+    steps = _parity_steps(n, swapped)
     layer = _hadamard_layer(q for q in range(n + 1) if q != n - 1)
     return Circuit(n + 1, layer + steps[1:-1] + layer)
 
@@ -386,7 +377,7 @@ def to_text(c: Circuit) -> str:
     lines = []
     for step in c.steps:
         if step.gate.name in ("UN", "UNDAG"):
-            k = step.gate.arity
+            k = step.gate.unitary.n
             if step.targets != tuple(range(k)):
                 raise ValueError("evolution steps must act on qubits 0..k-1")
             lines.append(f"{step.gate.name} {k}")
@@ -395,9 +386,7 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(
-    text: str, n: int | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> Circuit:
+def from_text(text: str, n: int | None = None) -> Circuit:
     """Parse the line format of :func:`to_text`.
 
     ``n`` defaults to one more than the highest qubit index mentioned.
@@ -421,11 +410,11 @@ def from_text(
         if name in ("UN", "UNDAG"):
             if len(args) != 1 or args[0] < 1:
                 raise ValueError(f"line {lineno}: {name} takes one positive size")
-            caps.check_state(args[0])  # before the k targets are built
+            check_state(args[0])  # before the k targets are built
             raw_steps.append((lineno, name, tuple(range(args[0]))))
             continue
         try:
-            arity = standard_gate(name).arity
+            arity = standard_gate(name).unitary.n
         except KeyError:
             raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}") from None
         if len(args) != arity:
@@ -445,7 +434,7 @@ def from_text(
         if bad:
             raise ValueError(f"line {lineno}: qubit {bad[0]} out of range for {n} qubits")
         if name in ("UN", "UNDAG"):
-            steps.append(Step(_evolution_gate(name, len(targets), caps), targets))
+            steps.append(Step(_evolution_gate(name, len(targets)), targets))
         else:
             steps.append(Step(standard_gate(name), targets))
     return Circuit(n, tuple(steps))

@@ -10,13 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CAPS,
-    CapExceededError,
-    DenseOperator,
-    DiagonalOperator,
-    Operator,
-)
+from .core import CapExceededError, DenseOperator, DiagonalOperator, Operator, check_state
 from .circuits import (
     compile_circuit,
     fanout_circuit,
@@ -271,25 +265,24 @@ def _cmd_explore(args, parser) -> int:
     if args.coupling_file is not None and args.hamiltonian != "kn-file":
         parser.error(f"--coupling-file does not apply to --hamiltonian {args.hamiltonian}")
     grid = _parse_grid(args.grid) if args.grid else default_time_grid()
-    caps = DEFAULT_CAPS
     if args.hamiltonian == "hn":
-        h = build_hn(n, caps=caps)
+        h = build_hn(n)
         ham_id = f"hn(n={n})"
     elif args.hamiltonian == "ring":
-        caps.check_state(n)  # before the n x n coupling matrix
+        check_state(n)  # before the n x n coupling matrix
         j = 1.0 if args.j is None else args.j
-        h = build_kn(build_ring(n, j), caps=caps)
+        h = build_kn(build_ring(n, j))
         ham_id = f"ring(n={n},J={j:g})"
     elif args.hamiltonian == "l2":
-        h = build_l2(n, caps=caps)
+        h = build_l2(n)
         ham_id = f"l2(n={n})"
     else:
         if not args.coupling_file:
             parser.error("--hamiltonian kn-file requires --coupling-file")
-        caps.check_state(n)  # before the n x n coupling matrix
-        h = build_kn(_load_coupling_file(args.coupling_file, n), caps=caps)
+        check_state(n)  # before the n x n coupling matrix
+        h = build_kn(_load_coupling_file(args.coupling_file, n))
         ham_id = f"kn(n={n},file={args.coupling_file})"
-    res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id, caps=caps)
+    res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id)
     if args.json:
         sys.stdout.write(scan_result_json(res))
     else:

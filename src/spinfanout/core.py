@@ -10,6 +10,12 @@ Conventions used throughout the package:
   first listed target.
 * Diagonal operators are stored as entry arrays of length ``2**n`` and
   become matrices only through ``to_dense``.
+* Each representation has one qubit-count cap, a module constant read at
+  call time: ``STATE_CAP`` for length-2^n data (state vectors, diagonal
+  operators and Hamiltonians), ``DENSE_CAP`` for 2^n x 2^n matrices and
+  ``L2_CAP`` for dense Hermitian eigensolves.  The function that allocates
+  a representation calls its check (``check_state``, ``check_dense`` or
+  ``check_l2``) first, which raises ``CapExceededError`` over the cap.
 """
 from __future__ import annotations
 
@@ -25,54 +31,34 @@ _SLICE = 1 << 14
 
 
 class CapExceededError(Exception):
-    """A requested qubit count exceeds the configured size cap."""
+    """A requested qubit count exceeds its representation's size cap."""
 
 
-@dataclass(frozen=True)
-class SizeCaps:
-    """Qubit-count ceilings, one per representation.
-
-    ``state_cap`` bounds length-2^n data (state vectors, diagonal
-    operators and Hamiltonians), ``dense_cap`` bounds 2^n x 2^n matrices,
-    ``l2_cap`` bounds dense Hermitian eigensolves.  Each is checked once,
-    by the function that allocates that representation, before it
-    allocates.
-    """
-
-    dense_cap: int = 12
-    l2_cap: int = 8
-    state_cap: int = 20
-
-    def __post_init__(self):
-        if not (self.l2_cap <= self.dense_cap <= self.state_cap):
-            raise ValueError(
-                "caps must satisfy l2_cap <= dense_cap <= state_cap, got "
-                f"{self.l2_cap}/{self.dense_cap}/{self.state_cap}"
-            )
-
-    def check_dense(self, n: int) -> None:
-        if n > self.dense_cap:
-            raise CapExceededError(f"n={n} exceeds dense cap {self.dense_cap}")
-
-    def check_l2(self, n: int) -> None:
-        if n > self.l2_cap:
-            raise CapExceededError(f"n={n} exceeds dense-Hamiltonian cap {self.l2_cap}")
-
-    def check_state(self, n: int) -> None:
-        if n > self.state_cap:
-            raise CapExceededError(f"n={n} exceeds state-vector cap {self.state_cap}")
+# the size caps, in qubits (see the module docstring)
+STATE_CAP = 20
+DENSE_CAP = 12
+L2_CAP = 8
 
 
-DEFAULT_CAPS = SizeCaps()
+def check_state(n: int) -> None:
+    if n > STATE_CAP:
+        raise CapExceededError(f"n={n} exceeds state-vector cap {STATE_CAP}")
+
+
+def check_dense(n: int) -> None:
+    if n > DENSE_CAP:
+        raise CapExceededError(f"n={n} exceeds dense cap {DENSE_CAP}")
+
+
+def check_l2(n: int) -> None:
+    if n > L2_CAP:
+        raise CapExceededError(f"n={n} exceeds dense-Hamiltonian cap {L2_CAP}")
 
 
 def popcounts(n: int) -> np.ndarray:
     """Hamming weights of the basis labels ``0 .. 2**n - 1`` (int64)."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    k = np.zeros(1 << n, dtype=np.int64)
-    for q in range(n):
-        k += (idx >> q) & 1
-    return k
+    # int64, so that products such as k * (n - k) cannot wrap
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
 def _check_basis_index(value: int, n: int) -> None:
@@ -97,6 +83,7 @@ class StateVector:
     @classmethod
     def basis(cls, n: int, value: int) -> "StateVector":
         _check_basis_index(value, n)
+        check_state(n)
         amps = np.zeros(1 << n, dtype=complex)
         amps[value] = 1.0
         return cls(n, amps)
@@ -118,9 +105,11 @@ class DiagonalOperator:
 
     @classmethod
     def identity(cls, n: int) -> "DiagonalOperator":
+        check_state(n)
         return cls(n, np.ones(1 << n, dtype=complex))
 
     def to_dense(self) -> "DenseOperator":
+        check_dense(self.n)
         return DenseOperator(self.n, np.diag(self.entries))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CAPS, DiagonalOperator, Operator, SizeCaps, popcounts
+from .core import DiagonalOperator, Operator, popcounts
 from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolver, spectral_phases
 
 SCAN_TOL = 1e-8
@@ -119,7 +119,6 @@ def scan(
     time_grid: list[float],
     tol: float = SCAN_TOL,
     hamiltonian_id: str = "hamiltonian",
-    caps: SizeCaps = DEFAULT_CAPS,
 ) -> ScanResult:
     """Classify the evolution at every grid time.
 
@@ -135,7 +134,7 @@ def scan(
         phases_at = spectral_phases(levels)
         verdicts = tuple(_verdict(phases_at(t), odd, 0.0, tol) for t in times)
     else:
-        evolved = evolver(h, caps)
+        evolved = evolver(h)
         verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)
     best = int(np.argmin([vd.score for vd in verdicts]))
     return ScanResult(hamiltonian_id, times, verdicts, best)

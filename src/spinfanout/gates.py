@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CAPS,
-    DenseOperator,
-    DiagonalOperator,
-    Operator,
-    SizeCaps,
-    popcounts,
-)
+from .core import DenseOperator, DiagonalOperator, Operator, check_dense, popcounts
 
 _SQRT2_INV = 1 / np.sqrt(2)
 
@@ -33,18 +26,17 @@ _CNOT[3, 1] = _CNOT[1, 3] = 1
 @dataclass(frozen=True)
 class GateDef:
     name: str
-    arity: int
     unitary: Operator
 
 
 _STANDARD = {
-    "H": GateDef("H", 1, DenseOperator(1, _H)),
-    "X": GateDef("X", 1, DenseOperator(1, _X)),
-    "Z": GateDef("Z", 1, DiagonalOperator(1, np.array([1, -1], dtype=complex))),
-    "S": GateDef("S", 1, DiagonalOperator(1, np.array([1, 1j]))),
-    "SDAG": GateDef("SDAG", 1, DiagonalOperator(1, np.array([1, -1j]))),
-    "CNOT": GateDef("CNOT", 2, DenseOperator(2, _CNOT)),
-    "CZ": GateDef("CZ", 2, DiagonalOperator(2, np.array([1, 1, 1, -1], dtype=complex))),
+    "H": GateDef("H", DenseOperator(1, _H)),
+    "X": GateDef("X", DenseOperator(1, _X)),
+    "Z": GateDef("Z", DiagonalOperator(1, np.array([1, -1], dtype=complex))),
+    "S": GateDef("S", DiagonalOperator(1, np.array([1, 1j]))),
+    "SDAG": GateDef("SDAG", DiagonalOperator(1, np.array([1, -1j]))),
+    "CNOT": GateDef("CNOT", DenseOperator(2, _CNOT)),
+    "CZ": GateDef("CZ", DiagonalOperator(2, np.array([1, 1, 1, -1], dtype=complex))),
 }
 
 
@@ -76,19 +68,19 @@ def _permutation(m: int, targets: np.ndarray) -> DenseOperator:
     return DenseOperator(m, mat)
 
 
-def fanout_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+def fanout_reference(n_plus_1: int) -> DenseOperator:
     """Permutation XORing the last qubit's value into every other qubit."""
     if n_plus_1 < 2:
         raise ValueError("fanout needs at least 2 qubits")
-    caps.check_dense(n_plus_1)
+    check_dense(n_plus_1)
     return _permutation(n_plus_1, _fanout_targets(n_plus_1))
 
 
-def parity_reference(n_plus_1: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseOperator:
+def parity_reference(n_plus_1: int) -> DenseOperator:
     """Permutation XORing the parity of the other qubits into the last qubit."""
     if n_plus_1 < 2:
         raise ValueError("parity needs at least 2 qubits")
-    caps.check_dense(n_plus_1)
+    check_dense(n_plus_1)
     return _permutation(n_plus_1, _parity_targets(n_plus_1))
 
 

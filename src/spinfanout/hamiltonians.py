@@ -13,11 +13,11 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_CAPS,
     DenseOperator,
     DiagonalOperator,
     Operator,
-    SizeCaps,
+    check_l2,
+    check_state,
     popcounts,
 )
 
@@ -110,7 +110,7 @@ class CouplingMatrix:
             yield int(i), int(j), float(self.J[i, j])
 
 
-def build_hn(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
+def build_hn(n: int) -> DiagonalHamiltonian:
     """Squared-total-spin-z Hamiltonian on ``n`` qubits.
 
     The energy of a basis state with Hamming weight ``k`` is
@@ -118,15 +118,15 @@ def build_hn(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    caps.check_state(n)
+    check_state(n)
     k = popcounts(n)
     return DiagonalHamiltonian(n, n * n / 2 - 2 * k * (n - k))
 
 
-def build_kn(coupling: CouplingMatrix, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalHamiltonian:
+def build_kn(coupling: CouplingMatrix) -> DiagonalHamiltonian:
     """Pairwise ZZ-coupling Hamiltonian sum_{i<j} J_ij Z_i Z_j."""
     n = coupling.n
-    caps.check_state(n)
+    check_state(n)
     idx = np.arange(1 << n)
     energies = np.zeros(1 << n)
     with np.errstate(over="ignore", invalid="ignore"):  # DiagonalHamiltonian rejects inf/NaN
@@ -155,7 +155,7 @@ def _swap_sum(n: int, offset: float, pairs) -> np.ndarray:
     return mat
 
 
-def build_l2(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
+def build_l2(n: int) -> DenseHamiltonian:
     """Squared total spin ``(3n/4 - n(n-1)/4) I + sum_{i<j} SWAP_ij``.
 
     The sum of the squared spin components, rewritten with Dirac's
@@ -163,7 +163,7 @@ def build_l2(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DenseHamiltonian:
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    caps.check_l2(n)
+    check_l2(n)
     pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
     return DenseHamiltonian(n, _swap_sum(n, 3 * n / 4 - n * (n - 1) / 4, pairs))
 
@@ -184,9 +184,7 @@ def spectral_phases(w: np.ndarray) -> Callable[[float], np.ndarray]:
     return phases_at
 
 
-def evolver(
-    h: DiagonalHamiltonian | DenseHamiltonian, caps: SizeCaps = DEFAULT_CAPS
-) -> Callable[[float], Operator]:
+def evolver(h: DiagonalHamiltonian | DenseHamiltonian) -> Callable[[float], Operator]:
     """The map ``t -> exp(-i H t)``.
 
     Diagonal Hamiltonians stay diagonal.  A dense one is diagonalized
@@ -197,7 +195,7 @@ def evolver(
     if isinstance(h, DiagonalHamiltonian):
         w, v = h.energies, None
     else:
-        caps.check_l2(h.n)
+        check_l2(h.n)
         w, v = np.linalg.eigh(h.matrix)
     phases_at = spectral_phases(w)
 
@@ -210,24 +208,20 @@ def evolver(
     return evolve_for
 
 
-def evolve(
-    h: DiagonalHamiltonian | DenseHamiltonian,
-    t: float,
-    caps: SizeCaps = DEFAULT_CAPS,
-) -> Operator:
+def evolve(h: DiagonalHamiltonian | DenseHamiltonian, t: float) -> Operator:
     """Time-evolution operator exp(-i H t); see :func:`evolver`."""
-    return evolver(h, caps)(t)
+    return evolver(h)(t)
 
 
-def un(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalOperator:
+def un(n: int) -> DiagonalOperator:
     """Evolution of the squared-spin-z Hamiltonian for time pi/4."""
-    return evolve(build_hn(n, caps=caps), TIME_QUARTER)
+    return evolve(build_hn(n), TIME_QUARTER)
 
 
-def un_dagger(n: int, caps: SizeCaps = DEFAULT_CAPS) -> DiagonalOperator:
+def un_dagger(n: int) -> DiagonalOperator:
     """Inverse of :func:`un`, obtained by evolving for time 3*pi/4.
 
     The two compose to the identity exactly for even ``n``; for odd ``n``
     the kept ``n**2/2`` energy constant leaves a global phase.
     """
-    return evolve(build_hn(n, caps=caps), TIME_THREE_QUARTERS)
+    return evolve(build_hn(n), TIME_THREE_QUARTERS)

@@ -1,8 +1,8 @@
 """Named, reportable checks for every identity the package reproduces.
 
 Each check is registered with the anchor of the claim it verifies and a
-tolerance; it passes its size caps to every builder it calls, and a
-builder whose size is over its cap raises ``CapExceededError`` before it
+tolerance.  Every builder a check calls checks its own size cap (see
+:mod:`spinfanout.core`) and raises ``CapExceededError`` before it
 allocates.  ``run_suite`` executes the whole registry (or a filtered
 subset) and records results; failures are recorded, never raised, and
 instances over a cap are recorded as skipped.  A few checks are
@@ -18,13 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_CAPS,
     EQUIV_TOL,
     CapExceededError,
     DiagonalOperator,
-    SizeCaps,
     _SLICE,
     _phase,
+    check_dense,
+    check_state,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -71,41 +71,41 @@ class CheckDef:
     check_id: str
     anchor: str
     tolerance: float
-    run: Callable[[dict, SizeCaps], tuple[float, complex]]
+    run: Callable[[dict], tuple[float, complex]]
     default_params: tuple[dict, ...]
     negative_control: bool = False
 
 
-def _un_diagonal(n: int, caps: SizeCaps) -> tuple[np.ndarray, np.ndarray]:
+def _un_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of U_N divided by its entry 0, and the Hamming weight of each index."""
-    entries = un(n, caps).entries
+    entries = un(n).entries
     return entries / entries[0], popcounts(n)
 
 
-def _check_phase_formula(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_phase_formula(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    diag, k = _un_diagonal(n, caps)
+    diag, k = _un_diagonal(n)
     expected = 1j ** (k * (n - k))
     return float(np.max(np.abs(diag - expected))), complex(1)
 
 
-def _check_parity_dichotomy(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_parity_dichotomy(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    diag, k = _un_diagonal(n, caps)
+    diag, k = _un_diagonal(n)
     odd_phase = 1j if n % 4 == 2 else -1j
     expected = np.where(k % 2 == 0, 1, odd_phase)
     return float(np.max(np.abs(diag - expected))), complex(odd_phase)
 
 
-def _check_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
-    rep = equiv_up_to_global_phase(un(3, caps), ieq_reference())
+def _check_ieq(params: dict) -> tuple[float, complex]:
+    rep = equiv_up_to_global_phase(un(3), ieq_reference())
     return rep.max_deviation, rep.phase
 
 
-def _check_cz_from_ieq(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
     restriction = DiagonalOperator(2, ieq_reference().entries[4:])  # third qubit in |1>
     cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
-    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n", caps=caps), caps)  # CNOT, control 0
+    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n"))  # CNOT, control 0
     cnot_rep = equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=1e-12)
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
@@ -124,7 +124,7 @@ def _matches_reference(
     build: Callable[..., Circuit],
     targets: Callable[[int], np.ndarray],
     wrong_variant: bool = False,
-) -> Callable[[dict, SizeCaps], tuple[float, complex]]:
+) -> Callable[[dict], tuple[float, complex]]:
     """Check: ``build(n)`` equals the permutation with index map ``targets(n + 1)``
     up to a global phase, with the phase and deviation that
     :func:`equiv_up_to_global_phase` gives for the dense matrices, but one
@@ -132,14 +132,14 @@ def _matches_reference(
     ``wrong_variant`` builds the other evolution order than the mod-4 rule
     picks, for a negative control."""
 
-    def run(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+    def run(params: dict) -> tuple[float, complex]:
         n = params["n"]
-        caps.check_dense(n + 1)  # the cap of the dense reference it stands for
+        check_dense(n + 1)  # the cap of the dense reference it stands for
         swapped = not _use_swapped_evolution(n) if wrong_variant else None
         rows = targets(n + 1)
         assert rows[0] == 0  # a GF(2)-linear map: the dense reference peaks at (0, 0)
         phase, devs = None, []
-        for start, block in _column_blocks(build(n, swapped=swapped, caps=caps)):
+        for start, block in _column_blocks(build(n, swapped=swapped)):
             if phase is None:
                 phase = _phase(block[0, 0], 1.0 + 0.0j, EQUIV_TOL)
             devs.append(_permutation_deviation(block, rows[start:start + block.shape[1]], phase))
@@ -148,44 +148,44 @@ def _matches_reference(
     return run
 
 
-def _check_parity_like(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_parity_like(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    mat = compile_circuit(parity_like_circuit(n, caps=caps), caps).matrix
+    mat = compile_circuit(parity_like_circuit(n)).matrix
     # each input with the last qubit in |0> goes to a unit-phase multiple of
     # its column of the parity permutation
     half = 1 << (n - 1)
     return _permutation_deviation(np.abs(mat[:, :half]), _parity_targets(n)[:half], 1.0), complex(1)
 
 
-def _check_fig3_conjugation(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_fig3_conjugation(params: dict) -> tuple[float, complex]:
     m = params["n_plus_1"]
-    layer = compile_circuit(Circuit(m, _hadamard_layer(range(m))), caps).matrix
+    layer = compile_circuit(Circuit(m, _hadamard_layer(range(m)))).matrix
     # P @ layer as a row gather by the parity map, an involution; the product
     # stays complex, as a real one would round the m=8 deviation differently
     conj = layer @ layer[_parity_targets(m)]
     return _permutation_deviation(conj, _fanout_targets(m), 1.0 + 0.0j), complex(1)
 
 
-def _check_kn_offset(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_kn_offset(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    hn = build_hn(n, caps=caps).energies
-    kn = build_kn(CouplingMatrix.uniform(n, 1.0), caps=caps).energies
+    hn = build_hn(n).energies
+    kn = build_kn(CouplingMatrix.uniform(n, 1.0)).energies
     dev = float(np.max(np.abs((hn - kn) - n / 2)))
     return dev, complex(1)
 
 
-def _check_unitary_pow4(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_unitary_pow4(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    u2 = un(n, caps).entries ** 2
+    u2 = un(n).entries ** 2
     u4 = DiagonalOperator(n, u2 * u2)
     rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
     return rep.max_deviation, rep.phase
 
 
-def _check_unentangled_control(params: dict, caps: SizeCaps) -> tuple[float, complex]:
+def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    caps.check_state(n + 1)  # each column of a block is an (n+1)-qubit state
-    circ = parity_circuit(n, caps=caps)
+    check_state(n + 1)  # each column of a block is an (n+1)-qubit state
+    circ = parity_circuit(n)
     prefix = Circuit(circ.n, circ.steps[:4])  # everything before the CNOT
     control = n - 1
     # the mass of the control qubit must sit entirely on |p xor r>, the
@@ -261,20 +261,18 @@ def known_check_ids() -> tuple[str, ...]:
     return tuple(c.check_id for c in _REGISTRY)
 
 
-def run_check(
-    check_id: str, params: dict | None = None, caps: SizeCaps = DEFAULT_CAPS
-) -> CheckResult:
+def run_check(check_id: str, params: dict | None = None) -> CheckResult:
     """Execute one named check.
 
     Raises ``KeyError`` on an unknown id and ``CapExceededError`` when a
-    builder the check calls finds its size above ``caps``.
+    builder the check calls finds its size above its cap.
     """
     if check_id not in _BY_ID:
         raise KeyError(f"unknown check {check_id!r}; known: {known_check_ids()}")
     defn = _BY_ID[check_id]
     params = dict(params or (defn.default_params[0] if defn.default_params else {}))
     start = time.perf_counter()
-    max_dev, phase = defn.run(params, caps)
+    max_dev, phase = defn.run(params)
     elapsed = time.perf_counter() - start
     return CheckResult(
         check_id=check_id,
@@ -305,14 +303,10 @@ def _skipped(defn: CheckDef, params: dict, reason: str) -> CheckResult:
     )
 
 
-def run_suite(
-    filter: str | None = None,
-    caps: SizeCaps = DEFAULT_CAPS,
-    n_max: int | None = None,
-) -> list[CheckResult]:
+def run_suite(filter: str | None = None, n_max: int | None = None) -> list[CheckResult]:
     """Run every registered check instance (optionally id-prefix filtered).
 
-    Instances that exceed the caps, or whose main size parameter exceeds
+    Instances that exceed a size cap, or whose main size parameter exceeds
     ``n_max``, are reported as skipped rather than silently dropped.
     Results are ordered by check id, then parameters.
     """
@@ -326,7 +320,7 @@ def run_suite(
                 results.append(_skipped(defn, params, "n-max"))
                 continue
             try:
-                results.append(run_check(defn.check_id, params, caps=caps))
+                results.append(run_check(defn.check_id, params))
             except CapExceededError:
                 results.append(_skipped(defn, params, "cap"))
     results.sort(key=lambda r: (r.check_id, sorted(r.params.items())))

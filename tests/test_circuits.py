@@ -37,7 +37,7 @@ class TestCompile:
 
     def test_global_phase_step(self):
         # a diagonal gate on no qubits multiplies every column by its one entry
-        phase = GateDef("P", 0, DiagonalOperator(0, np.array([1j])))
+        phase = GateDef("P", DiagonalOperator(0, np.array([1j])))
         c = Circuit(2, (Step(standard_gate("H"), (1,)), Step(phase, ())))
         expected = 1j * np.kron(standard_gate("H").unitary.matrix, np.eye(2))
         assert np.max(np.abs(compile_circuit(c).matrix - expected)) < 1e-12
@@ -210,10 +210,10 @@ class TestTextFormat:
             if name in ("UN", "UNDAG"):
                 k = int(rng.integers(1, n + 1))
                 evo = un(k) if name == "UN" else un_dagger(k)
-                steps.append(Step(GateDef(name, k, evo), tuple(range(k))))
+                steps.append(Step(GateDef(name, evo), tuple(range(k))))
             else:
                 gate = standard_gate(name)
-                targets = rng.choice(n, size=gate.arity, replace=False)
+                targets = rng.choice(n, size=gate.unitary.n, replace=False)
                 steps.append(Step(gate, tuple(int(t) for t in targets)))
         c = Circuit(n, tuple(steps))
         parsed = from_text(to_text(c), n=n)

@@ -10,14 +10,13 @@ from spinfanout.core import (
     CapExceededError,
     DenseOperator,
     DiagonalOperator,
-    SizeCaps,
     StateVector,
     _SLICE,
     _max_deviation,
     equiv_up_to_global_phase,
     popcounts,
 )
-from spinfanout import circuits
+from spinfanout import circuits, core
 from spinfanout.circuits import (
     _FUSE_QUBITS,
     Circuit,
@@ -31,8 +30,8 @@ from spinfanout.circuits import (
     parity_like_circuit,
     run_circuit,
 )
-from spinfanout.gates import GateDef, standard_gate
-from spinfanout.hamiltonians import un, un_dagger
+from spinfanout.gates import GateDef, fanout_reference, parity_reference, standard_gate
+from spinfanout.hamiltonians import CouplingMatrix, build_hn, build_kn, build_l2, un, un_dagger
 
 from helpers import schmidt_rank_one_deviation
 
@@ -67,12 +66,12 @@ def random_orthogonal(n, rng):
 
 def kernel_matrix(gate, targets, n):
     """``gate`` on ``targets``, compiled as a one-step circuit."""
-    return compile_circuit(Circuit(n, (Step(GateDef("G", gate.n, gate), tuple(targets)),))).matrix
+    return compile_circuit(Circuit(n, (Step(GateDef("G", gate), tuple(targets)),))).matrix
 
 
 def apply_step(state, gate, targets):
     """``state`` run through the one-step circuit of ``gate`` on ``targets``."""
-    c = Circuit(state.n, (Step(GateDef("G", gate.n, gate), tuple(targets)),))
+    c = Circuit(state.n, (Step(GateDef("G", gate), tuple(targets)),))
     return run_circuit(c, state)
 
 
@@ -92,6 +91,16 @@ class TestHammingWeight:
         k = popcounts(n)
         assert k.dtype == np.int64
         assert k.tolist() == [x.bit_count() for x in range(1 << n)]
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_popcounts_match_bit_planes(self, n):
+        idx = np.arange(1 << n, dtype=np.int64)
+        planes = np.zeros(1 << n, dtype=np.int64)
+        for q in range(n):
+            planes += (idx >> q) & 1
+        k = popcounts(n)
+        assert k.dtype == np.int64
+        assert np.array_equal(k, planes)
 
 
 class TestApplyGate:
@@ -347,7 +356,7 @@ def random_step(n, rng):
     m = int(rng.integers(1, min(n, 3) + 1))
     targets = tuple(int(t) for t in rng.permutation(n)[:m])
     gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
-    return Step(GateDef("G", m, gate), targets)
+    return Step(GateDef("G", gate), targets)
 
 
 def fusion_step(n, rng):
@@ -357,7 +366,7 @@ def fusion_step(n, rng):
     fuse below, at and past the fusion width."""
     if rng.random() < 0.1:
         targets = range(n) if rng.random() < 0.5 else rng.permutation(n)
-        return Step(GateDef("D", n, random_diagonal(n, rng)), tuple(int(t) for t in targets))
+        return Step(GateDef("D", random_diagonal(n, rng)), tuple(int(t) for t in targets))
     width = int(rng.integers(1, min(n, 6) + 1))
     lo = int(rng.integers(0, n - width + 1))
     m = int(rng.integers(1, min(width, 3) + 1))
@@ -369,7 +378,7 @@ def fusion_step(n, rng):
         gate = random_orthogonal(m, rng)
     else:
         gate = random_diagonal(m, rng)
-    return Step(GateDef("G", m, gate), targets)
+    return Step(GateDef("G", gate), targets)
 
 
 def random_circuit(rng):
@@ -385,9 +394,9 @@ def monomial_step(n, rng):
     name = str(rng.choice(["X", "CNOT", "CZ", "X", "CNOT", "CZ", "UN", "UNDAG", "H"]))
     if name in ("UN", "UNDAG"):
         k = int(rng.integers(1, n + 1))
-        return Step(GateDef(name, k, (un if name == "UN" else un_dagger)(k)), tuple(range(k)))
+        return Step(GateDef(name, (un if name == "UN" else un_dagger)(k)), tuple(range(k)))
     gate = standard_gate(name if n > 1 or name == "H" else "X")
-    return Step(gate, tuple(int(t) for t in rng.permutation(n)[:gate.arity]))
+    return Step(gate, tuple(int(t) for t in rng.permutation(n)[:gate.unitary.n]))
 
 
 def monomial_circuit(rng, seed):
@@ -456,7 +465,7 @@ class TestBlockKernel:
         assert max(c.n for c in circuits) == 9
         assert max(len(c.steps) for c in circuits) >= 18
         # full-width diagonals, on more qubits than a dense window holds
-        assert any(s.gate.arity == n > _FUSE_QUBITS for n, s in steps)
+        assert any(s.gate.unitary.n == n > _FUSE_QUBITS for n, s in steps)
         assert any(list(s.targets) != sorted(s.targets) for _, s in steps)
         assert any(max(s.targets) - min(s.targets) >= len(s.targets) for _, s in steps)
         dense_widths = {g.n for g, _ in plan if isinstance(g, DenseOperator)}
@@ -494,7 +503,7 @@ class TestBlockKernel:
         n, m = 7, len(targets)
         rng = np.random.default_rng(list(targets))
         gate = (random_orthogonal if real else random_unitary)(m, rng)
-        c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
+        c = Circuit(n, (Step(GateDef("G", gate), targets),))
         lo, span = min(targets), max(targets) - min(targets) + 1
         assert span > _FUSE_QUBITS
         [(to_bottom, lo_a), (g, lo_b), (back, lo_c)] = c._plan
@@ -565,7 +574,7 @@ class TestBlockKernel:
         monomial = DenseOperator(m, monomial_matrix(cycle))
         for gate in (dense, real, diagonal, monomial):
             full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
-            c = Circuit(n, (Step(GateDef("G", m, gate), targets),))
+            c = Circuit(n, (Step(GateDef("G", gate), targets),))
             if gate is monomial:
                 assert isinstance(c._plan[0][0], _MonomialOperator)
             assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
@@ -627,8 +636,8 @@ class TestMonomialRuns:
         # a gate named H with the matrix of Y joins the run of X and CZ; a
         # gate named X whose matrix has two nonzeros in one row (and a row
         # with none) does not
-        y = GateDef("H", 1, DenseOperator(1, np.array([[0, -1j], [1j, 0]])))
-        lopsided = GateDef("X", 1, DenseOperator(1, np.array([[1, 1], [0, 0]])))
+        y = GateDef("H", DenseOperator(1, np.array([[0, -1j], [1j, 0]])))
+        lopsided = GateDef("X", DenseOperator(1, np.array([[1, 1], [0, 0]])))
         c = Circuit(6, (
             Step(standard_gate("X"), (0,)), Step(y, (5,)), Step(standard_gate("CZ"), (5, 0)),
             Step(lopsided, (3,)),
@@ -659,18 +668,48 @@ class TestMonomialRuns:
 
 
 class TestSizeCaps:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SizeCaps(dense_cap=4, l2_cap=8, state_cap=20)
+    def test_check_raises(self, lower_caps):
+        lower_caps(dense=4, l2=4, state=6)
+        core.check_dense(4)
+        core.check_l2(4)
+        core.check_state(6)
+        with pytest.raises(CapExceededError, match="n=5 exceeds dense cap 4"):
+            core.check_dense(5)
+        with pytest.raises(CapExceededError, match="n=5 exceeds dense-Hamiltonian cap 4"):
+            core.check_l2(5)
+        with pytest.raises(CapExceededError, match="n=7 exceeds state-vector cap 6"):
+            core.check_state(7)
 
-    def test_check_raises(self):
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
-        with pytest.raises(CapExceededError):
-            caps.check_dense(5)
-        with pytest.raises(CapExceededError):
-            caps.check_l2(5)
-        with pytest.raises(CapExceededError):
-            caps.check_state(7)
+    def test_documented_values(self):
+        assert (core.STATE_CAP, core.DENSE_CAP, core.L2_CAP) == (20, 12, 8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: build_hn(21), id="build_hn"),
+            pytest.param(lambda: build_kn(CouplingMatrix.uniform(21, 1.0)), id="build_kn"),
+            pytest.param(lambda: un(21), id="un"),
+            pytest.param(lambda: un_dagger(21), id="un_dagger"),
+            pytest.param(lambda: from_text("UN 21\n"), id="from_text"),
+            pytest.param(lambda: StateVector.basis(21, 0), id="basis"),
+            pytest.param(lambda: DiagonalOperator.identity(21), id="identity"),
+            pytest.param(lambda: build_l2(9), id="build_l2"),
+            pytest.param(lambda: fanout_reference(13), id="fanout_reference"),
+            pytest.param(lambda: parity_reference(13), id="parity_reference"),
+            pytest.param(lambda: compile_circuit(Circuit(13, ())), id="compile_circuit"),
+            pytest.param(lambda: DiagonalOperator.identity(13).to_dense(), id="to_dense"),
+        ],
+    )
+    def test_one_over_the_real_cap_raises_before_it_allocates(self, call):
+        # one over its cap, each call would allocate 4 MiB (build_l2) to 1 GiB (dense)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSchmidt:

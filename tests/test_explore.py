@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator, SizeCaps
+from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator
 from spinfanout.explore import ScanResult, classify_parity_diagonal, default_time_grid, scan
 from spinfanout.hamiltonians import (
     CouplingMatrix,
@@ -67,10 +67,11 @@ class TestDefaultGrid:
 
 
 class TestScan:
-    def test_caps_reach_the_evolver(self):
-        tight = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+    def test_caps_reach_the_evolver(self, lower_caps):
+        h = build_l2(5)
+        lower_caps(dense=4, l2=4, state=6)
         with pytest.raises(CapExceededError):
-            scan(build_l2(5), [math.pi / 4], caps=tight)
+            scan(h, [math.pi / 4])
 
     def test_hn6_at_quarter_pi(self):
         res = scan(build_hn(6), [math.pi / 4], hamiltonian_id="hn6")

@@ -7,7 +7,6 @@ from spinfanout.core import (
     CapExceededError,
     DenseOperator,
     DiagonalOperator,
-    SizeCaps,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -246,14 +245,15 @@ class TestEvolve:
         assert isinstance(evolver(build_hn(3))(0.5), DiagonalOperator)
         assert isinstance(evolver(build_l2(3))(0.5), DenseOperator)
 
-    def test_eigensolve_cap(self):
-        tight = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+    def test_eigensolve_cap(self, lower_caps):
+        h = build_l2(5)
+        lower_caps(dense=4, l2=4, state=6)
         with pytest.raises(CapExceededError):
-            evolver(build_l2(5), tight)
+            evolver(h)
         with pytest.raises(CapExceededError):
-            evolve(build_l2(5), 0.1, tight)
+            evolve(h, 0.1)
         # diagonal evolution needs no eigensolve
-        assert isinstance(evolve(build_hn(6, caps=tight), 0.1, tight), DiagonalOperator)
+        assert isinstance(evolve(build_hn(6), 0.1), DiagonalOperator)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

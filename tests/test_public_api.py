@@ -4,9 +4,9 @@ import spinfanout
 # types they return and the submodules.  A name added here, or one that
 # drops out, is an API change.
 PUBLIC = [
-    "CapExceededError", "CheckResult", "Circuit", "CouplingMatrix", "DEFAULT_CAPS",
+    "CapExceededError", "CheckResult", "Circuit", "CouplingMatrix",
     "DenseHamiltonian", "DenseOperator", "DiagonalHamiltonian", "DiagonalOperator",
-    "EquivalenceReport", "ParityDiagonalVerdict", "ScanResult", "SizeCaps",
+    "EquivalenceReport", "ParityDiagonalVerdict", "ScanResult",
     "StateVector", "Step", "build_hn", "build_kn", "build_l2",
     "build_ring", "circuits", "classify_parity_diagonal", "compile_circuit", "core",
     "default_time_grid", "equiv_up_to_global_phase", "evolve", "evolver", "explore",

@@ -19,9 +19,7 @@ from spinfanout.circuits import (
     simplified_fanout_circuit,
 )
 from spinfanout.core import (
-    DEFAULT_CAPS,
     CapExceededError,
-    SizeCaps,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,
@@ -56,20 +54,20 @@ class TestRunCheck:
         with pytest.raises(KeyError):
             run_check("nonsense")
 
-    def test_cap_exceeded(self):
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+    def test_cap_exceeded(self, lower_caps):
+        lower_caps(dense=4, l2=4, state=6)
         with pytest.raises(CapExceededError):
-            run_check("parity", {"n": 6}, caps=caps)
+            run_check("parity", {"n": 6})
 
     def test_diagonal_check_runs_to_state_cap(self):
         # U_N is 2^n phases: past the dense cap of 12, within the state cap
         r = run_check("phase_formula", {"n": 13})
         assert r.passed
 
-    def test_state_vector_check_under_tight_dense_cap(self):
+    def test_state_vector_check_under_tight_dense_cap(self, lower_caps):
         # 5-qubit state vectors only; no dense matrix is built
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
-        r = run_check("unentangled_control", {"n": 4}, caps=caps)
+        lower_caps(dense=4, l2=4, state=6)
+        r = run_check("unentangled_control", {"n": 4})
         assert r.passed
 
     def test_negative_control_fails_by_design(self):
@@ -132,11 +130,11 @@ class TestUnentangledControl:
         assert np.array_equal(np.hstack(blocks), np.eye(32))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_skipped_below_n_plus_one_qubits(self, n):
-        caps = SizeCaps(dense_cap=n - 1, l2_cap=n - 1, state_cap=n)
+    def test_skipped_below_n_plus_one_qubits(self, n, lower_caps):
+        lower_caps(dense=n - 1, l2=n - 1, state=n)
         with pytest.raises(CapExceededError):
-            run_check("unentangled_control", {"n": n}, caps=caps)
-        [r] = [r for r in run_suite(filter="unentangled", caps=caps) if r.params == {"n": n}]
+            run_check("unentangled_control", {"n": n})
+        [r] = [r for r in run_suite(filter="unentangled") if r.params == {"n": n}]
         assert r.skipped
 
 
@@ -156,8 +154,8 @@ def compiled_comparison(build, reference, n, swapped):
 def with_order(build, order):
     """``build`` with its evolution order fixed to ``order``."""
 
-    def fixed(n, swapped=None, caps=DEFAULT_CAPS):
-        return build(n, swapped=order, caps=caps)
+    def fixed(n, swapped=None):
+        return build(n, swapped=order)
 
     return fixed
 
@@ -183,7 +181,7 @@ class TestColumnBlockComparison:
     def test_every_evolution_order(self, name, swapped, n):
         build, reference, targets = BUILDS[name]
         run = _matches_reference(with_order(build, swapped), targets)
-        assert run({"n": n}, DEFAULT_CAPS) == compiled_comparison(build, reference, n, swapped)
+        assert run({"n": n}) == compiled_comparison(build, reference, n, swapped)
 
     @pytest.mark.parametrize(
         "check_id", ["parity", "parity_negative_control", "fanout", "fanout_simplified"]
@@ -211,7 +209,7 @@ class TestColumnBlockComparison:
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
         monkeypatch.setattr(circuits, "_run_steps", with_nan)
         with np.errstate(invalid="ignore"):
-            dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4}, DEFAULT_CAPS)
+            dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4})
         assert calls == [(32, 8)] * 4
         assert np.isnan(dev) and abs(abs(phase) - 1) < 1e-12
 
@@ -270,20 +268,20 @@ class TestRunSuite:
         assert results
         assert all(r.check_id.startswith("parity") for r in results)
 
-    def test_tight_caps_mark_skipped(self):
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
-        results = run_suite(caps=caps)
+    def test_tight_caps_mark_skipped(self, lower_caps):
+        lower_caps(dense=4, l2=4, state=6)
+        results = run_suite()
         skipped = [r for r in results if r.skipped]
         assert skipped
         assert any(r.check_id == "parity" and r.params == {"n": 6} for r in skipped)
         # skipped instances count as neither pass nor failure
         assert all(r.ok for r in skipped)
 
-    def test_tight_caps_skip_exactly(self):
-        caps = SizeCaps(dense_cap=4, l2_cap=4, state_cap=6)
+    def test_tight_caps_skip_exactly(self, lower_caps):
+        lower_caps(dense=4, l2=4, state=6)
         skipped = {
             (r.check_id, tuple(sorted(r.params.items())))
-            for r in run_suite(caps=caps)
+            for r in run_suite()
             if r.skipped
         }
 
@@ -311,13 +309,13 @@ class TestRunSuite:
         assert all(r.params["n"] <= 4 for r in ran)
         assert any(r.skipped for r in results)
 
-    def test_skip_reason_tells_n_max_from_cap(self):
+    def test_skip_reason_tells_n_max_from_cap(self, lower_caps):
         # parity n=4 fits the caps but not n_max; n=6 and n=8 are over the dense cap
-        caps = SizeCaps(dense_cap=5, l2_cap=5, state_cap=6)
-        results = run_suite(filter="parity", caps=caps, n_max=2)
+        lower_caps(dense=5, l2=5, state=6)
+        results = run_suite(filter="parity", n_max=2)
         reasons = {r.params["n"]: r.skip_reason for r in results if r.check_id == "parity"}
         assert reasons == {2: "", 4: "n-max", 6: "n-max", 8: "n-max"}
-        results = run_suite(filter="parity", caps=caps)
+        results = run_suite(filter="parity")
         reasons = {r.params["n"]: r.skip_reason for r in results if r.check_id == "parity"}
         assert reasons == {2: "", 4: "", 6: "cap", 8: "cap"}
         rows = check_results_table(results).splitlines()[2:]
