@@ -62,23 +62,44 @@ class Circuit:
 
     @cached_property
     def _plan(self) -> tuple[_Entry, ...]:
-        """The steps as plan entries (see ``_Entry``), fused into runs: a run takes
-        the next step while both are all monomial (see :func:`_monomial_form`),
-        at any span, or while its qubit span ``lo..hi`` stays within
-        ``_FUSE_QUBITS``; otherwise the step starts a new run."""
-        runs: list[list] = []  # [lo, hi, all monomial, steps]
-        for step in self.steps:
-            lo, hi = min(step.targets, default=0), max(step.targets, default=0)
-            monomial = _monomial_form(step.gate.unitary) is not None
-            if runs:
-                run = runs[-1]
-                span_lo, span_hi = min(lo, run[0]), max(hi, run[1])
-                if (monomial and run[2]) or span_hi - span_lo < _FUSE_QUBITS:
-                    run[:3] = span_lo, span_hi, monomial and run[2]
-                    run[3].append(step)
-                    continue
-            runs.append([lo, hi, monomial, [step]])
-        return tuple(entry for run in runs for entry in _fuse(*run))
+        """The steps as plan entries (see ``_Entry``), one fused run of
+        :func:`_runs` after another."""
+        return tuple(entry for run in _runs(self.steps) for entry in _fuse(*run))
+
+
+def _runs(steps: tuple[Step, ...]) -> list[tuple[int, int, bool, list[Step]]]:
+    """The steps grouped into runs ``(lo, hi, all monomial, steps)`` to fuse.
+
+    A step moves back past a later run only when its qubits are disjoint
+    from that run's step qubits, as such gates commute exactly.  Of the runs
+    it reaches so, it joins the earliest it can fuse with: both all
+    monomial (see :func:`_monomial_form`), at any span, or a joint qubit
+    span ``lo..hi`` within ``_FUSE_QUBITS``.  A monomial step takes an all
+    monomial run before any other, as it composes into the run's one
+    gather for free, where it would widen a dense run's product or make a
+    real one complex.  A step that reaches no such run starts a new one.
+    """
+    runs: list[list] = []  # [lo, hi, all monomial, steps, qubits of its steps]
+    for step in steps:
+        lo, hi = min(step.targets, default=0), max(step.targets, default=0)
+        monomial = _monomial_form(step.gate.unitary) is not None
+        qubits = set(step.targets)
+        join = free = None
+        for run in reversed(runs):
+            if monomial and run[2]:
+                free = run
+            elif max(hi, run[1]) - min(lo, run[0]) < _FUSE_QUBITS:
+                join = run
+            if qubits & run[4]:
+                break
+        join = free or join
+        if join is None:
+            runs.append([lo, hi, monomial, [step], qubits])
+        else:
+            join[:3] = min(lo, join[0]), max(hi, join[1]), monomial and join[2]
+            join[3].append(step)
+            join[4] |= qubits
+    return [tuple(run[:4]) for run in runs]
 
 
 @dataclass(frozen=True)
@@ -244,31 +265,90 @@ def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
     np.matmul(mat, operand, out=out)
 
 
-def _run_steps(c: Circuit, block: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The circuit's plan applied, in order, to the columns of a ``(2^n, cols)``
-    block with ``work`` as scratch; returns whichever of the two holds the result."""
-    for gate, lo in c._plan:
-        block, work = _apply_to_block(block, gate, lo, c.n, work)
-    return block
+def _run_steps(
+    plan: tuple[_Entry, ...], n: int, block: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plan entries applied, in order, to the columns of a ``(2^n, cols)``
+    block with ``work`` as scratch; returns ``(result, scratch)`` as
+    :func:`_apply_to_block` does."""
+    for gate, lo in plan:
+        block, work = _apply_to_block(block, gate, lo, n, work)
+    return block, work
 
 
-def _column_blocks(c: Circuit):
-    """``(start, block)`` for each block of columns of the circuit's unitary, in
-    column order: the plan applied to the basis inputs ``start, start + 1,
-    ...``, one per column, in blocks of at most ``_BLOCK_ENTRIES`` entries (or
-    one column).  Every block is overwritten by the next one."""
-    dim = 1 << c.n
-    cols = max(1, min(dim, _BLOCK_ENTRIES >> c.n))
+def _plan_blocks(n: int, plan: tuple[_Entry, ...]):
+    """``(start, block, work)`` for each block of columns of the plan's unitary on
+    ``n`` qubits, in column order: the plan applied to the basis inputs
+    ``start, start + 1, ...``, one per column, in blocks of at most
+    ``_BLOCK_ENTRIES`` entries (or one column), with ``work`` its scratch.
+    Both are overwritten by the next block.
+
+    A block starts as the first entry's image of its basis columns (the
+    identity for an empty plan): the first entry's kernel pass over only the
+    products (row ranges of its view) that hold the inputs' rows, and over
+    one product of zeros, whose image the other products copy.  So it is
+    bit for bit the kernel's on the identity, signed zeros included, which
+    for a dense entry depend on the shape of its product.
+    """
+    dim = 1 << n
+    cols = max(1, min(dim, _BLOCK_ENTRIES >> n))
     # the block and its scratch are one array made once per loop: whether a
     # fresh 1 MiB array is mmapped or taken from the heap depends on glibc's
     # dynamic mmap threshold, which freeing a larger mmapped array raises, and
     # one taken from a trimmed heap faults its pages in anew each time
     pair = np.empty((2, dim, cols), dtype=complex)
+    first, lo = plan[0] if plan else (DiagonalOperator(0, np.ones(1)), 0)
+    batch = 1 << (lo + first.n)  # rows of one product
+    span = max(cols, batch)  # rows of the products that hold the inputs' rows
     for start in range(0, dim, cols):
         block, work = pair
-        block.fill(0)
-        np.fill_diagonal(block[start:start + cols], 1)
-        yield start, _run_steps(c, block, work)
+        r0 = start - start % batch
+        r1 = r0 + span
+        z = r1 if r1 < dim else r0 - batch  # a product of zeros beside them
+        inputs = block[r0:r1]
+        inputs.fill(0)
+        np.fill_diagonal(block[start:r1], 1)
+        image, _ = _apply_to_block(inputs, first, lo, int(span).bit_length() - 1, work[r0:r1])
+        if span < dim:
+            block[z:z + batch].fill(0)
+            _apply_to_block(block[z:z + batch], first, lo, lo + first.n, work[z:z + batch])
+        if image is not inputs:  # the kernel wrote into its scratch
+            block, work = work, block
+        if span < dim:
+            products = block.reshape(-1, batch, cols)
+            for a, b in ((0, min(r0, z)), (max(r1, z + batch), dim)):
+                products[a // batch:b // batch] = block[z:z + batch]
+        yield start, *_run_steps(plan[1:], n, block, work)
+
+
+def _column_blocks(c: Circuit):
+    """``(start, block)`` for each block of columns of the circuit's unitary, in
+    column order (see :func:`_plan_blocks`).  Every block is overwritten by
+    the next one."""
+    for start, block, _ in _plan_blocks(c.n, c._plan):
+        yield start, block
+
+
+def _apply_into(
+    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int,
+    work: np.ndarray, out: np.ndarray,
+) -> None:
+    """A diagonal or monomial ``gate`` applied to ``block`` as by
+    :func:`_apply_to_block`, with the result written into ``out``: a
+    ``(2^n, cols)`` array whose rows may be strided, such as a column slice
+    of a compiled unitary.  Overwrites ``work``."""
+    shape = (1 << (n - lo - gate.n), 1 << gate.n, 1 << lo, block.shape[1])
+    if isinstance(gate, DiagonalOperator):
+        scale = gate.entries
+    else:
+        # the kernel's gather alone, into ``work``; the phases scale into ``out``
+        block, _ = _apply_to_block(block, _MonomialOperator(gate.n, gate.source, None), lo, n, work)
+        scale = gate.phases
+    # splitting the row axis keeps ``out`` a view
+    if scale is None:
+        out.reshape(shape)[...] = block.reshape(shape)
+    else:
+        np.multiply(block.reshape(shape), scale.reshape(-1, 1, 1), out=out.reshape(shape))
 
 
 def compile_circuit(c: Circuit) -> DenseOperator:
@@ -276,13 +356,21 @@ def compile_circuit(c: Circuit) -> DenseOperator:
 
     The result is allocated once and filled one block of columns at a
     time, each block at most 2^16 entries, so a compile holds the result
-    and two blocks.
+    and two blocks.  A diagonal or monomial last entry writes each block
+    straight into the result; after a dense one, the block is copied.
     """
     check_dense(c.n)
     dim = 1 << c.n
     matrix = np.empty((dim, dim), dtype=complex)
-    for start, block in _column_blocks(c):
-        matrix[:, start:start + block.shape[1]] = block
+    plan, last = c._plan, None
+    if plan and not isinstance(plan[-1][0], DenseOperator):
+        plan, last = plan[:-1], plan[-1]
+    for start, block, work in _plan_blocks(c.n, plan):
+        out = matrix[:, start:start + block.shape[1]]
+        if last is None:
+            out[...] = block
+        else:
+            _apply_into(block, *last, c.n, work, out)
     return DenseOperator(c.n, matrix)
 
 
@@ -291,7 +379,7 @@ def run_circuit(c: Circuit, state: StateVector) -> StateVector:
     if state.n != c.n:
         raise ValueError(f"circuit on {c.n} qubits applied to a {state.n}-qubit state")
     amps = state.amplitudes[:, None].copy()
-    return StateVector(c.n, _run_steps(c, amps, np.empty_like(amps))[:, 0])
+    return StateVector(c.n, _run_steps(c._plan, c.n, amps, np.empty_like(amps))[0][:, 0])
 
 
 def _use_swapped_evolution(n: int) -> bool:

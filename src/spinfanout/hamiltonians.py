@@ -110,17 +110,23 @@ class CouplingMatrix:
             yield int(i), int(j), float(self.J[i, j])
 
 
+def _hn_levels(n: int) -> np.ndarray:
+    """Energy ``n**2/2 - 2*k*(n-k)`` of the squared-spin-z Hamiltonian on ``n``
+    qubits at each Hamming weight ``k = 0 .. n``, once ``n`` is checked."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    check_state(n)
+    k = np.arange(n + 1)
+    return n * n / 2 - 2 * k * (n - k)
+
+
 def build_hn(n: int) -> DiagonalHamiltonian:
     """Squared-total-spin-z Hamiltonian on ``n`` qubits.
 
     The energy of a basis state with Hamming weight ``k`` is
     ``n**2/2 - 2*k*(n-k)``; the constant ``n**2/2`` term is kept.
     """
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    check_state(n)
-    k = popcounts(n)
-    return DiagonalHamiltonian(n, n * n / 2 - 2 * k * (n - k))
+    return DiagonalHamiltonian(n, _hn_levels(n)[popcounts(n)])
 
 
 def build_kn(coupling: CouplingMatrix) -> DiagonalHamiltonian:
@@ -213,9 +219,17 @@ def evolve(h: DiagonalHamiltonian | DenseHamiltonian, t: float) -> Operator:
     return evolver(h)(t)
 
 
+def _hn_evolution(n: int, t: float) -> DiagonalOperator:
+    """``exp(-i H t)`` for ``H = build_hn(n)``, from the phases of its ``n + 1``
+    weight levels: entry for entry what :func:`evolve` gives, with one
+    exponential per level rather than per basis state."""
+    phases = spectral_phases(_hn_levels(n))(t)
+    return DiagonalOperator(n, phases[popcounts(n)])
+
+
 def un(n: int) -> DiagonalOperator:
     """Evolution of the squared-spin-z Hamiltonian for time pi/4."""
-    return evolve(build_hn(n), TIME_QUARTER)
+    return _hn_evolution(n, TIME_QUARTER)
 
 
 def un_dagger(n: int) -> DiagonalOperator:
@@ -224,4 +238,4 @@ def un_dagger(n: int) -> DiagonalOperator:
     The two compose to the identity exactly for even ``n``; for odd ``n``
     the kept ``n**2/2`` energy constant leaves a global phase.
     """
-    return evolve(build_hn(n), TIME_THREE_QUARTERS)
+    return _hn_evolution(n, TIME_THREE_QUARTERS)

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, DiagonalOperator, StateVector, equiv_up_to_global_phase
+from spinfanout import circuits
+from spinfanout.core import (
+    CapExceededError,
+    DenseOperator,
+    DiagonalOperator,
+    StateVector,
+    equiv_up_to_global_phase,
+)
 from spinfanout.circuits import (
     Circuit,
     Step,
+    _MonomialOperator,
+    _apply_to_block,
+    _column_blocks,
     compile_circuit,
     fanout_circuit,
     from_text,
@@ -60,6 +70,104 @@ class TestCompile:
             Circuit(2, (Step(standard_gate("CNOT"), (0, 2)),))
         with pytest.raises(IndexError):
             Circuit(2, (Step(standard_gate("H"), (0, 1)),))
+
+
+def kernel_loop_blocks(c):
+    """``(start, block)`` for each column block of ``c``'s unitary: the identity
+    block, then ``_apply_to_block`` for each entry of ``c._plan``."""
+    dim = 1 << c.n
+    cols = max(1, min(dim, circuits._BLOCK_ENTRIES >> c.n))
+    for start in range(0, dim, cols):
+        block = np.zeros((dim, cols), dtype=complex)
+        np.fill_diagonal(block[start:], 1)
+        work = np.empty_like(block)
+        for gate, lo in c._plan:
+            block, work = _apply_to_block(block, gate, lo, c.n, work)
+        yield start, block
+
+
+def kind(entry):
+    gate, lo = entry
+    if isinstance(gate, DenseOperator):
+        real = "real" if not gate.matrix.imag.any() else "complex"
+        return f"{real} dense at lo {'> 0' if lo else '= 0'}"
+    if isinstance(gate, _MonomialOperator):
+        return "monomial" if gate.phases is None else "monomial with phases"
+    return "diagonal"
+
+
+# one text per kind of plan entry, on 7 qubits, and a step on another qubit
+# that fuses with none of it
+ENTRY_KINDS = {
+    "diagonal": ("CZ 4 5\nS 5\n", "H 0\n"),
+    "monomial with phases": ("X 4\nS 5\n", "H 0\n"),
+    "monomial": ("CNOT 4 5\n", "H 0\n"),
+    "real dense at lo = 0": ("H 0\nH 1\n", "H 6\n"),
+    "complex dense at lo = 0": ("H 0\nS 1\nH 1\n", "H 6\n"),
+    "real dense at lo > 0": ("H 4\nCNOT 4 5\n", "H 0\n"),
+    "complex dense at lo > 0": ("H 1\nS 2\nH 2\n", "H 6\n"),
+}
+
+
+def entry_kind_circuits():
+    """Each kind of plan entry alone, first and last; a wide dense gate placed
+    between two gathers, alone, first and last; a global phase and no step."""
+    h = standard_gate("H").unitary.matrix
+    wide = Step(GateDef("G", DenseOperator(2, np.kron(h, h))), (5, 0))
+    phase = Step(GateDef("P", DiagonalOperator(0, np.array([1j]))), ())
+    cases = {"wide": (wide,), "global phase": (phase,), "empty": ()}
+    for name, (text, other) in ENTRY_KINDS.items():
+        steps, other = from_text(text, n=7).steps, from_text(other, n=7).steps
+        cases[name] = steps
+        cases[f"{name} first"] = steps + other
+        cases[f"{name} last"] = other + steps
+    h2 = from_text("H 2\n", n=7).steps
+    cases["gather first"] = (wide,) + h2
+    cases["gather last"] = h2 + (wide,)
+    return {name: Circuit(7, steps) for name, steps in cases.items()}
+
+
+class TestColumnBlocks:
+    """``compile_circuit`` and ``_column_blocks`` start each block from the first
+    plan entry's image and write a diagonal or monomial last entry straight
+    into the result; both must equal the entry-by-entry kernel loop byte for
+    byte, signed zeros included."""
+
+    def test_cases_cover_every_kind_first_and_last(self):
+        cases = entry_kind_circuits()
+        kinds = set(ENTRY_KINDS)
+        assert {kind(c._plan[0]) for name, c in cases.items() if name.endswith("first")} >= kinds
+        assert {kind(c._plan[-1]) for name, c in cases.items() if name.endswith("last")} >= kinds
+        for name in ENTRY_KINDS:
+            assert [kind(e) for e in cases[name]._plan] == [name]
+        for plan in (cases["wide"]._plan, cases["gather first"]._plan[:3], cases["gather last"]._plan[1:]):
+            assert [kind(e) for e in plan] == ["monomial", "real dense at lo = 0", "monomial"]
+        assert [kind(e) for e in cases["global phase"]._plan] == ["diagonal"]
+        assert cases["empty"]._plan == ()
+
+    @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
+    @pytest.mark.parametrize("name", list(entry_kind_circuits()))
+    def test_blocks_and_compile_equal_the_kernel_loop(self, name, entries, monkeypatch):
+        c = entry_kind_circuits()[name]
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        expected = list(kernel_loop_blocks(c))
+        got = [(start, block.tobytes()) for start, block in _column_blocks(c)]
+        assert got == [(start, block.tobytes()) for start, block in expected]
+        matrix = np.empty((1 << c.n, 1 << c.n), dtype=complex)
+        for start, block in expected:
+            matrix[:, start:start + block.shape[1]] = block
+        assert compile_circuit(c).matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
+    @pytest.mark.parametrize(
+        "build", [parity_circuit, parity_like_circuit, fanout_circuit, simplified_fanout_circuit]
+    )
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_paper_circuits_equal_the_kernel_loop(self, n, build, entries, monkeypatch):
+        c = build(n)
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        matrix = np.hstack([block for _, block in kernel_loop_blocks(c)])
+        assert compile_circuit(c).matrix.tobytes() == matrix.tobytes()
 
 
 class TestParityCircuit:

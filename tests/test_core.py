@@ -29,6 +29,7 @@ from spinfanout.circuits import (
     parity_circuit,
     parity_like_circuit,
     run_circuit,
+    simplified_fanout_circuit,
 )
 from spinfanout.gates import GateDef, fanout_reference, parity_reference, standard_gate
 from spinfanout.hamiltonians import CouplingMatrix, build_hn, build_kn, build_l2, un, un_dagger
@@ -429,6 +430,15 @@ def monomial_circuit_and_oracle(seed):
     return c, kron_oracle_product(c)
 
 
+def moved_back_runs(c):
+    """The runs of ``c``'s plan that hold a step which moved back past another
+    run to join them: their steps are not consecutive in ``c.steps``."""
+    index = {id(step): i for i, step in enumerate(c.steps)}
+    assert len(index) == len(c.steps)  # every step a distinct object
+    runs = circuits._runs(c.steps)
+    return [run for run in runs if np.any(np.diff([index[id(s)] for s in run[3]]) != 1)]
+
+
 def monomial_matrix(gate):
     """The dense matrix of a ``_MonomialOperator``: ``phases[r]`` at ``(r, source[r])``."""
     dim = 1 << gate.n
@@ -490,6 +500,10 @@ class TestBlockKernel:
         assert {g.n <= _FUSE_QUBITS for g in monomial} == {True, False}
         assert {g.phases is None for g in monomial} == {True, False}
         assert len(plan) < len(steps)
+        # steps fused into a run they moved back past, in dense and in
+        # monomial runs: runs whose steps are not consecutive in the circuit
+        moved = [run for c in circuits for run in moved_back_runs(c)]
+        assert {all_monomial for _, _, all_monomial, _ in moved} == {True, False}
 
     @pytest.mark.parametrize(
         "targets", [(5, 0), (0, 5), (6, 1), (6, 1, 3), (0, 3, 6)],
@@ -523,7 +537,7 @@ class TestBlockKernel:
         more compile in several blocks, from four qubits one column at a time."""
         for c, total in (random_circuit_and_oracle(seed), monomial_circuit_and_oracle(seed)):
             eye = np.eye(1 << c.n, dtype=complex)
-            one_block = _run_steps(c, eye, np.empty_like(eye))
+            one_block = _run_steps(c._plan, c.n, eye, np.empty_like(eye))[0]
             with monkeypatch.context() as patch:
                 patch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
                 blocked = compile_circuit(c).matrix
@@ -649,10 +663,39 @@ class TestMonomialRuns:
         assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
 
     def test_paper_circuits_keep_their_plans(self):
-        # H breaks every run of the paper circuits before a CNOT joins one
-        for c, passes in ((fanout_circuit(8), 10), (parity_circuit(8), 5)):
+        # H breaks every run of the paper circuits before a CNOT joins one;
+        # in the fanouts the closing Hadamard on the accumulator, qubit 8,
+        # moves back past the evolution on qubits 0..7 into the CNOT's window
+        for c, passes in (
+            (fanout_circuit(8), 8), (simplified_fanout_circuit(8), 8), (parity_circuit(8), 5)
+        ):
             assert len(c._plan) == passes
             assert not any(isinstance(g, _MonomialOperator) for g, _ in c._plan)
+
+    def test_step_moves_back_only_past_disjoint_runs(self):
+        """``H 0`` moves back past ``CZ 1 5``, which it commutes with, into the
+        first ``H 0``; past ``CZ 0 5``, which shares its qubit, it may not."""
+        moved = from_text("H 0\nCZ 1 5\nH 0\n", n=6)
+        kept = from_text("H 0\nCZ 0 5\nH 0\n", n=6)
+        assert [(type(g), lo, g.n) for g, lo in moved._plan] == [
+            (DenseOperator, 0, 1), (DiagonalOperator, 1, 5)
+        ]
+        assert [(type(g), lo, g.n) for g, lo in kept._plan] == [
+            (DenseOperator, 0, 1), (DiagonalOperator, 0, 6), (DenseOperator, 0, 1)
+        ]
+        for c in (moved, kept):
+            assert np.max(np.abs(compile_circuit(c).matrix - kron_oracle_product(c))) < 1e-12
+
+    def test_monomial_step_takes_a_monomial_run_first(self):
+        """``X 6`` reaches both the ``H 9`` window, within the fusion width, and
+        the later run of ``UN 6``; it joins the monomial run, not the earliest,
+        and leaves the window one real qubit wide."""
+        c = from_text("H 9\nUN 6\nX 6\n", n=10)
+        assert [(type(g), lo, g.n) for g, lo in c._plan] == [
+            (DenseOperator, 9, 1), (_MonomialOperator, 0, 7)
+        ]
+        assert not c._plan[0][0].matrix.imag.any()
+        assert np.max(np.abs(compile_circuit(c).matrix - kron_oracle_product(c))) < 1e-12
 
     def test_fused_sources_are_permutations(self):
         """The kernel gathers with ``mode="wrap"``, which checks no index: every

@@ -11,6 +11,8 @@ from spinfanout.core import (
     popcounts,
 )
 from spinfanout.hamiltonians import (
+    TIME_QUARTER,
+    TIME_THREE_QUARTERS,
     CouplingMatrix,
     DenseHamiltonian,
     DiagonalHamiltonian,
@@ -286,6 +288,14 @@ class TestEvolve:
 
 
 class TestUnPair:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_equals_the_evolution_of_every_basis_energy(self, n):
+        # un and un_dagger exponentiate the n + 1 weight levels once; evolve
+        # exponentiates all 2^n energies: the same entries, bit for bit
+        assert un(n).entries.tobytes() == evolve(build_hn(n), TIME_QUARTER).entries.tobytes()
+        expected = evolve(build_hn(n), TIME_THREE_QUARTERS).entries
+        assert un_dagger(n).entries.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_exact_inverse_for_even_n(self, n):
         prod = un(n).entries * un_dagger(n).entries

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinfanout import circuits
+from spinfanout import circuits, verify
 from spinfanout.circuits import (
     Circuit,
+    _column_blocks,
     _hadamard_layer,
-    _run_steps,
     _use_swapped_evolution,
     compile_circuit,
     fanout_circuit,
@@ -118,16 +118,20 @@ class TestUnentangledControl:
         expected = unentangled_control_per_state(4)
         blocks = []
 
-        def recording(c, block, work):
-            blocks.append(block.copy())
-            return _run_steps(c, block, work)
+        def recording(c):
+            for start, block in _column_blocks(c):
+                blocks.append((start, block.copy()))
+                yield start, block
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 6)
-        monkeypatch.setattr(circuits, "_run_steps", recording)
+        monkeypatch.setattr(verify, "_column_blocks", recording)
         r = run_check("unentangled_control", {"n": 4})
         assert r.max_deviation == expected
-        assert all(b.shape == (32, 2) for b in blocks)
-        assert np.array_equal(np.hstack(blocks), np.eye(32))
+        assert [start for start, _ in blocks] == list(range(0, 32, 2))
+        assert all(b.shape == (32, 2) for _, b in blocks)
+        circ = parity_circuit(4)
+        prefix = compile_circuit(Circuit(circ.n, circ.steps[:4])).matrix
+        assert np.hstack([b for _, b in blocks]).tobytes() == prefix.tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_skipped_below_n_plus_one_qubits(self, n, lower_caps):
@@ -199,15 +203,15 @@ class TestColumnBlockComparison:
     def test_nan_entry_gives_nan_deviation(self, monkeypatch):
         calls = []
 
-        def with_nan(c, block, work):
-            out = _run_steps(c, block, work)
-            if len(calls) == 2:  # the third of four blocks
-                out[7, 4] = np.nan
-            calls.append(out.shape)
-            return out
+        def with_nan(c):
+            for start, out in _column_blocks(c):
+                if len(calls) == 2:  # the third of four blocks
+                    out[7, 4] = np.nan
+                calls.append(out.shape)
+                yield start, out
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
-        monkeypatch.setattr(circuits, "_run_steps", with_nan)
+        monkeypatch.setattr(verify, "_column_blocks", with_nan)
         with np.errstate(invalid="ignore"):
             dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4})
         assert calls == [(32, 8)] * 4
