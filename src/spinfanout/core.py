@@ -82,8 +82,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, value: int) -> "StateVector":
-        _check_basis_index(value, n)
         check_state(n)
+        _check_basis_index(value, n)
         amps = np.zeros(1 << n, dtype=complex)
         amps[value] = 1.0
         return cls(n, amps)

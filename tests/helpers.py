@@ -1,7 +1,13 @@
-"""Oracles shared by several test modules."""
+"""Oracles and generators shared by several test modules."""
 import numpy as np
 
-from spinfanout.core import StateVector
+from spinfanout.core import DenseOperator, StateVector
+
+
+def random_unitary(n, rng):
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    q, r = np.linalg.qr(a)
+    return DenseOperator(n, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def schmidt_rank_one_deviation(state: StateVector, cut_qubit: int) -> float:

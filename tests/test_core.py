@@ -1,5 +1,3 @@
-import functools
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,64 +14,12 @@ from spinfanout.core import (
     equiv_up_to_global_phase,
     popcounts,
 )
-from spinfanout import circuits, core
-from spinfanout.circuits import (
-    _FUSE_QUBITS,
-    Circuit,
-    Step,
-    _MonomialOperator,
-    _run_steps,
-    compile_circuit,
-    fanout_circuit,
-    from_text,
-    parity_circuit,
-    parity_like_circuit,
-    run_circuit,
-    simplified_fanout_circuit,
-)
-from spinfanout.gates import GateDef, fanout_reference, parity_reference, standard_gate
+from spinfanout import core
+from spinfanout.circuits import Circuit, compile_circuit, from_text
+from spinfanout.gates import fanout_reference, parity_reference
 from spinfanout.hamiltonians import CouplingMatrix, build_hn, build_kn, build_l2, un, un_dagger
 
-from helpers import schmidt_rank_one_deviation
-
-
-def kron_embed_oracle(gate_matrix, targets, n):
-    """Independent full-matrix embedding, built entry by entry from bits."""
-    m = len(targets)
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    rest_mask = (dim - 1) ^ sum(1 << t for t in targets)
-    for col in range(dim):
-        loc_in = sum(((col >> t) & 1) << j for j, t in enumerate(targets))
-        for loc_out in np.flatnonzero(gate_matrix[:, loc_in]):
-            row = (col & rest_mask) | sum(
-                ((loc_out >> j) & 1) << t for j, t in enumerate(targets)
-            )
-            full[row, col] = gate_matrix[loc_out, loc_in]
-    return full
-
-
-def random_unitary(n, rng):
-    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-    q, r = np.linalg.qr(a)
-    return DenseOperator(n, q * (np.diag(r) / np.abs(np.diag(r))))
-
-
-def random_orthogonal(n, rng):
-    """A real dense gate: the kernel multiplies it as a real matrix."""
-    q, r = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
-    return DenseOperator(n, q * np.sign(np.diag(r)))
-
-
-def kernel_matrix(gate, targets, n):
-    """``gate`` on ``targets``, compiled as a one-step circuit."""
-    return compile_circuit(Circuit(n, (Step(GateDef("G", gate), tuple(targets)),))).matrix
-
-
-def apply_step(state, gate, targets):
-    """``state`` run through the one-step circuit of ``gate`` on ``targets``."""
-    c = Circuit(state.n, (Step(GateDef("G", gate), tuple(targets)),))
-    return run_circuit(c, state)
+from helpers import random_unitary, schmidt_rank_one_deviation
 
 
 class TestHammingWeight:
@@ -102,54 +48,6 @@ class TestHammingWeight:
         k = popcounts(n)
         assert k.dtype == np.int64
         assert np.array_equal(k, planes)
-
-
-class TestApplyGate:
-    def test_identity(self):
-        state = StateVector.basis(3, 5)
-        out = apply_step(state, DiagonalOperator.identity(1), [1])
-        assert np.allclose(out.amplitudes, state.amplitudes)
-
-    def test_x_flips(self):
-        out = apply_step(StateVector.basis(1, 0), standard_gate("X").unitary, [0])
-        assert np.allclose(out.amplitudes, [0, 1])
-
-    def test_h_involution(self):
-        h = standard_gate("H").unitary
-        state = StateVector.basis(1, 0)
-        out = apply_step(apply_step(state, h, [0]), h, [0])
-        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
-
-    def test_duplicate_target_rejected(self):
-        with pytest.raises(IndexError):
-            Circuit(2, (Step(standard_gate("CNOT"), (0, 0)),))
-
-    def test_out_of_range_target_rejected(self):
-        with pytest.raises(IndexError):
-            Circuit(2, (Step(standard_gate("H"), (2,)),))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_kron_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 3))
-        targets = list(rng.choice(n, size=m, replace=False))
-        gate = random_unitary(m, rng)
-        full = kron_embed_oracle(gate.matrix, targets, n)
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        amps /= np.linalg.norm(amps)
-        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
-        out = apply_step(StateVector(n, amps), gate, targets)
-        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_norm_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
-        out = apply_step(state, random_unitary(2, rng), [2, 0])
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 class TestEquivalence:
@@ -327,389 +225,6 @@ class TestSlicedEquivalence:
         assert peak < 1 << 20  # a copy of the slice alone is 1 MiB
 
 
-class TestApplyAgreesWithCompose:
-    """Gates applied one at a time agree with the product of their embedded matrices."""
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_random_depth_10_circuits(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 3
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(n, amps)
-        total = np.eye(1 << n, dtype=complex)
-        for _ in range(10):
-            m = int(rng.integers(1, 3))
-            targets = list(rng.choice(n, size=m, replace=False))
-            gate = random_unitary(m, rng)
-            state = apply_step(state, gate, targets)
-            total = kron_embed_oracle(gate.matrix, targets, n) @ total
-        once = total @ amps
-        assert np.max(np.abs(state.amplitudes - once)) < 1e-12
-
-
-def random_diagonal(m, rng):
-    return DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
-
-
-def random_step(n, rng):
-    """A dense or diagonal gate on 1..3 distinct qubits, in random order."""
-    m = int(rng.integers(1, min(n, 3) + 1))
-    targets = tuple(int(t) for t in rng.permutation(n)[:m])
-    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
-    return Step(GateDef("G", gate), targets)
-
-
-def fusion_step(n, rng):
-    """A diagonal on all n qubits (sometimes, in ascending or random order),
-    else a complex dense, real dense or diagonal gate on 1..3 qubits, in
-    random order, of a window of 1..6 adjacent qubits: runs of these steps
-    fuse below, at and past the fusion width."""
-    if rng.random() < 0.1:
-        targets = range(n) if rng.random() < 0.5 else rng.permutation(n)
-        return Step(GateDef("D", random_diagonal(n, rng)), tuple(int(t) for t in targets))
-    width = int(rng.integers(1, min(n, 6) + 1))
-    lo = int(rng.integers(0, n - width + 1))
-    m = int(rng.integers(1, min(width, 3) + 1))
-    targets = tuple(lo + int(t) for t in rng.permutation(width)[:m])
-    kind = rng.random()
-    if kind < 0.3:
-        gate = random_unitary(m, rng)
-    elif kind < 0.6:
-        gate = random_orthogonal(m, rng)
-    else:
-        gate = random_diagonal(m, rng)
-    return Step(GateDef("G", gate), targets)
-
-
-def random_circuit(rng):
-    n = int(rng.integers(1, 10))
-    depth = int(rng.integers(1, 21))
-    return Circuit(n, tuple(fusion_step(n, rng) for _ in range(depth)))
-
-
-def monomial_step(n, rng):
-    """Mostly X, CNOT or CZ on any qubits in either order, else an evolution
-    ``UN k`` or ``UNDAG k`` on qubits 0..k-1, or H: runs of these steps fuse
-    into monomial runs of every span, broken by the Hadamards."""
-    name = str(rng.choice(["X", "CNOT", "CZ", "X", "CNOT", "CZ", "UN", "UNDAG", "H"]))
-    if name in ("UN", "UNDAG"):
-        k = int(rng.integers(1, n + 1))
-        return Step(GateDef(name, (un if name == "UN" else un_dagger)(k)), tuple(range(k)))
-    gate = standard_gate(name if n > 1 or name == "H" else "X")
-    return Step(gate, tuple(int(t) for t in rng.permutation(n)[:gate.unitary.n]))
-
-
-def monomial_circuit(rng, seed):
-    """A circuit of ``monomial_step`` on n = 1..9 qubits, cycling with the seed."""
-    n = 1 + seed % 9
-    depth = int(rng.integers(1, 21))
-    return Circuit(n, tuple(monomial_step(n, rng) for _ in range(depth)))
-
-
-def kron_oracle_product(c):
-    """The product of the kron-embedded steps of ``c``."""
-    total = np.eye(1 << c.n, dtype=complex)
-    for step in c.steps:
-        gate = step.gate.unitary.to_dense().matrix
-        total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def random_circuit_and_oracle(seed):
-    """``random_circuit(seed)`` and the product of its kron-embedded steps."""
-    c = random_circuit(np.random.default_rng(seed))
-    return c, kron_oracle_product(c)
-
-
-@functools.lru_cache(maxsize=None)
-def monomial_circuit_and_oracle(seed):
-    """``monomial_circuit(seed)`` and the product of its kron-embedded steps."""
-    c = monomial_circuit(np.random.default_rng(seed), seed)
-    return c, kron_oracle_product(c)
-
-
-def moved_back_runs(c):
-    """The runs of ``c``'s plan that hold a step which moved back past another
-    run to join them: their steps are not consecutive in ``c.steps``."""
-    index = {id(step): i for i, step in enumerate(c.steps)}
-    assert len(index) == len(c.steps)  # every step a distinct object
-    runs = circuits._runs(c.steps)
-    return [run for run in runs if np.any(np.diff([index[id(s)] for s in run[3]]) != 1)]
-
-
-def monomial_matrix(gate):
-    """The dense matrix of a ``_MonomialOperator``: ``phases[r]`` at ``(r, source[r])``."""
-    dim = 1 << gate.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), gate.source] = 1 if gate.phases is None else gate.phases
-    return mat
-
-
-class TestBlockKernel:
-    """compile_circuit and run_circuit share one kernel, ``_apply_to_block``;
-    each is checked against an independent path."""
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_matches_kron_oracle_product(self, seed):
-        c, total = random_circuit_and_oracle(seed)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_columns_match_run_circuit(self, seed):
-        c, total = random_circuit_and_oracle(seed)
-        for x in range(1 << c.n):
-            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
-            assert np.max(np.abs(total[:, x] - out)) < 1e-12
-
-    def test_random_circuits_cover_the_fusion_cases(self):
-        """The seeded circuits above and in ``TestMonomialRuns`` reach every kind
-        of fused run."""
-        circuits = [random_circuit_and_oracle(seed)[0] for seed in range(30)]
-        circuits += [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
-        steps = [(c.n, s) for c in circuits for s in c.steps]
-        plan = [(gate, lo) for c in circuits for gate, lo in c._plan]
-        # the one layout the kernel handles: every gate on qubits lo .. lo + gate.n - 1
-        assert all(0 <= lo and lo + g.n <= c.n for c in circuits for g, lo in c._plan)
-        assert max(c.n for c in circuits) == 9
-        assert max(len(c.steps) for c in circuits) >= 18
-        # full-width diagonals, on more qubits than a dense window holds
-        assert any(s.gate.unitary.n == n > _FUSE_QUBITS for n, s in steps)
-        assert any(list(s.targets) != sorted(s.targets) for _, s in steps)
-        assert any(max(s.targets) - min(s.targets) >= len(s.targets) for _, s in steps)
-        dense_widths = {g.n for g, _ in plan if isinstance(g, DenseOperator)}
-        assert set(range(1, _FUSE_QUBITS + 1)) <= dense_widths
-        # real dense windows of every width: the kernel's real products
-        real_widths = {
-            g.n for g, _ in plan if isinstance(g, DenseOperator) and not g.matrix.imag.any()
-        }
-        assert set(range(1, _FUSE_QUBITS + 1)) <= real_widths
-        # past the width: a dense step too wide to fuse, placed between two
-        # gathers over its span, and wide diagonal runs
-        triples = [t for c in circuits for t in zip(c._plan, c._plan[1:], c._plan[2:])]
-        assert any(
-            isinstance(a, _MonomialOperator) and a.n > _FUSE_QUBITS
-            and isinstance(b, DenseOperator) and isinstance(z, _MonomialOperator)
-            and lo_a == lo_b == lo_z
-            for (a, lo_a), (b, lo_b), (z, lo_z) in triples
-        )
-        assert any(isinstance(g, DiagonalOperator) and g.n > _FUSE_QUBITS for g, _ in plan)
-        # monomial runs, narrow and wide, with and without phases
-        monomial = [g for g, _ in plan if isinstance(g, _MonomialOperator)]
-        assert {g.n <= _FUSE_QUBITS for g in monomial} == {True, False}
-        assert {g.phases is None for g in monomial} == {True, False}
-        assert len(plan) < len(steps)
-        # steps fused into a run they moved back past, in dense and in
-        # monomial runs: runs whose steps are not consecutive in the circuit
-        moved = [run for c in circuits for run in moved_back_runs(c)]
-        assert {all_monomial for _, _, all_monomial, _ in moved} == {True, False}
-
-    @pytest.mark.parametrize(
-        "targets", [(5, 0), (0, 5), (6, 1), (6, 1, 3), (0, 3, 6)],
-        ids=lambda t: "-".join(map(str, t)),
-    )
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_lone_dense_step_wider_than_the_window(self, targets, real):
-        """A lone dense step whose span is wider than ``_FUSE_QUBITS`` plans as a
-        gather of its targets to the bottom of the span, the gate, and the
-        gather back."""
-        n, m = 7, len(targets)
-        rng = np.random.default_rng(list(targets))
-        gate = (random_orthogonal if real else random_unitary)(m, rng)
-        c = Circuit(n, (Step(GateDef("G", gate), targets),))
-        lo, span = min(targets), max(targets) - min(targets) + 1
-        assert span > _FUSE_QUBITS
-        [(to_bottom, lo_a), (g, lo_b), (back, lo_c)] = c._plan
-        assert g is gate and lo_a == lo_b == lo_c == lo
-        for gather in (to_bottom, back):
-            assert isinstance(gather, _MonomialOperator) and gather.phases is None
-            assert gather.n == span
-        full = kron_embed_oracle(gate.matrix, list(targets), n)
-        assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        out = run_circuit(c, StateVector(n, amps)).amplitudes
-        assert np.max(np.abs(out - full @ amps)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_in_many_blocks(self, seed, monkeypatch):
-        """With blocks of 2^4 entries the seeded circuits on three qubits or
-        more compile in several blocks, from four qubits one column at a time."""
-        for c, total in (random_circuit_and_oracle(seed), monomial_circuit_and_oracle(seed)):
-            eye = np.eye(1 << c.n, dtype=complex)
-            one_block = _run_steps(c._plan, c.n, eye, np.empty_like(eye))[0]
-            with monkeypatch.context() as patch:
-                patch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
-                blocked = compile_circuit(c).matrix
-            assert np.max(np.abs(blocked - total)) < 1e-12
-            assert np.max(np.abs(blocked - one_block)) < 1e-14
-
-    def test_compile_allocates_one_full_size_matrix(self):
-        c = parity_like_circuit(10)
-        c._plan  # built once per circuit, before the traced compile
-        tracemalloc.start()
-        try:
-            u = compile_circuit(c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 16 MiB result and two blocks; a full-size scratch array would be 2x
-        assert peak < 1.25 * u.matrix.nbytes
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_apply_gate_matches_embed(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 7))
-        step = random_step(n, rng)
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        gate, targets = step.gate.unitary, list(step.targets)
-        full = kron_embed_oracle(gate.to_dense().matrix, targets, n)
-        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
-        out = run_circuit(Circuit(n, (step,)), StateVector(n, amps))
-        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "targets",
-        [t for m in (1, 2, 3) for t in itertools.permutations(range(4), m)],
-        ids=lambda t: "-".join(map(str, t)),
-    )
-    def test_every_target_order(self, targets):
-        """Adjacent ascending, adjacent descending and non-adjacent targets."""
-        n, m = 4, len(targets)
-        rng = np.random.default_rng(list(targets))
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        dense = random_unitary(m, rng)
-        real = random_orthogonal(m, rng)
-        diagonal = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
-        # a cycle through all 2^m rows, with phases: the plan gathers its rows
-        perm = rng.permutation(1 << m)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m))
-        cycle = _MonomialOperator(m, perm[(np.argsort(perm) - 1) % (1 << m)], phases)
-        monomial = DenseOperator(m, monomial_matrix(cycle))
-        for gate in (dense, real, diagonal, monomial):
-            full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
-            c = Circuit(n, (Step(GateDef("G", gate), targets),))
-            if gate is monomial:
-                assert isinstance(c._plan[0][0], _MonomialOperator)
-            assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-            out = run_circuit(c, StateVector(n, amps)).amplitudes
-            assert np.max(np.abs(out - full @ amps)) < 1e-12
-
-    def test_run_circuit_rejects_other_qubit_count(self):
-        c = Circuit(2, (Step(standard_gate("H"), (0,)),))
-        with pytest.raises(ValueError):
-            run_circuit(c, StateVector.basis(3, 0))
-
-
-class TestMonomialRuns:
-    """Runs of basis-permuting steps fuse into one row gather and one phase
-    scale; each is checked against the kron oracle and ``run_circuit``."""
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_matches_kron_oracle_product(self, seed):
-        c, total = monomial_circuit_and_oracle(seed)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_columns_match_run_circuit(self, seed):
-        c, total = monomial_circuit_and_oracle(seed)
-        for x in range(1 << c.n):
-            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
-            assert np.max(np.abs(total[:, x] - out)) < 1e-12
-
-    def test_pure_permutation_run(self):
-        # every phase is 1: one gather over qubits 0..5 and no scale
-        c = from_text("X 0\nCNOT 5 1\nCNOT 0 4\nX 3\nCNOT 2 0\nCNOT 1 5\n", n=6)
-        [(gate, lo)] = c._plan
-        assert isinstance(gate, _MonomialOperator) and gate.phases is None
-        assert (lo, gate.n) == (0, 6)
-        total = kron_oracle_product(c)
-        assert np.array_equal(compile_circuit(c).matrix, total)
-        for x in range(1 << c.n):
-            assert np.array_equal(run_circuit(c, StateVector.basis(c.n, x)).amplitudes, total[:, x])
-
-    @pytest.mark.parametrize("text", ["CNOT 0 8\n", "CNOT 8 0\n"])
-    def test_lone_cnot_across_nine_qubits(self, text):
-        c = from_text(text, n=9)
-        [(gate, lo)] = c._plan
-        assert isinstance(gate, _MonomialOperator) and (lo, gate.n) == (0, 9)
-        total = kron_oracle_product(c)
-        assert np.array_equal(compile_circuit(c).matrix, total)
-        for x in (0, 1, 256, 257, 300, 511):
-            assert np.array_equal(run_circuit(c, StateVector.basis(9, x)).amplitudes, total[:, x])
-
-    def test_rows_in_place_fuse_to_a_diagonal(self):
-        # X CZ X on qubit 0 moves no row: the run is the diagonal of CZ with
-        # the control flipped
-        c = from_text("X 0\nCZ 0 1\nX 0\n", n=2)
-        [(gate, lo)] = c._plan
-        assert isinstance(gate, DiagonalOperator) and (lo, gate.n) == (0, 2)
-        assert np.array_equal(gate.entries, [1, 1, -1, 1])
-
-    def test_monomial_is_read_from_the_matrix(self):
-        # a gate named H with the matrix of Y joins the run of X and CZ; a
-        # gate named X whose matrix has two nonzeros in one row (and a row
-        # with none) does not
-        y = GateDef("H", DenseOperator(1, np.array([[0, -1j], [1j, 0]])))
-        lopsided = GateDef("X", DenseOperator(1, np.array([[1, 1], [0, 0]])))
-        c = Circuit(6, (
-            Step(standard_gate("X"), (0,)), Step(y, (5,)), Step(standard_gate("CZ"), (5, 0)),
-            Step(lopsided, (3,)),
-        ))
-        assert [(type(g), lo, g.n) for g, lo in c._plan] == [
-            (_MonomialOperator, 0, 6), (DenseOperator, 3, 1)
-        ]
-        total = kron_oracle_product(c)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-
-    def test_paper_circuits_keep_their_plans(self):
-        # H breaks every run of the paper circuits before a CNOT joins one;
-        # in the fanouts the closing Hadamard on the accumulator, qubit 8,
-        # moves back past the evolution on qubits 0..7 into the CNOT's window
-        for c, passes in (
-            (fanout_circuit(8), 8), (simplified_fanout_circuit(8), 8), (parity_circuit(8), 5)
-        ):
-            assert len(c._plan) == passes
-            assert not any(isinstance(g, _MonomialOperator) for g, _ in c._plan)
-
-    def test_step_moves_back_only_past_disjoint_runs(self):
-        """``H 0`` moves back past ``CZ 1 5``, which it commutes with, into the
-        first ``H 0``; past ``CZ 0 5``, which shares its qubit, it may not."""
-        moved = from_text("H 0\nCZ 1 5\nH 0\n", n=6)
-        kept = from_text("H 0\nCZ 0 5\nH 0\n", n=6)
-        assert [(type(g), lo, g.n) for g, lo in moved._plan] == [
-            (DenseOperator, 0, 1), (DiagonalOperator, 1, 5)
-        ]
-        assert [(type(g), lo, g.n) for g, lo in kept._plan] == [
-            (DenseOperator, 0, 1), (DiagonalOperator, 0, 6), (DenseOperator, 0, 1)
-        ]
-        for c in (moved, kept):
-            assert np.max(np.abs(compile_circuit(c).matrix - kron_oracle_product(c))) < 1e-12
-
-    def test_monomial_step_takes_a_monomial_run_first(self):
-        """``X 6`` reaches both the ``H 9`` window, within the fusion width, and
-        the later run of ``UN 6``; it joins the monomial run, not the earliest,
-        and leaves the window one real qubit wide."""
-        c = from_text("H 9\nUN 6\nX 6\n", n=10)
-        assert [(type(g), lo, g.n) for g, lo in c._plan] == [
-            (DenseOperator, 9, 1), (_MonomialOperator, 0, 7)
-        ]
-        assert not c._plan[0][0].matrix.imag.any()
-        assert np.max(np.abs(compile_circuit(c).matrix - kron_oracle_product(c))) < 1e-12
-
-    def test_fused_sources_are_permutations(self):
-        """The kernel gathers with ``mode="wrap"``, which checks no index: every
-        fused source array must be a permutation of ``0..2^m-1``."""
-        circuits = [monomial_circuit_and_oracle(seed)[0] for seed in range(30)]
-        circuits += [random_circuit_and_oracle(seed)[0] for seed in range(30)]
-        circuits.append(from_text("CNOT 0 8\n", n=9))
-        fused = [g for c in circuits for g, _ in c._plan if isinstance(g, _MonomialOperator)]
-        assert len(fused) >= 20
-        for gate in fused:
-            assert np.array_equal(np.sort(gate.source), np.arange(1 << gate.n))
-            assert gate.phases is None or np.max(np.abs(np.abs(gate.phases) - 1)) < 1e-12
-
-
 class TestSizeCaps:
     def test_check_raises(self, lower_caps):
         lower_caps(dense=4, l2=4, state=6)
@@ -735,6 +250,8 @@ class TestSizeCaps:
             pytest.param(lambda: un_dagger(21), id="un_dagger"),
             pytest.param(lambda: from_text("UN 21\n"), id="from_text"),
             pytest.param(lambda: StateVector.basis(21, 0), id="basis"),
+            # 1 << n alone is 32 MiB: the cap is checked before the index
+            pytest.param(lambda: StateVector.basis(1 << 28, 0), id="basis_2^28"),
             pytest.param(lambda: DiagonalOperator.identity(21), id="identity"),
             pytest.param(lambda: build_l2(9), id="build_l2"),
             pytest.param(lambda: fanout_reference(13), id="fanout_reference"),

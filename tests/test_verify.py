@@ -15,6 +15,7 @@ from spinfanout.circuits import (
     compile_circuit,
     fanout_circuit,
     parity_circuit,
+    parity_like_circuit,
     run_circuit,
     simplified_fanout_circuit,
 )
@@ -227,6 +228,39 @@ class TestColumnBlockComparison:
             tracemalloc.stop()
         # a block and its scratch are 2 MiB; a dense 9-qubit reference alone is 4 MiB
         assert peak < 3 << 20
+
+
+def compiled_parity_like(n: int) -> float:
+    """The ``parity_like`` deviation of the assembled unitary from the dense
+    parity permutation, in modulus, over the inputs with qubit n-1 in |0>."""
+    half = 1 << (n - 1)
+    mat = compile_circuit(parity_like_circuit(n)).matrix[:, :half]
+    return float(np.max(np.abs(np.abs(mat) - parity_reference(n).matrix[:, :half].real)))
+
+
+class TestParityLike:
+    """The row compares the first half of the circuit's columns one column
+    block at a time and must report exactly the deviation of the assembled
+    unitary."""
+
+    @pytest.mark.parametrize("entries", [1 << 16, 1 << 6], ids=["default", "2^6"])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_the_compiled_comparison(self, n, entries, monkeypatch):
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        r = run_check("parity_like", {"n": n})
+        assert r.passed and r.max_deviation == compiled_parity_like(n)
+
+    def test_ten_qubit_row_never_assembles_its_unitary(self):
+        run_check("parity_like", {"n": 10})  # warm-up
+        tracemalloc.start()
+        try:
+            r = run_check("parity_like", {"n": 10})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed
+        # a block and its scratch are 2 MiB; the 10-qubit unitary alone is 16 MiB
+        assert peak < 4 << 20
 
 
 class TestFig3Gather:
