@@ -33,6 +33,7 @@ from spinfanout.gates import (
     _STANDARD,
     GateDef,
     fanout_reference,
+    parity_reference,
     standard_gate,
 )
 from spinfanout.hamiltonians import un, un_dagger
@@ -194,6 +195,86 @@ def kron_embed_oracle(gate_matrix, targets, n):
     return full
 
 
+def kernel_matrix(gate, targets, n):
+    """``gate`` on ``targets``, compiled as a one-step circuit."""
+    return compile_circuit(Circuit(n, (Step(GateDef("G", gate), tuple(targets)),))).matrix
+
+
+def apply_step(state, gate, targets):
+    """``state`` run through the one-step circuit of ``gate`` on ``targets``."""
+    c = Circuit(state.n, (Step(GateDef("G", gate), tuple(targets)),))
+    return run_circuit(c, state)
+
+
+class TestApplyGate:
+    def test_identity(self):
+        state = StateVector.basis(3, 5)
+        out = apply_step(state, DiagonalOperator.identity(1), [1])
+        assert np.allclose(out.amplitudes, state.amplitudes)
+
+    def test_x_flips(self):
+        out = apply_step(StateVector.basis(1, 0), standard_gate("X").unitary, [0])
+        assert np.allclose(out.amplitudes, [0, 1])
+
+    def test_h_involution(self):
+        h = standard_gate("H").unitary
+        state = StateVector.basis(1, 0)
+        out = apply_step(apply_step(state, h, [0]), h, [0])
+        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_duplicate_target_rejected(self):
+        with pytest.raises(IndexError):
+            Circuit(2, (Step(standard_gate("CNOT"), (0, 0)),))
+
+    def test_out_of_range_target_rejected(self):
+        with pytest.raises(IndexError):
+            Circuit(2, (Step(standard_gate("H"), (2,)),))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_kron_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 3))
+        targets = list(rng.choice(n, size=m, replace=False))
+        gate = random_unitary(m, rng)
+        full = kron_embed_oracle(gate.matrix, targets, n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
+        out = apply_step(StateVector(n, amps), gate, targets)
+        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_norm_preserved(self, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        state = StateVector(3, amps)
+        out = apply_step(state, random_unitary(2, rng), [2, 0])
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+class TestApplyAgreesWithCompose:
+    """Gates applied one at a time agree with the product of their embedded matrices."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_depth_10_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        state = StateVector(n, amps)
+        total = np.eye(1 << n, dtype=complex)
+        for _ in range(10):
+            m = int(rng.integers(1, 3))
+            targets = list(rng.choice(n, size=m, replace=False))
+            gate = random_unitary(m, rng)
+            state = apply_step(state, gate, targets)
+            total = kron_embed_oracle(gate.matrix, targets, n) @ total
+        once = total @ amps
+        assert np.max(np.abs(state.amplitudes - once)) < 1e-12
+
+
 def random_orthogonal(n, rng):
     """A real dense gate: the kernel multiplies it as a real matrix."""
     q, r = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
@@ -202,6 +283,14 @@ def random_orthogonal(n, rng):
 
 def random_diagonal(m, rng):
     return DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
+
+
+def random_step(n, rng):
+    """A dense or diagonal gate on 1..3 distinct qubits, in random order."""
+    m = int(rng.integers(1, min(n, 3) + 1))
+    targets = tuple(int(t) for t in rng.permutation(n)[:m])
+    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
+    return Step(GateDef("G", gate), targets)
 
 
 def fusion_step(n, rng):
@@ -273,6 +362,13 @@ def seeded_circuit_and_oracle(family, seed):
     return c, kron_oracle_product(c)
 
 
+def assert_columns_match_run_circuit(c, total):
+    """Every basis column of ``run_circuit`` equals that column of ``total``."""
+    for x in range(1 << c.n):
+        out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
+        assert np.max(np.abs(total[:, x] - out)) < 1e-12
+
+
 def moved_back_runs(c):
     """The runs of ``c``'s plan that hold a step which moved back past another
     run to join them: their steps are not consecutive in ``c.steps``."""
@@ -295,22 +391,27 @@ class TestBlockKernel:
     each is checked against an independent path."""
 
     @pytest.mark.parametrize("seed", range(30))
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_seeded_circuit_matches_the_kron_product(self, family, seed, monkeypatch):
-        """The compile and every basis column of ``run_circuit`` equal the kron
-        product.  With blocks of 2^4 entries, in which the circuits on three
-        qubits or more compile in several blocks and from four qubits one
-        column at a time, the compile does too, and it equals the kernel
-        loop over the same blocks byte for byte."""
-        c, total = seeded_circuit_and_oracle(family, seed)
+    def test_compile_matches_kron_oracle_product(self, seed):
+        c, total = seeded_circuit_and_oracle("random", seed)
         assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-        for x in range(1 << c.n):
-            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
-            assert np.max(np.abs(total[:, x] - out)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_columns_match_run_circuit(self, seed):
+        assert_columns_match_run_circuit(*seeded_circuit_and_oracle("random", seed))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_compile_in_many_blocks(self, seed, monkeypatch):
+        """With blocks of 2^4 entries the seeded circuits on three qubits or
+        more compile in several blocks, from four qubits one column at a time;
+        the compile equals the kron product and, byte for byte, the kernel
+        loop over the same blocks."""
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
-        blocked = compile_circuit(c).matrix
-        assert np.max(np.abs(blocked - total)) < 1e-12
-        assert blocked.tobytes() == np.hstack([b for _, b in kernel_loop_blocks(c)]).tobytes()
+        for family in FAMILIES:
+            c, total = seeded_circuit_and_oracle(family, seed)
+            blocked = compile_circuit(c).matrix
+            assert np.max(np.abs(blocked - total)) < 1e-12
+            loop = np.hstack([b for _, b in kernel_loop_blocks(c)])
+            assert blocked.tobytes() == loop.tobytes()
 
     def test_random_circuits_cover_the_fusion_cases(self):
         """The seeded circuits of both families reach every kind of fused run."""
@@ -390,6 +491,18 @@ class TestBlockKernel:
         # the 16 MiB result and two blocks; a full-size scratch array would be 2x
         assert peak < 1.25 * u.matrix.nbytes
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_apply_gate_matches_embed(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        step = random_step(n, rng)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        gate, targets = step.gate.unitary, list(step.targets)
+        full = kron_embed_oracle(gate.to_dense().matrix, targets, n)
+        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
+        out = run_circuit(Circuit(n, (step,)), StateVector(n, amps))
+        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
+
     @pytest.mark.parametrize(
         "targets",
         [t for m in (1, 2, 3) for t in itertools.permutations(range(4), m)],
@@ -423,10 +536,18 @@ class TestBlockKernel:
             run_circuit(c, StateVector.basis(3, 0))
 
 
-
 class TestMonomialRuns:
     """Runs of basis-permuting steps fuse into one row gather and one phase
-    scale; each is checked against the kron oracle."""
+    scale; each is checked against the kron oracle and ``run_circuit``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_compile_matches_kron_oracle_product(self, seed):
+        c, total = seeded_circuit_and_oracle("monomial", seed)
+        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_columns_match_run_circuit(self, seed):
+        assert_columns_match_run_circuit(*seeded_circuit_and_oracle("monomial", seed))
 
     def test_pure_permutation_run(self):
         # every phase is 1: one gather over qubits 0..5 and no scale
@@ -524,8 +645,21 @@ class TestMonomialRuns:
             assert gate.phases is None or np.max(np.abs(np.abs(gate.phases) - 1)) < 1e-12
 
 
-
 class TestParityCircuit:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_reference(self, n):
+        rep = equiv_up_to_global_phase(
+            compile_circuit(parity_circuit(n)), parity_reference(n + 1), tol=1e-9
+        )
+        assert rep.equivalent
+
+    def test_wrong_variant_fails(self):
+        rep = equiv_up_to_global_phase(
+            compile_circuit(parity_circuit(4, swapped=False)), parity_reference(5)
+        )
+        assert not rep.equivalent
+        assert rep.max_deviation > 0.5
+
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             parity_circuit(3)
@@ -582,6 +716,13 @@ class TestParityLikeCircuit:
 
 
 class TestFanoutCircuit:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_reference(self, n):
+        rep = equiv_up_to_global_phase(
+            compile_circuit(fanout_circuit(n)), fanout_reference(n + 1), tol=1e-9
+        )
+        assert rep.equivalent
+
     def test_control_zero_noop(self):
         mat = compile_circuit(fanout_circuit(2)).matrix
         ref = fanout_reference(3)
@@ -613,6 +754,15 @@ class TestSimplify:
         dropped = (r, n + 1, n + 9, 2 * n + 9)
         assert all(full[i] == ("H", (r,)) for i in dropped)
         assert [st for i, st in enumerate(full) if i not in dropped] == layer + middle + layer
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_simplified_fanout(self, n):
+        simplified = simplified_fanout_circuit(n)
+        assert len(simplified.steps) < len(fanout_circuit(n).steps)
+        rep = equiv_up_to_global_phase(
+            compile_circuit(simplified), fanout_reference(n + 1), tol=1e-9
+        )
+        assert rep.equivalent
 
 
 class TestTextFormat:
