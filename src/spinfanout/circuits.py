@@ -66,6 +66,28 @@ class Circuit:
         :func:`_runs` after another."""
         return tuple(entry for run in _runs(self.steps) for entry in _fuse(*run))
 
+    @cached_property
+    def _support(self) -> tuple[int, np.ndarray]:
+        """``(mixed, owner)``: the input bits that some dense plan entry mixes,
+        and for each row, the input row whose value the plan's monomial
+        gathers bring there.
+
+        A dense entry on the qubits ``W`` mixes the bits of ``owner[r] ^
+        owner[r ^ 2^b]``, for each ``b`` in ``W`` and every row ``r``: the bits
+        in which the owners of two rows that differ only in ``W`` differ,
+        taken here against the first row of each such set.  So two inputs
+        that differ in a bit outside ``mixed`` never reach one row: column
+        ``x`` of the unitary is zero but at the rows ``r`` with ``owner[r] &
+        ~mixed == x & ~mixed`` (see :func:`_summed_blocks`)."""
+        owner, mixed = np.arange(1 << self.n), 0
+        for gate, lo in self._plan:
+            view = owner.reshape(-1, 1 << gate.n, 1 << lo)
+            if isinstance(gate, _MonomialOperator):
+                owner = view[:, gate.source].reshape(-1)
+            elif isinstance(gate, DenseOperator):
+                mixed |= int(np.bitwise_or.reduce(view ^ view[:, :1], axis=None))
+        return mixed, owner
+
 
 def _runs(steps: tuple[Step, ...]) -> list[tuple[int, int, bool, list[Step]]]:
     """The steps grouped into runs ``(lo, hi, all monomial, steps)`` to fuse.
@@ -329,6 +351,45 @@ def _column_blocks(c: Circuit):
         yield start, block
 
 
+def _summed_inputs(n: int, mask: int) -> np.ndarray:
+    """The inputs summed into each column on the bits ``mask``: row ``q`` holds,
+    in ascending order, the 2^(n-k) inputs whose bits at the k set bits of
+    ``mask``, packed low to high, are ``q``."""
+    x = np.arange(1 << n)
+    return x[(x & ~mask) == 0][:, None] | x[(x & mask) == 0]
+
+
+def _summed_blocks(c: Circuit, extra: int = 0):
+    """``(inputs, block)`` for each block of the circuit's unitary on 2^k summed
+    columns, in column order: column ``q`` is the plan applied to the sum of
+    the basis inputs ``inputs[q]`` (see :func:`_summed_inputs`), those whose
+    bits at the k set bits of ``mask``, the mixed bits of ``c._support`` and
+    ``extra``, are ``q``.
+
+    Those inputs differ only outside ``mask``, so no two reach one row:
+    entry ``(r, q)`` is entry ``(r, (owner[r] & ~mask) | inputs[q, 0])`` of
+    the unitary, and its other entries in those columns are exact zeros.
+    At k = n the blocks are the basis columns of :func:`_plan_blocks`;
+    below, each block starts from its sums and runs the whole plan, in
+    blocks of at most ``_BLOCK_ENTRIES`` entries (or one column).  Every
+    block is overwritten by the next one.
+    """
+    n, dim = c.n, 1 << c.n
+    mask = c._support[0] | extra
+    inputs = _summed_inputs(n, mask)
+    if mask == dim - 1:
+        for start, block, _ in _plan_blocks(n, c._plan):
+            yield inputs[start:start + block.shape[1]], block
+        return
+    cols = max(1, min(len(inputs), _BLOCK_ENTRIES >> n))
+    pair = np.empty((2, dim, cols), dtype=complex)  # made once, as in _plan_blocks
+    for start in range(0, len(inputs), cols):
+        block, work = pair
+        block.fill(0)
+        block[inputs[start:start + cols], np.arange(cols)[:, None]] = 1
+        yield inputs[start:start + cols], _run_steps(c._plan, n, block, work)[0]
+
+
 def _apply_into(
     block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int,
     work: np.ndarray, out: np.ndarray,
@@ -356,11 +417,26 @@ def compile_circuit(c: Circuit) -> DenseOperator:
 
     The result is allocated once and filled one block of columns at a
     time, each block at most 2^16 entries, so a compile holds the result
-    and two blocks.  A diagonal or monomial last entry writes each block
-    straight into the result; after a dense one, the block is copied.
+    and two blocks.  When the plan's dense entries mix only k < n input
+    bits, the plan runs on 2^k summed columns instead of 2^n basis ones
+    (see :func:`_summed_blocks`), scattered into a zeroed result.
+    Otherwise a diagonal or monomial last entry writes each block straight
+    into the result; after a dense one, the block is copied.
     """
     check_dense(c.n)
     dim = 1 << c.n
+    mixed, owner = c._support
+    if mixed != dim - 1:
+        matrix = np.zeros((dim, dim), dtype=complex)
+        flat, index = matrix.reshape(-1), None
+        for inputs, block in _summed_blocks(c):
+            if index is None:
+                # flat index of entry (r, q) of the first block; in a later
+                # block, whose first column q0 is a multiple of its width,
+                # the inputs of column q0 + j are inputs[q0, 0] | inputs[j, 0]
+                index = (np.arange(0, dim * dim, dim) + (owner & ~mixed))[:, None] + inputs[:, 0]
+            flat[inputs[0, 0]:][index] = block
+        return DenseOperator(c.n, matrix)
     matrix = np.empty((dim, dim), dtype=complex)
     plan, last = c._plan, None
     if plan and not isinstance(plan[-1][0], DenseOperator):

@@ -264,7 +264,7 @@ def _cmd_explore(args, parser) -> int:
         parser.error(f"--j does not apply to --hamiltonian {args.hamiltonian}")
     if args.coupling_file is not None and args.hamiltonian != "kn-file":
         parser.error(f"--coupling-file does not apply to --hamiltonian {args.hamiltonian}")
-    grid = _parse_grid(args.grid) if args.grid else default_time_grid()
+    grid = default_time_grid() if args.grid is None else _parse_grid(args.grid)
     if args.hamiltonian == "hn":
         h = build_hn(n)
         ham_id = f"hn(n={n})"

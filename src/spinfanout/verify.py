@@ -34,6 +34,7 @@ from .circuits import (
     Circuit,
     _column_blocks,
     _hadamard_layer,
+    _summed_blocks,
     _use_swapped_evolution,
     compile_circuit,
     fanout_circuit,
@@ -111,13 +112,26 @@ def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
 
 
 def _permutation_deviation(block: np.ndarray, rows: np.ndarray, phase: complex) -> float:
-    """``max |block - phase * P|``, overwriting ``block``, for the permutation
-    ``P`` with column ``c``'s 1 in row ``rows[c]``: as ``b - phase * 1`` and
-    ``b - phase * 0`` are exact, bit for bit :func:`core._max_deviation`
-    against the dense ``P``, in its row chunks, so a NaN is kept."""
-    block[rows, np.arange(block.shape[1])] -= phase
-    step = max(1, _SLICE // block.shape[1])
+    """``max |block - phase * P|``, overwriting ``block``, where ``P`` has a 1 in
+    column ``c`` at row ``rows[c]``, or at each of the rows ``rows[c, :]``:
+    as ``b - phase * 1`` and ``b - phase * 0`` are exact, bit for bit
+    :func:`core._max_deviation` against the dense ``P``, in its row chunks,
+    so a NaN is kept."""
+    cols = block.shape[1]
+    block[rows.reshape(cols, -1), np.arange(cols)[:, None]] -= phase
+    step = max(1, _SLICE // cols)
     return float(np.max([np.max(np.abs(block[r:r + step])) for r in range(0, len(block), step)]))
+
+
+def _reference_blocks(c: Circuit, rows: np.ndarray, extra: int = 0):
+    """:func:`circuits._summed_blocks` of ``c`` with each target ``(rows[x], x)``
+    of the index map ``rows`` in the support of its column: the bits in which
+    an input differs from the owner of its target row, and ``extra``, join
+    the mixed ones.  Then every entry of the unitary and of the permutation
+    outside the support is an exact zero, and a deviation over the summed
+    columns, minus the phase at ``rows[inputs]``, is the dense one."""
+    extra |= int(np.bitwise_or.reduce(c._support[1][rows] ^ np.arange(len(rows))))
+    return _summed_blocks(c, extra)
 
 
 def _matches_reference(
@@ -128,7 +142,8 @@ def _matches_reference(
     """Check: ``build(n)`` equals the permutation with index map ``targets(n + 1)``
     up to a global phase, with the phase and deviation that
     :func:`equiv_up_to_global_phase` gives for the dense matrices, but one
-    column block of the circuit at a time, so neither matrix is assembled.
+    block of summed columns of the circuit at a time (see
+    :func:`_reference_blocks`), so neither matrix is assembled.
     ``wrong_variant`` builds the other evolution order than the mod-4 rule
     picks, for a negative control."""
 
@@ -139,10 +154,10 @@ def _matches_reference(
         rows = targets(n + 1)
         assert rows[0] == 0  # a GF(2)-linear map: the dense reference peaks at (0, 0)
         phase, devs = None, []
-        for start, block in _column_blocks(build(n, swapped=swapped)):
-            if phase is None:
+        for inputs, block in _reference_blocks(build(n, swapped=swapped), rows):
+            if phase is None:  # entry (0, 0) of the unitary, as input 0 is its target's owner
                 phase = _phase(block[0, 0], 1.0 + 0.0j, EQUIV_TOL)
-            devs.append(_permutation_deviation(block, rows[start:start + block.shape[1]], phase))
+            devs.append(_permutation_deviation(block, rows[inputs], phase))
         return float(np.max(devs)), complex(phase)
 
     return run
@@ -151,14 +166,15 @@ def _matches_reference(
 def _check_parity_like(params: dict) -> tuple[float, complex]:
     n = params["n"]
     check_dense(n)  # the cap of the dense unitary it stands for
-    # each input with the last qubit in |0>, the first half of the columns,
-    # goes to a unit-phase multiple of its column of the parity permutation
+    # each input with the last qubit in |0> goes to a unit-phase multiple of
+    # its column of the parity permutation; with that qubit the top summed
+    # bit, those inputs fill the first half of the summed columns
     half, rows, devs = 1 << (n - 1), _parity_targets(n), []
-    for start, block in _column_blocks(parity_like_circuit(n)):
-        if start >= half:
+    for inputs, block in _reference_blocks(parity_like_circuit(n), rows, extra=half):
+        cols = int(np.count_nonzero(inputs[:, 0] < half))
+        if cols == 0:
             break
-        cols = min(block.shape[1], half - start)
-        devs.append(_permutation_deviation(np.abs(block[:, :cols]), rows[start:start + cols], 1.0))
+        devs.append(_permutation_deviation(np.abs(block[:, :cols]), rows[inputs[:cols]], 1.0))
     return float(np.max(devs)), complex(1)
 
 

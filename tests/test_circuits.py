@@ -38,7 +38,7 @@ from spinfanout.gates import (
 )
 from spinfanout.hamiltonians import un, un_dagger
 
-from helpers import random_unitary
+from helpers import kernel_loop_blocks, random_unitary
 
 
 class TestCompile:
@@ -81,18 +81,46 @@ class TestCompile:
             Circuit(2, (Step(standard_gate("H"), (0, 1)),))
 
 
-def kernel_loop_blocks(c):
-    """``(start, block)`` for each column block of ``c``'s unitary: the identity
-    block, then ``_apply_to_block`` for each entry of ``c._plan``."""
-    dim = 1 << c.n
-    cols = max(1, min(dim, circuits._BLOCK_ENTRIES >> c.n))
-    for start in range(0, dim, cols):
+def mixed_bits(c):
+    """The input bits that ``c``'s plan mixes, ascending: k of them."""
+    return [b for b in range(c.n) if c._support[0] >> b & 1]
+
+
+def summed_loop_matrix(c):
+    """``c``'s unitary as the kernel loop on summed columns gives it: each block
+    of columns ``q`` starts from ``S0[r, q] = [bits_M(r) == q]``, where
+    ``bits_M`` packs the mixed bits low to high, runs ``_apply_to_block`` for
+    each entry of ``c._plan``, and its entry ``(r, q)`` goes to column
+    ``(owner[r] & ~M) | deposit_M(q)`` of a zeroed matrix."""
+    n, dim = c.n, 1 << c.n
+    mixed, owner = c._support
+    bits = mixed_bits(c)
+    k = len(bits)
+    rows, packed, deposit = np.arange(dim), np.zeros(dim, dtype=int), np.zeros(1 << k, dtype=int)
+    for j, b in enumerate(bits):
+        packed |= ((rows >> b) & 1) << j
+        deposit |= ((np.arange(1 << k) >> j) & 1) << b
+    cols = max(1, min(1 << k, circuits._BLOCK_ENTRIES >> n))
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, 1 << k, cols):
         block = np.zeros((dim, cols), dtype=complex)
-        np.fill_diagonal(block[start:], 1)
+        here = (packed >= start) & (packed < start + cols)
+        block[rows[here], packed[here] - start] = 1
         work = np.empty_like(block)
         for gate, lo in c._plan:
-            block, work = _apply_to_block(block, gate, lo, c.n, work)
-        yield start, block
+            block, work = _apply_to_block(block, gate, lo, n, work)
+        columns = (owner & ~mixed)[:, None] | deposit[start:start + cols]
+        matrix[rows[:, None], columns] = block
+    return matrix
+
+
+def kernel_loop_matrix(c):
+    """``c``'s unitary from the kernel loop, as ``compile_circuit`` builds it: on
+    the basis columns when the plan mixes all n input bits, and otherwise on
+    the 2^k summed columns (:func:`summed_loop_matrix`)."""
+    if len(mixed_bits(c)) < c.n:
+        return summed_loop_matrix(c)
+    return np.hstack([block for _, block in kernel_loop_blocks(c)])
 
 
 def kind(entry):
@@ -140,7 +168,8 @@ class TestColumnBlocks:
     """``compile_circuit`` and ``_column_blocks`` start each block from the first
     plan entry's image and write a diagonal or monomial last entry straight
     into the result; both must equal the entry-by-entry kernel loop byte for
-    byte, signed zeros included."""
+    byte, signed zeros included.  A plan that mixes k < n input bits
+    compiles on 2^k summed columns, and its kernel loop does too."""
 
     def test_cases_cover_every_kind_first_and_last(self):
         cases = entry_kind_circuits()
@@ -162,10 +191,7 @@ class TestColumnBlocks:
         expected = list(kernel_loop_blocks(c))
         got = [(start, block.tobytes()) for start, block in _column_blocks(c)]
         assert got == [(start, block.tobytes()) for start, block in expected]
-        matrix = np.empty((1 << c.n, 1 << c.n), dtype=complex)
-        for start, block in expected:
-            matrix[:, start:start + block.shape[1]] = block
-        assert compile_circuit(c).matrix.tobytes() == matrix.tobytes()
+        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
 
     @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
     @pytest.mark.parametrize(
@@ -175,8 +201,7 @@ class TestColumnBlocks:
     def test_paper_circuits_equal_the_kernel_loop(self, n, build, entries, monkeypatch):
         c = build(n)
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
-        matrix = np.hstack([block for _, block in kernel_loop_blocks(c)])
-        assert compile_circuit(c).matrix.tobytes() == matrix.tobytes()
+        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
 
 
 def kron_embed_oracle(gate_matrix, targets, n):
@@ -410,8 +435,7 @@ class TestBlockKernel:
             c, total = seeded_circuit_and_oracle(family, seed)
             blocked = compile_circuit(c).matrix
             assert np.max(np.abs(blocked - total)) < 1e-12
-            loop = np.hstack([b for _, b in kernel_loop_blocks(c)])
-            assert blocked.tobytes() == loop.tobytes()
+            assert blocked.tobytes() == kernel_loop_matrix(c).tobytes()
 
     def test_random_circuits_cover_the_fusion_cases(self):
         """The seeded circuits of both families reach every kind of fused run."""
@@ -534,6 +558,43 @@ class TestBlockKernel:
         c = Circuit(2, (Step(standard_gate("H"), (0,)),))
         with pytest.raises(ValueError):
             run_circuit(c, StateVector.basis(3, 0))
+
+
+class TestSummedColumns:
+    """A plan whose dense entries mix k < n input bits compiles on 2^k summed
+    columns: ``Circuit._support`` names the mixed bits and, for each row, the
+    input that the plan's gathers bring there."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kron_product_is_zero_outside_the_support(self, family, seed):
+        c, total = seeded_circuit_and_oracle(family, seed)
+        mixed, owner = c._support
+        rows, inputs = np.nonzero(total)
+        assert np.array_equal(inputs & ~mixed, owner[rows] & ~mixed)
+        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+
+    def test_seeded_circuits_reach_every_width(self):
+        seeded = [seeded_circuit_and_oracle(f, seed)[0] for f in FAMILIES for seed in range(30)]
+        gaps = {c.n - len(mixed_bits(c)) for c in seeded}
+        # every input bit mixed, all but one, all but four or more, and none
+        assert {0, 1} <= gaps and max(gaps) >= 4
+        assert any(not mixed_bits(c) for c in seeded)
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_parity_circuits_mix_two_bits_and_parity_like_one(self, n):
+        # the helper wire n-1, and the accumulator n that the CNOT couples to it
+        assert mixed_bits(parity_circuit(n)) == [n - 1, n]
+        assert mixed_bits(parity_like_circuit(n)) == [n - 1]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_fanout_circuits_mix_every_bit(self, n):
+        assert mixed_bits(fanout_circuit(n)) == list(range(n + 1))
+
+    def test_run_circuit_leaves_the_support_unbuilt(self):
+        c = parity_circuit(8)
+        run_circuit(c, StateVector.basis(c.n, 5))
+        assert "_plan" in c.__dict__ and "_support" not in c.__dict__
 
 
 class TestMonomialRuns:

@@ -249,6 +249,14 @@ class TestExploreCommand:
         assert code == 2
         assert out == "" and "is not finite" in err
 
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_empty_grid_exits_2(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "hn", "--n", "3", "--grid", grid
+        )
+        assert code == 2
+        assert out == "" and "empty time grid" in err
+
     def test_non_finite_coupling_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explore", "--hamiltonian", "ring", "--n", "3", "--j", "nan"])

@@ -9,8 +9,10 @@ import pytest
 from spinfanout import circuits, verify
 from spinfanout.circuits import (
     Circuit,
+    Step,
     _column_blocks,
     _hadamard_layer,
+    _summed_blocks,
     _use_swapped_evolution,
     compile_circuit,
     fanout_circuit,
@@ -21,11 +23,18 @@ from spinfanout.circuits import (
 )
 from spinfanout.core import (
     CapExceededError,
+    DenseOperator,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,
 )
-from spinfanout.gates import _fanout_targets, _parity_targets, fanout_reference, parity_reference
+from spinfanout.gates import (
+    _fanout_targets,
+    _parity_targets,
+    fanout_reference,
+    parity_reference,
+    standard_gate,
+)
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import (
     _matches_reference,
@@ -35,7 +44,7 @@ from spinfanout.verify import (
     suite_ok,
 )
 
-from helpers import schmidt_rank_one_deviation
+from helpers import kernel_loop_blocks, schmidt_rank_one_deviation
 
 
 class TestRunCheck:
@@ -131,7 +140,7 @@ class TestUnentangledControl:
         assert [start for start, _ in blocks] == list(range(0, 32, 2))
         assert all(b.shape == (32, 2) for _, b in blocks)
         circ = parity_circuit(4)
-        prefix = compile_circuit(Circuit(circ.n, circ.steps[:4])).matrix
+        prefix = np.hstack([b for _, b in kernel_loop_blocks(Circuit(circ.n, circ.steps[:4]))])
         assert np.hstack([b for _, b in blocks]).tobytes() == prefix.tobytes()
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -165,10 +174,21 @@ def with_order(build, order):
     return fixed
 
 
+def then_x01(build):
+    """``build`` with an X on qubits 0 and 1 appended, which keeps the parity."""
+
+    def with_x(n, swapped=None):
+        c = build(n, swapped=swapped)
+        x = standard_gate("X")
+        return Circuit(c.n, c.steps + (Step(x, (0,)), Step(x, (1,))))
+
+    return with_x
+
+
 class TestColumnBlockComparison:
-    """The reference rows compare the circuit one column block at a time and
-    must report exactly the deviation and phase of comparing the compiled
-    unitary with ``equiv_up_to_global_phase``."""
+    """The reference rows compare the circuit one block of summed columns at a
+    time and must report exactly the deviation and phase of comparing the
+    compiled unitary with ``equiv_up_to_global_phase``."""
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize(
@@ -204,19 +224,47 @@ class TestColumnBlockComparison:
     def test_nan_entry_gives_nan_deviation(self, monkeypatch):
         calls = []
 
-        def with_nan(c):
-            for start, out in _column_blocks(c):
+        def with_nan(c, extra=0):
+            for inputs, out in _summed_blocks(c, extra):
                 if len(calls) == 2:  # the third of four blocks
                     out[7, 4] = np.nan
                 calls.append(out.shape)
-                yield start, out
+                yield inputs, out
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 8)  # 8 columns per block
-        monkeypatch.setattr(verify, "_column_blocks", with_nan)
+        monkeypatch.setattr(verify, "_summed_blocks", with_nan)
         with np.errstate(invalid="ignore"):
             dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4})
         assert calls == [(32, 8)] * 4
         assert np.isnan(dev) and abs(abs(phase) - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "build, targets, leaves",
+        [
+            (with_order(parity_circuit, not _use_swapped_evolution(8)), _parity_targets, False),
+            (parity_circuit, _fanout_targets, True),
+            (then_x01(parity_circuit), _parity_targets, True),
+        ],
+        ids=["parity-wrong-variant", "fanout-targets", "parity-then-x01"],
+    )
+    def test_summed_columns_give_the_basis_column_comparison(self, build, targets, leaves):
+        """``parity_circuit(8)`` mixes 2 of its 9 input bits.  Its comparison on
+        summed columns equals, bit for bit, the dense comparison of its basis
+        columns: in the wrong variant, and against targets that leave its
+        support and so join the summed bits.  With X on qubits 0 and 1 after
+        it, the parity targets leave the support: on its 2 mixed bits alone,
+        each would fall on the circuit's nonzero entry, and it would pass."""
+        n = 8
+        c = build(n)
+        mixed, owner = c._support
+        assert mixed == 0b11 << (n - 1)
+        rows = targets(n + 1)
+        assert bool(np.bitwise_or.reduce(owner[rows] ^ np.arange(len(rows))) & ~mixed) == leaves
+        basis = np.hstack([block.copy() for _, block in _column_blocks(c)])
+        reference = np.zeros_like(basis)
+        reference[rows, np.arange(len(rows))] = 1
+        rep = equiv_up_to_global_phase(DenseOperator(n + 1, basis), DenseOperator(n + 1, reference))
+        assert _matches_reference(build, targets)({"n": n}) == (rep.max_deviation, rep.phase)
 
     def test_nine_qubit_fanout_never_assembles_its_unitary(self):
         run_check("fanout", {"n": 8})  # warm-up
