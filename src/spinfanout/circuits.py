@@ -298,59 +298,6 @@ def _run_steps(
     return block, work
 
 
-def _plan_blocks(n: int, plan: tuple[_Entry, ...]):
-    """``(start, block, work)`` for each block of columns of the plan's unitary on
-    ``n`` qubits, in column order: the plan applied to the basis inputs
-    ``start, start + 1, ...``, one per column, in blocks of at most
-    ``_BLOCK_ENTRIES`` entries (or one column), with ``work`` its scratch.
-    Both are overwritten by the next block.
-
-    A block starts as the first entry's image of its basis columns (the
-    identity for an empty plan): the first entry's kernel pass over only the
-    products (row ranges of its view) that hold the inputs' rows, and over
-    one product of zeros, whose image the other products copy.  So it is
-    bit for bit the kernel's on the identity, signed zeros included, which
-    for a dense entry depend on the shape of its product.
-    """
-    dim = 1 << n
-    cols = max(1, min(dim, _BLOCK_ENTRIES >> n))
-    # the block and its scratch are one array made once per loop: whether a
-    # fresh 1 MiB array is mmapped or taken from the heap depends on glibc's
-    # dynamic mmap threshold, which freeing a larger mmapped array raises, and
-    # one taken from a trimmed heap faults its pages in anew each time
-    pair = np.empty((2, dim, cols), dtype=complex)
-    first, lo = plan[0] if plan else (DiagonalOperator(0, np.ones(1)), 0)
-    batch = 1 << (lo + first.n)  # rows of one product
-    span = max(cols, batch)  # rows of the products that hold the inputs' rows
-    for start in range(0, dim, cols):
-        block, work = pair
-        r0 = start - start % batch
-        r1 = r0 + span
-        z = r1 if r1 < dim else r0 - batch  # a product of zeros beside them
-        inputs = block[r0:r1]
-        inputs.fill(0)
-        np.fill_diagonal(block[start:r1], 1)
-        image, _ = _apply_to_block(inputs, first, lo, int(span).bit_length() - 1, work[r0:r1])
-        if span < dim:
-            block[z:z + batch].fill(0)
-            _apply_to_block(block[z:z + batch], first, lo, lo + first.n, work[z:z + batch])
-        if image is not inputs:  # the kernel wrote into its scratch
-            block, work = work, block
-        if span < dim:
-            products = block.reshape(-1, batch, cols)
-            for a, b in ((0, min(r0, z)), (max(r1, z + batch), dim)):
-                products[a // batch:b // batch] = block[z:z + batch]
-        yield start, *_run_steps(plan[1:], n, block, work)
-
-
-def _column_blocks(c: Circuit):
-    """``(start, block)`` for each block of columns of the circuit's unitary, in
-    column order (see :func:`_plan_blocks`).  Every block is overwritten by
-    the next one."""
-    for start, block, _ in _plan_blocks(c.n, c._plan):
-        yield start, block
-
-
 def _summed_inputs(n: int, mask: int) -> np.ndarray:
     """The inputs summed into each column on the bits ``mask``: row ``q`` holds,
     in ascending order, the 2^(n-k) inputs whose bits at the k set bits of
@@ -369,20 +316,20 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     Those inputs differ only outside ``mask``, so no two reach one row:
     entry ``(r, q)`` is entry ``(r, (owner[r] & ~mask) | inputs[q, 0])`` of
     the unitary, and its other entries in those columns are exact zeros.
-    At k = n the blocks are the basis columns of :func:`_plan_blocks`;
-    below, each block starts from its sums and runs the whole plan, in
-    blocks of at most ``_BLOCK_ENTRIES`` entries (or one column).  Every
-    block is overwritten by the next one.
+    At k = n the columns are the basis ones, and ``inputs[q, 0]`` is the
+    basis input of column ``q``.  Each block starts from its sums (at k = n,
+    a slice of the identity) and runs the whole plan, in blocks of at most
+    ``_BLOCK_ENTRIES`` entries (or one column).  Every block is overwritten
+    by the next one.
     """
     n, dim = c.n, 1 << c.n
-    mask = c._support[0] | extra
-    inputs = _summed_inputs(n, mask)
-    if mask == dim - 1:
-        for start, block, _ in _plan_blocks(n, c._plan):
-            yield inputs[start:start + block.shape[1]], block
-        return
+    inputs = _summed_inputs(n, c._support[0] | extra)
     cols = max(1, min(len(inputs), _BLOCK_ENTRIES >> n))
-    pair = np.empty((2, dim, cols), dtype=complex)  # made once, as in _plan_blocks
+    # the block and its scratch are one array made once per loop: whether a
+    # fresh 1 MiB array is mmapped or taken from the heap depends on glibc's
+    # dynamic mmap threshold, which freeing a larger mmapped array raises, and
+    # one taken from a trimmed heap faults its pages in anew each time
+    pair = np.empty((2, dim, cols), dtype=complex)
     for start in range(0, len(inputs), cols):
         block, work = pair
         block.fill(0)
@@ -390,63 +337,26 @@ def _summed_blocks(c: Circuit, extra: int = 0):
         yield inputs[start:start + cols], _run_steps(c._plan, n, block, work)[0]
 
 
-def _apply_into(
-    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int,
-    work: np.ndarray, out: np.ndarray,
-) -> None:
-    """A diagonal or monomial ``gate`` applied to ``block`` as by
-    :func:`_apply_to_block`, with the result written into ``out``: a
-    ``(2^n, cols)`` array whose rows may be strided, such as a column slice
-    of a compiled unitary.  Overwrites ``work``."""
-    shape = (1 << (n - lo - gate.n), 1 << gate.n, 1 << lo, block.shape[1])
-    if isinstance(gate, DiagonalOperator):
-        scale = gate.entries
-    else:
-        # the kernel's gather alone, into ``work``; the phases scale into ``out``
-        block, _ = _apply_to_block(block, _MonomialOperator(gate.n, gate.source, None), lo, n, work)
-        scale = gate.phases
-    # splitting the row axis keeps ``out`` a view
-    if scale is None:
-        out.reshape(shape)[...] = block.reshape(shape)
-    else:
-        np.multiply(block.reshape(shape), scale.reshape(-1, 1, 1), out=out.reshape(shape))
-
-
 def compile_circuit(c: Circuit) -> DenseOperator:
     """Circuit unitary: every step applied, in order, to the columns of the identity.
 
-    The result is allocated once and filled one block of columns at a
-    time, each block at most 2^16 entries, so a compile holds the result
-    and two blocks.  When the plan's dense entries mix only k < n input
-    bits, the plan runs on 2^k summed columns instead of 2^n basis ones
-    (see :func:`_summed_blocks`), scattered into a zeroed result.
-    Otherwise a diagonal or monomial last entry writes each block straight
-    into the result; after a dense one, the block is copied.
+    The plan runs on the 2^k summed columns of :func:`_summed_blocks`, k the
+    input bits its dense entries mix, and each block, at most 2^16 entries,
+    is scattered into a zeroed result, so a compile holds the result and
+    two blocks.  At k = n the columns are the basis ones.
     """
     check_dense(c.n)
     dim = 1 << c.n
     mixed, owner = c._support
-    if mixed != dim - 1:
-        matrix = np.zeros((dim, dim), dtype=complex)
-        flat, index = matrix.reshape(-1), None
-        for inputs, block in _summed_blocks(c):
-            if index is None:
-                # flat index of entry (r, q) of the first block; in a later
-                # block, whose first column q0 is a multiple of its width,
-                # the inputs of column q0 + j are inputs[q0, 0] | inputs[j, 0]
-                index = (np.arange(0, dim * dim, dim) + (owner & ~mixed))[:, None] + inputs[:, 0]
-            flat[inputs[0, 0]:][index] = block
-        return DenseOperator(c.n, matrix)
-    matrix = np.empty((dim, dim), dtype=complex)
-    plan, last = c._plan, None
-    if plan and not isinstance(plan[-1][0], DenseOperator):
-        plan, last = plan[:-1], plan[-1]
-    for start, block, work in _plan_blocks(c.n, plan):
-        out = matrix[:, start:start + block.shape[1]]
-        if last is None:
-            out[...] = block
-        else:
-            _apply_into(block, *last, c.n, work, out)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    flat, index = matrix.reshape(-1), None
+    for inputs, block in _summed_blocks(c):
+        if index is None:
+            # flat index of entry (r, q) of the first block; in a later
+            # block, whose first column q0 is a multiple of its width,
+            # the inputs of column q0 + j are inputs[q0, 0] | inputs[j, 0]
+            index = (np.arange(0, dim * dim, dim) + (owner & ~mixed))[:, None] + inputs[:, 0]
+        flat[inputs[0, 0]:][index] = block
     return DenseOperator(c.n, matrix)
 
 

@@ -32,7 +32,6 @@ from .gates import _fanout_targets, _parity_targets, ieq_reference, standard_gat
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
-    _column_blocks,
     _hadamard_layer,
     _summed_blocks,
     _use_swapped_evolution,
@@ -213,13 +212,13 @@ def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     # parity of input bits 0..n-1 (p of the sources 0..n-2, r of bit n-1)
     wrong_value = np.tile(1 - (popcounts(n) & 1), 2)
     worst = 0.0
-    for start, out in _column_blocks(prefix):
+    for inputs, out in _summed_blocks(prefix, (1 << prefix.n) - 1):  # basis columns
         cols = out.shape[1]
         # axes (qubit n, control, qubits 0..n-2, input) to one
         # (control) x (other qubits) matrix per input
         cut = out.reshape(2, 2, 1 << control, cols).transpose(3, 1, 0, 2).reshape(cols, 2, -1)
         second_sv = np.linalg.svd(cut, compute_uv=False)[:, 1]
-        wrong_mass = np.linalg.norm(cut[np.arange(cols), wrong_value[start:start + cols]], axis=1)
+        wrong_mass = np.linalg.norm(cut[np.arange(cols), wrong_value[inputs[:, 0]]], axis=1)
         worst = max(worst, float(second_sv.max()), float(wrong_mass.max()))
     return worst, complex(1)
 

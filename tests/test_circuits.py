@@ -19,7 +19,7 @@ from spinfanout.circuits import (
     Step,
     _MonomialOperator,
     _apply_to_block,
-    _column_blocks,
+    _summed_blocks,
     compile_circuit,
     fanout_circuit,
     from_text,
@@ -164,12 +164,24 @@ def entry_kind_circuits():
     return {name: Circuit(7, steps) for name, steps in cases.items()}
 
 
+def full_support_circuits():
+    """Each case of :func:`entry_kind_circuits` after a Hadamard on all 7 qubits
+    as one dense gate, which fuses with none of it: its plan mixes every
+    input bit (k = n), and then runs the case's entries."""
+    h7 = functools.reduce(np.kron, [standard_gate("H").unitary.matrix] * 7)
+    layer = Step(GateDef("H7", DenseOperator(7, h7)), tuple(range(7)))
+    return {
+        f"{name} after H on all": Circuit(7, (layer,) + c.steps)
+        for name, c in entry_kind_circuits().items()
+    }
+
+
 class TestColumnBlocks:
-    """``compile_circuit`` and ``_column_blocks`` start each block from the first
-    plan entry's image and write a diagonal or monomial last entry straight
-    into the result; both must equal the entry-by-entry kernel loop byte for
-    byte, signed zeros included.  A plan that mixes k < n input bits
-    compiles on 2^k summed columns, and its kernel loop does too."""
+    """``compile_circuit`` and ``_summed_blocks`` on all n bits start each block
+    from its slice of the identity and run the whole plan; both must equal
+    the entry-by-entry kernel loop byte for byte, signed zeros included.  A
+    plan that mixes k < n input bits compiles on 2^k summed columns, and its
+    kernel loop does too."""
 
     def test_cases_cover_every_kind_first_and_last(self):
         cases = entry_kind_circuits()
@@ -183,13 +195,22 @@ class TestColumnBlocks:
         assert [kind(e) for e in cases["global phase"]._plan] == ["diagonal"]
         assert cases["empty"]._plan == ()
 
+    def test_full_support_cases_mix_every_bit_and_keep_their_last_entry(self):
+        cases = entry_kind_circuits()
+        for name, c in full_support_circuits().items():
+            assert c._support[0] == 127, name
+            plan = cases[name.removesuffix(" after H on all")]._plan
+            assert [kind(e) for e in c._plan] == ["real dense at lo = 0"] + [kind(e) for e in plan]
+        assert {kind(c._plan[-1]) for name, c in full_support_circuits().items()} >= set(ENTRY_KINDS)
+
     @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
-    @pytest.mark.parametrize("name", list(entry_kind_circuits()))
+    @pytest.mark.parametrize("name", list(entry_kind_circuits()) + list(full_support_circuits()))
     def test_blocks_and_compile_equal_the_kernel_loop(self, name, entries, monkeypatch):
-        c = entry_kind_circuits()[name]
+        c = {**entry_kind_circuits(), **full_support_circuits()}[name]
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
         expected = list(kernel_loop_blocks(c))
-        got = [(start, block.tobytes()) for start, block in _column_blocks(c)]
+        blocks = _summed_blocks(c, (1 << c.n) - 1)
+        got = [(int(inputs[0, 0]), block.tobytes()) for inputs, block in blocks]
         assert got == [(start, block.tobytes()) for start, block in expected]
         assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
 

@@ -10,7 +10,6 @@ from spinfanout import circuits, verify
 from spinfanout.circuits import (
     Circuit,
     Step,
-    _column_blocks,
     _hadamard_layer,
     _summed_blocks,
     _use_swapped_evolution,
@@ -128,13 +127,13 @@ class TestUnentangledControl:
         expected = unentangled_control_per_state(4)
         blocks = []
 
-        def recording(c):
-            for start, block in _column_blocks(c):
-                blocks.append((start, block.copy()))
-                yield start, block
+        def recording(c, extra=0):
+            for inputs, block in _summed_blocks(c, extra):
+                blocks.append((inputs[0, 0], block.copy()))
+                yield inputs, block
 
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 6)
-        monkeypatch.setattr(verify, "_column_blocks", recording)
+        monkeypatch.setattr(verify, "_summed_blocks", recording)
         r = run_check("unentangled_control", {"n": 4})
         assert r.max_deviation == expected
         assert [start for start, _ in blocks] == list(range(0, 32, 2))
@@ -260,7 +259,7 @@ class TestColumnBlockComparison:
         assert mixed == 0b11 << (n - 1)
         rows = targets(n + 1)
         assert bool(np.bitwise_or.reduce(owner[rows] ^ np.arange(len(rows))) & ~mixed) == leaves
-        basis = np.hstack([block.copy() for _, block in _column_blocks(c)])
+        basis = np.hstack([block.copy() for _, block in _summed_blocks(c, (1 << c.n) - 1)])
         reference = np.zeros_like(basis)
         reference[rows, np.arange(len(rows))] = 1
         rep = equiv_up_to_global_phase(DenseOperator(n + 1, basis), DenseOperator(n + 1, reference))
