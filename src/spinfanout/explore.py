@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiagonalOperator, Operator, popcounts
+from .core import DiagonalOperator, Operator, _SLICE, popcounts
 from .hamiltonians import DenseHamiltonian, DiagonalHamiltonian, evolver, spectral_phases
 
 SCAN_TOL = 1e-8
@@ -50,68 +50,78 @@ class ScanResult:
 def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagonalVerdict:
     """Measure how far a unitary is from the parity-usable form."""
     if isinstance(u, DiagonalOperator):
-        diag = u.entries
+        diag = u.entries.copy()
         off_max = 0.0
     else:
         mat = u.matrix
         diag = np.diag(mat).copy()
         off = mat - np.diag(diag)
         off_max = float(np.max(np.abs(off)))
-    return _verdict(diag, _odd_parity(u.n), off_max, tol)
+    return _verdicts(diag[None], _parity_classes(u.n), off_max, tol)[0]
 
 
-def _odd_parity(n: int) -> np.ndarray:
-    """Mask of the basis labels with odd Hamming weight."""
+def _parity_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis labels of even and of odd Hamming weight, in ascending order."""
     if n < 1:
         raise ValueError(f"parity needs at least one qubit, got n={n}")
-    return (popcounts(n) & 1).astype(bool)
+    odd = (popcounts(n) & 1).astype(bool)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-def _verdict(
-    diag: np.ndarray, odd: np.ndarray, off_max: float, tol: float
-) -> ParityDiagonalVerdict:
-    """The verdict on diagonal entries ``diag``: entry 0 is the even reference, entry 1 the odd."""
+def _verdicts(
+    diag: np.ndarray, classes: tuple[np.ndarray, np.ndarray], off_max: float, tol: float
+) -> list[ParityDiagonalVerdict]:
+    """The verdicts on the rows of a ``(times, levels)`` array ``diag`` of
+    diagonal entries, which it overwrites: ``classes`` holds the columns of
+    each parity class, and in each row entry 0 is the even reference and
+    entry 1 the odd."""
     is_diagonal = off_max < tol
-    # a unitary far from diagonal can have a vanishing first diagonal entry
-    norm = diag / diag[0] if abs(diag[0]) > 1e-12 else diag
-    phase_even = complex(norm[0])  # 1 by construction
-    phase_odd = complex(norm[1])
-    spread_even = float(np.max(np.abs(norm[~odd] - phase_even)))
-    spread_odd = float(np.max(np.abs(norm[odd] - phase_odd)))
-    rel = phase_odd / phase_even
-    relative_phase = float(math.atan2(rel.imag, rel.real))
-    quarter_turn_dist = min(abs(rel - 1j), abs(rel + 1j))
-    usable = (
-        is_diagonal
-        and spread_even < tol
-        and spread_odd < tol
-        and quarter_turn_dist < tol
-    )
-    score = off_max + spread_even + spread_odd + quarter_turn_dist
-    return ParityDiagonalVerdict(
-        is_diagonal=is_diagonal,
-        off_diag_max=off_max,
-        phase_even=phase_even,
-        phase_odd=phase_odd,
-        relative_phase=relative_phase,
-        parity_usable=usable,
-        score=score,
-    )
+    # a unitary far from diagonal can have a vanishing first diagonal entry;
+    # such a row is left as it is, and nothing is divided by that entry
+    keep = np.array([abs(d) > 1e-12 for d in diag[:, 0].tolist()])[:, None]
+    norm = np.divide(diag, diag[:, :1].copy(), out=diag, where=keep)
+    spreads = [
+        np.max(np.abs(norm[:, cls] - norm[:, ref:ref + 1]), axis=1).tolist()
+        for ref, cls in enumerate(classes)
+    ]
+    verdicts = []
+    for phase_even, phase_odd, spread_even, spread_odd in zip(
+        norm[:, 0].tolist(), norm[:, 1].tolist(), *spreads
+    ):
+        rel = phase_odd / phase_even
+        quarter_turn_dist = min(abs(rel - 1j), abs(rel + 1j))
+        usable = (
+            is_diagonal
+            and spread_even < tol
+            and spread_odd < tol
+            and quarter_turn_dist < tol
+        )
+        verdicts.append(ParityDiagonalVerdict(
+            is_diagonal=is_diagonal,
+            off_diag_max=off_max,
+            phase_even=phase_even,
+            phase_odd=phase_odd,
+            relative_phase=float(math.atan2(rel.imag, rel.real)),
+            parity_usable=usable,
+            score=off_max + spread_even + spread_odd + quarter_turn_dist,
+        ))
+    return verdicts
 
 
-def _energy_levels(h: DiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Energies 0 and 1, then the distinct energies of each parity class, and the odd mask.
+def _energy_levels(h: DiagonalHamiltonian) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Energies 0 and 1, then the distinct energies of each parity class, and
+    the levels of each class (see :func:`_parity_classes`).
 
     A verdict over the levels equals the verdict over all 2^n energies:
     equal energies give equal phases, its spreads are maxima over a parity
     class, and the references stay basis states 0 (even) and 1 (odd).
     """
-    odd = _odd_parity(h.n)
-    even_levels = np.unique(h.energies[~odd])
+    even, odd = _parity_classes(h.n)
+    even_levels = np.unique(h.energies[even])
     odd_levels = np.unique(h.energies[odd])
     levels = np.concatenate([h.energies[:2], even_levels, odd_levels])
-    level_odd = np.repeat([False, True, False, True], [1, 1, even_levels.size, odd_levels.size])
-    return levels, level_odd
+    first_odd = 2 + even_levels.size
+    return levels, (np.r_[0, 2:first_odd], np.r_[1, first_odd:levels.size])
 
 
 def scan(
@@ -122,17 +132,23 @@ def scan(
 ) -> ScanResult:
     """Classify the evolution at every grid time.
 
-    A diagonal Hamiltonian is reduced to its energy levels once and each
-    time is classified over the levels only; a dense one is evolved and
-    classified by :func:`classify_parity_diagonal`.
+    A diagonal Hamiltonian is reduced to its energy levels once, and its
+    times are classified over the levels only, in chunks of at most
+    ``_SLICE`` phases (or one time); a dense one is evolved and classified
+    by :func:`classify_parity_diagonal`.
     """
     times = tuple(float(t) for t in time_grid)
     if not times:
         raise ValueError("empty time grid")
     if isinstance(h, DiagonalHamiltonian):
-        levels, odd = _energy_levels(h)
+        levels, classes = _energy_levels(h)
         phases_at = spectral_phases(levels)
-        verdicts = tuple(_verdict(phases_at(t), odd, 0.0, tol) for t in times)
+        rows = max(1, _SLICE // len(levels))  # times per chunk
+        verdicts = tuple(
+            vd
+            for s in range(0, len(times), rows)
+            for vd in _verdicts(phases_at(times[s:s + rows]), classes, 0.0, tol)
+        )
     else:
         evolved = evolver(h)
         verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)

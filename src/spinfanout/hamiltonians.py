@@ -174,18 +174,25 @@ def build_l2(n: int) -> DenseHamiltonian:
     return DenseHamiltonian(n, _swap_sum(n, 3 * n / 4 - n * (n - 1) / 4, pairs))
 
 
-def spectral_phases(w: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The map ``t -> exp(-i w t)`` over the real spectrum ``w``.
+def spectral_phases(w: np.ndarray) -> Callable[[float | np.ndarray], np.ndarray]:
+    """The map ``t -> exp(-i w t)`` over the real spectrum ``w``; a 1-D
+    array of times maps to a ``(times, spectrum)`` array, one row per time.
 
     A time whose product with the spectral radius ``max|w|`` is not
     finite raises ``ValueError``: its phases would be NaN.
     """
     radius = float(np.max(np.abs(w)))
 
-    def phases_at(t: float) -> np.ndarray:
-        if not math.isfinite(t * radius):
-            raise ValueError(f"time {t:g} times spectral radius {radius:g} is not finite")
-        return np.exp(-1j * w * t)
+    def phases_at(t: float | np.ndarray) -> np.ndarray:
+        times = np.asarray(t, dtype=float)
+        for s in times.reshape(-1).tolist():
+            if not math.isfinite(s * radius):
+                raise ValueError(f"time {s:g} times spectral radius {radius:g} is not finite")
+        if not times.ndim:
+            return np.exp(-1j * w * t)
+        # one array per call: the product is exponentiated in place
+        phases = np.multiply(-1j * w, times[:, None], out=np.empty((times.size, w.size), complex))
+        return np.exp(phases, out=phases)
 
     return phases_at
 

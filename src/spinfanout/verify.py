@@ -5,18 +5,21 @@ tolerance.  Every builder a check calls checks its own size cap (see
 :mod:`spinfanout.core`) and raises ``CapExceededError`` before it
 allocates.  ``run_suite`` executes the whole registry (or a filtered
 subset) and records results; failures are recorded, never raised, and
-instances over a cap are recorded as skipped.  A few checks are
+instances over a cap are recorded as skipped.  Each circuit a check
+runs is built once per process (see :func:`_circuit`).  A few checks are
 deliberate negative controls: they are *expected* to fail, and the suite
 treats a failing negative control as the designed outcome.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import core
 from .core import (
     EQUIV_TOL,
     CapExceededError,
@@ -74,6 +77,39 @@ class CheckDef:
     run: Callable[[dict], tuple[float, complex]]
     default_params: tuple[dict, ...]
     negative_control: bool = False
+
+
+def _circuit(build: Callable[..., Circuit], n: int, swapped: bool | None = None) -> Circuit:
+    """``build(n, swapped=swapped)``, built once per process: a circuit is
+    immutable and keeps its plan and support, so a later row only runs it.
+
+    A fresh build of the paper's circuits checks the state cap at ``n`` (in
+    :func:`un`), so that check comes before the lookup, and a hit raises as
+    the build would; the Hadamard layer, whose columns are ``n``-qubit
+    states, is held to it too.  Circuits on more qubits than the dense
+    cap, which only the ``unentangled_control`` row builds, are built
+    afresh each time, so the cache holds at most 32 small circuits.
+    """
+    check_state(n)
+    if n >= core.DENSE_CAP:  # the builders here make at most n + 1 qubits
+        return build(n, swapped=swapped)
+    return _cached_circuit(build, n, swapped)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_circuit(build: Callable[..., Circuit], n: int, swapped: bool | None) -> Circuit:
+    return build(n, swapped=swapped)
+
+
+def _hadamard_circuit(m: int, swapped: bool | None = None) -> Circuit:
+    """A Hadamard on each of ``m`` qubits (``swapped`` is not used)."""
+    return Circuit(m, _hadamard_layer(range(m)))
+
+
+def _control_prefix(n: int, swapped: bool | None = None) -> Circuit:
+    """Everything of ``parity_circuit(n, swapped)`` before its CNOT."""
+    circ = _circuit(parity_circuit, n, swapped)
+    return Circuit(circ.n, circ.steps[:4])
 
 
 def _un_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +189,7 @@ def _matches_reference(
         rows = targets(n + 1)
         assert rows[0] == 0  # a GF(2)-linear map: the dense reference peaks at (0, 0)
         phase, devs = None, []
-        for inputs, block in _reference_blocks(build(n, swapped=swapped), rows):
+        for inputs, block in _reference_blocks(_circuit(build, n, swapped), rows):
             if phase is None:  # entry (0, 0) of the unitary, as input 0 is its target's owner
                 phase = _phase(block[0, 0], 1.0 + 0.0j, EQUIV_TOL)
             devs.append(_permutation_deviation(block, rows[inputs], phase))
@@ -169,7 +205,7 @@ def _check_parity_like(params: dict) -> tuple[float, complex]:
     # its column of the parity permutation; with that qubit the top summed
     # bit, those inputs fill the first half of the summed columns
     half, rows, devs = 1 << (n - 1), _parity_targets(n), []
-    for inputs, block in _reference_blocks(parity_like_circuit(n), rows, extra=half):
+    for inputs, block in _reference_blocks(_circuit(parity_like_circuit, n), rows, extra=half):
         cols = int(np.count_nonzero(inputs[:, 0] < half))
         if cols == 0:
             break
@@ -179,7 +215,8 @@ def _check_parity_like(params: dict) -> tuple[float, complex]:
 
 def _check_fig3_conjugation(params: dict) -> tuple[float, complex]:
     m = params["n_plus_1"]
-    layer = compile_circuit(Circuit(m, _hadamard_layer(range(m)))).matrix
+    check_dense(m)  # the cap compile_circuit checks, before the lookup
+    layer = compile_circuit(_circuit(_hadamard_circuit, m)).matrix
     # P @ layer as a row gather by the parity map, an involution; the product
     # stays complex, as a real one would round the m=8 deviation differently
     conj = layer @ layer[_parity_targets(m)]
@@ -205,8 +242,7 @@ def _check_unitary_pow4(params: dict) -> tuple[float, complex]:
 def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     n = params["n"]
     check_state(n + 1)  # each column of a block is an (n+1)-qubit state
-    circ = parity_circuit(n)
-    prefix = Circuit(circ.n, circ.steps[:4])  # everything before the CNOT
+    prefix = _circuit(_control_prefix, n)
     control = n - 1
     # the mass of the control qubit must sit entirely on |p xor r>, the
     # parity of input bits 0..n-1 (p of the sources 0..n-2, r of bit n-1)

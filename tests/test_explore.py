@@ -1,11 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spinfanout.core import CapExceededError, DenseOperator, DiagonalOperator
-from spinfanout.explore import ScanResult, classify_parity_diagonal, default_time_grid, scan
+from spinfanout.core import _SLICE, CapExceededError, DenseOperator, DiagonalOperator
+from spinfanout.explore import (
+    ParityDiagonalVerdict,
+    ScanResult,
+    _energy_levels,
+    classify_parity_diagonal,
+    default_time_grid,
+    scan,
+)
 from spinfanout.hamiltonians import (
     CouplingMatrix,
     DiagonalHamiltonian,
@@ -129,7 +137,7 @@ _DIAGONAL_CASES = (
         for n in range(3, 11)
         for j in (1.0, 0.37)
     ]
-    + [pytest.param(lambda n=n: _random_kn(n), id=f"kn{n}") for n in range(2, 9)]
+    + [pytest.param(lambda n=n: _random_kn(n), id=f"kn{n}") for n in [*range(2, 9), 10, 12]]
 )
 
 
@@ -141,6 +149,44 @@ class TestLevelScan:
         h = build()
         expected = tuple(classify_parity_diagonal(evolve(h, t)) for t in _LEVEL_GRID)
         assert scan(h, _LEVEL_GRID).verdicts == expected  # every field, exactly
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_random_couplings_span_several_chunks(self, n):
+        levels, _ = _energy_levels(_random_kn(n))
+        assert len(levels) >= 1 << 9
+        assert max(1, _SLICE // len(levels)) * 2 < len(_LEVEL_GRID)
+
+    def test_non_finite_time_in_a_later_chunk_raises_like_evolve(self):
+        h = _random_kn(12)
+        grid = _LEVEL_GRID[:20] + [1e308] + _LEVEL_GRID[20:]
+        with pytest.raises(ValueError, match="not finite") as from_evolve:
+            evolve(h, 1e308)
+        with pytest.raises(ValueError, match="not finite") as from_scan:
+            scan(h, grid)
+        assert str(from_scan.value) == str(from_evolve.value)
+
+    def test_vanishing_first_entry_is_not_divided_by(self):
+        # |(0, 0)| = 1e-13 leaves the diagonal as it is; dividing entry 3 by
+        # it would overflow
+        diag = np.array([1e-13, 0.5j, -0.25, 1e296])
+        mat = np.diag(diag)
+        mat[0, 3] = 0.125
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = classify_parity_diagonal(DenseOperator(2, mat))
+        rel = complex(diag[1]) / complex(diag[0])
+        quarter_turn_dist = min(abs(rel - 1j), abs(rel + 1j))
+        spread_even = float(np.max(np.abs(diag[[0, 3]] - diag[0])))
+        spread_odd = float(np.max(np.abs(diag[[1, 2]] - diag[1])))
+        assert v == ParityDiagonalVerdict(
+            is_diagonal=False,
+            off_diag_max=0.125,
+            phase_even=complex(diag[0]),
+            phase_odd=complex(diag[1]),
+            relative_phase=math.atan2(rel.imag, rel.real),
+            parity_usable=False,
+            score=0.125 + spread_even + spread_odd + quarter_turn_dist,
+        )
 
     def test_non_finite_time_raises_like_evolve(self):
         h = build_hn(3)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinfanout import circuits, verify
+from spinfanout import circuits, core, verify
 from spinfanout.circuits import (
     Circuit,
     Step,
@@ -318,6 +318,84 @@ class TestFig3Gather:
         assert np.array_equal(layer[_parity_targets(m)], p @ layer)
 
 
+def _ids(check_id, key, values):
+    return {(check_id, ((key, v),)) for v in values}
+
+
+# the instances run_suite skips under dense=4, l2=4, state=6
+TIGHT_CAP_SKIPS = (
+    _ids("fanout", "n", (4, 6, 8))
+    | _ids("fanout_simplified", "n", (4, 6, 8))
+    | _ids("fig3_conjugation", "n_plus_1", (5, 6, 7, 8))
+    | _ids("kn_offset", "n", (7, 8, 9, 10))
+    | _ids("parity", "n", (4, 6, 8))
+    | _ids("parity_dichotomy", "n", (8, 10))
+    | _ids("parity_like", "n", (6, 8))
+    | _ids("parity_negative_control", "n", (4,))
+    | _ids("phase_formula", "n", (7, 8, 9, 10))
+    | _ids("unentangled_control", "n", (6,))
+    | _ids("unitary_pow4", "n", (7, 8, 9, 10))
+)
+
+
+def skipped_under_tight_caps():
+    return {(r.check_id, tuple(sorted(r.params.items()))) for r in run_suite() if r.skipped}
+
+
+def without_elapsed(results):
+    return [dataclasses.replace(r, elapsed=0.0) for r in results]
+
+
+class TestCircuitCache:
+    """Each row's circuit is built once per process; a warm row must report
+    and raise exactly what a cold one does."""
+
+    def test_warm_suite_equals_cold_suite(self):
+        verify._cached_circuit.cache_clear()
+        cold = run_suite()
+        assert verify._cached_circuit.cache_info().currsize > 0
+        warm = run_suite()
+        assert without_elapsed(warm) == without_elapsed(cold)
+        assert check_results_json(warm) == check_results_json(cold)
+
+    def test_cache_stays_small(self, monkeypatch):
+        cached, qubits = verify._cached_circuit, []
+
+        def recording(build, n, swapped):
+            c = cached(build, n, swapped)
+            qubits.append(c.n)
+            return c
+
+        monkeypatch.setattr(verify, "_cached_circuit", recording)
+        cached.cache_clear()
+        run_suite()
+        assert cached.cache_info().currsize <= 32
+        # 13 qubits, the smallest of its circuits over the dense cap of 12
+        assert run_check("unentangled_control", {"n": 12}).passed
+        assert cached.cache_info().currsize <= 32
+        assert qubits and max(qubits) <= core.DENSE_CAP
+
+    def test_hit_still_checks_the_state_cap(self, lower_caps):
+        run_check("parity", {"n": 6})  # warm
+        lower_caps(dense=12, l2=8, state=5)
+        # the dense cap lets the 7-qubit row through; only un(6) is over a cap
+        with pytest.raises(CapExceededError):
+            run_check("parity", {"n": 6})
+
+    def test_warm_suite_skips_the_same_under_tight_caps(self, lower_caps):
+        run_suite()  # warm
+        lower_caps(dense=4, l2=4, state=6)
+        assert skipped_under_tight_caps() == TIGHT_CAP_SKIPS
+
+    def test_negative_control_keeps_its_own_circuit(self):
+        verify._cached_circuit.cache_clear()
+        before = run_check("parity_negative_control", {"n": 4})
+        assert run_check("parity", {"n": 4}).passed
+        after = run_check("parity_negative_control", {"n": 4})
+        assert without_elapsed([after]) == without_elapsed([before])
+        assert not after.passed
+
+
 @pytest.fixture(scope="module")
 def results():
     return run_suite()
@@ -364,29 +442,7 @@ class TestRunSuite:
 
     def test_tight_caps_skip_exactly(self, lower_caps):
         lower_caps(dense=4, l2=4, state=6)
-        skipped = {
-            (r.check_id, tuple(sorted(r.params.items())))
-            for r in run_suite()
-            if r.skipped
-        }
-
-        def ids(check_id, key, values):
-            return {(check_id, ((key, v),)) for v in values}
-
-        expected = (
-            ids("fanout", "n", (4, 6, 8))
-            | ids("fanout_simplified", "n", (4, 6, 8))
-            | ids("fig3_conjugation", "n_plus_1", (5, 6, 7, 8))
-            | ids("kn_offset", "n", (7, 8, 9, 10))
-            | ids("parity", "n", (4, 6, 8))
-            | ids("parity_dichotomy", "n", (8, 10))
-            | ids("parity_like", "n", (6, 8))
-            | ids("parity_negative_control", "n", (4,))
-            | ids("phase_formula", "n", (7, 8, 9, 10))
-            | ids("unentangled_control", "n", (6,))
-            | ids("unitary_pow4", "n", (7, 8, 9, 10))
-        )
-        assert skipped == expected
+        assert skipped_under_tight_caps() == TIGHT_CAP_SKIPS
 
     def test_n_max_marks_skipped(self):
         results = run_suite(filter="phase_formula", n_max=4)
