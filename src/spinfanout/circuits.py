@@ -446,18 +446,36 @@ def simplified_fanout_circuit(n: int, swapped: bool | None = None) -> Circuit:
 def to_text(c: Circuit) -> str:
     """Line-oriented serialization: one step per line, ``GATE q_i [q_j]``.
 
-    Evolutions on qubits 0..k-1 serialize as ``UN k`` / ``UNDAG k``.
+    Evolutions on qubits 0..k-1 serialize as ``UN k`` / ``UNDAG k``.  A step
+    whose gate :func:`from_text` would not read back from its line (one that
+    is not the standard gate of its name, or not ``un(k)`` or
+    ``un_dagger(k)``) raises ``ValueError`` naming the step.
     """
     lines = []
-    for step in c.steps:
-        if step.gate.name in ("UN", "UNDAG"):
+    for i, step in enumerate(c.steps):
+        name = step.gate.name
+        if name in ("UN", "UNDAG"):
             k = step.gate.unitary.n
             if step.targets != tuple(range(k)):
                 raise ValueError("evolution steps must act on qubits 0..k-1")
-            lines.append(f"{step.gate.name} {k}")
+            line, read_back = f"{name} {k}", _evolution_gate(name, k)
         else:
-            lines.append(" ".join([step.gate.name] + [str(t) for t in step.targets]))
+            line = " ".join([name] + [str(t) for t in step.targets])
+            try:
+                read_back = standard_gate(name.upper())  # as from_text reads the name
+            except KeyError:
+                read_back = None
+        if read_back is None or not _same_matrix(step.gate.unitary, read_back.unitary):
+            raise ValueError(f"step {i}: {line!r} would not read back as its gate")
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _same_matrix(u: Operator, v: Operator) -> bool:
+    """Whether ``u`` and ``v`` hold exactly the same matrix."""
+    if isinstance(u, DiagonalOperator) and isinstance(v, DiagonalOperator):
+        return np.array_equal(u.entries, v.entries)
+    return u.n == v.n and np.array_equal(u.to_dense().matrix, v.to_dense().matrix)
 
 
 def from_text(text: str, n: int | None = None) -> Circuit:

@@ -61,9 +61,20 @@ def popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
-def _check_basis_index(value: int, n: int) -> None:
-    if not 0 <= value < (1 << n):
-        raise IndexError(f"basis index {value} out of range for {n} qubits")
+def _store_array(obj, field: str, dtype: type, ndim: int, *checks) -> None:
+    """Store ``obj.field`` as a read-only ``dtype`` array with ``ndim`` axes of
+    length ``2**obj.n`` on the frozen ``obj``, once each ``test(array)`` of
+    ``checks``, ``(test, message)`` pairs, holds; else raise ``ValueError``
+    and leave the given array writable."""
+    arr = np.asarray(getattr(obj, field), dtype=dtype)
+    shape = (1 << obj.n,) * ndim
+    if arr.shape != shape:
+        raise ValueError(f"expected {'x'.join(map(str, shape))} {field}, got {arr.shape}")
+    for test, message in checks:
+        if not test(arr):
+            raise ValueError(message)
+    object.__setattr__(obj, field, arr)
+    arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -74,16 +85,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-        amps.setflags(write=False)
+        _store_array(self, "amplitudes", complex, 1)
 
     @classmethod
     def basis(cls, n: int, value: int) -> "StateVector":
         check_state(n)
-        _check_basis_index(value, n)
+        if not 0 <= value < (1 << n):
+            raise IndexError(f"basis index {value} out of range for {n} qubits")
         amps = np.zeros(1 << n, dtype=complex)
         amps[value] = 1.0
         return cls(n, amps)
@@ -97,11 +105,7 @@ class DiagonalOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} entries, got {entries.shape}")
-        object.__setattr__(self, "entries", entries)
-        entries.setflags(write=False)
+        _store_array(self, "entries", complex, 1)
 
     @classmethod
     def identity(cls, n: int) -> "DiagonalOperator":
@@ -121,12 +125,7 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 1 << self.n
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        mat.setflags(write=False)
+        _store_array(self, "matrix", complex, 2)
 
     def to_dense(self) -> "DenseOperator":
         return self
@@ -139,10 +138,13 @@ Operator = DiagonalOperator | DenseOperator
 class EquivalenceReport:
     """Outcome of a global-phase-equivalence check between two operators."""
 
-    equivalent: bool
     phase: complex
     max_deviation: float
     tolerance: float
+
+    @property
+    def equivalent(self) -> bool:
+        return self.max_deviation < self.tolerance
 
 
 def equiv_up_to_global_phase(
@@ -168,12 +170,7 @@ def equiv_up_to_global_phase(
     pos = _peak(va)
     phase = _phase(ua.flat[pos], va.flat[pos], tol)
     max_dev = _max_deviation(ua, va, phase)
-    return EquivalenceReport(
-        equivalent=max_dev < tol,
-        phase=complex(phase),
-        max_deviation=max_dev,
-        tolerance=tol,
-    )
+    return EquivalenceReport(phase=complex(phase), max_deviation=max_dev, tolerance=tol)
 
 
 def _peak(v: np.ndarray) -> int:

@@ -8,6 +8,7 @@ for even and odd parity are orthogonal iff the relative phase is +-pi/2.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,11 @@ class ScanResult:
     hamiltonian_id: str
     times: tuple[float, ...]
     verdicts: tuple[ParityDiagonalVerdict, ...]
-    best: int  # index into times/verdicts
+
+    @functools.cached_property
+    def best(self) -> int:
+        """Index into times/verdicts of the first lowest score."""
+        return int(np.argmin([vd.score for vd in self.verdicts]))
 
     @property
     def best_time(self) -> float:
@@ -50,13 +55,10 @@ class ScanResult:
 def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagonalVerdict:
     """Measure how far a unitary is from the parity-usable form."""
     if isinstance(u, DiagonalOperator):
-        diag = u.entries.copy()
-        off_max = 0.0
+        diag, off_max = u.entries.copy(), 0.0
     else:
-        mat = u.matrix
-        diag = np.diag(mat).copy()
-        off = mat - np.diag(diag)
-        off_max = float(np.max(np.abs(off)))
+        diag = np.diag(u.matrix).copy()
+        off_max = float(np.max(np.abs(u.matrix - np.diag(diag))))
     return _verdicts(diag[None], _parity_classes(u.n), off_max, tol)[0]
 
 
@@ -88,8 +90,12 @@ def _verdicts(
     for phase_even, phase_odd, spread_even, spread_odd in zip(
         norm[:, 0].tolist(), norm[:, 1].tolist(), *spreads
     ):
-        rel = phase_odd / phase_even
-        quarter_turn_dist = min(abs(rel - 1j), abs(rel + 1j))
+        if phase_even:
+            rel = phase_odd / phase_even
+            relative_phase = math.atan2(rel.imag, rel.real)
+            quarter_turn_dist = min(abs(rel - 1j), abs(rel + 1j))
+        else:  # no phase relative to an entry 0 of exactly 0: never usable
+            relative_phase, quarter_turn_dist = math.nan, math.inf
         usable = (
             is_diagonal
             and spread_even < tol
@@ -101,7 +107,7 @@ def _verdicts(
             off_diag_max=off_max,
             phase_even=phase_even,
             phase_odd=phase_odd,
-            relative_phase=float(math.atan2(rel.imag, rel.real)),
+            relative_phase=relative_phase,
             parity_usable=usable,
             score=off_max + spread_even + spread_odd + quarter_turn_dist,
         ))
@@ -152,8 +158,7 @@ def scan(
     else:
         evolved = evolver(h)
         verdicts = tuple(classify_parity_diagonal(evolved(t), tol=tol) for t in times)
-    best = int(np.argmin([vd.score for vd in verdicts]))
-    return ScanResult(hamiltonian_id, times, verdicts, best)
+    return ScanResult(hamiltonian_id, times, verdicts)
 
 
 def default_time_grid() -> list[float]:

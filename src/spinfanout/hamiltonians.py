@@ -16,6 +16,7 @@ from .core import (
     DenseOperator,
     DiagonalOperator,
     Operator,
+    _store_array,
     check_l2,
     check_state,
     popcounts,
@@ -26,6 +27,7 @@ TIME_THREE_QUARTERS = 3 * np.pi / 4
 
 HERMITIAN_TOL = 1e-10
 
+
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
     """Hamiltonian diagonal in the computational basis; energies are real."""
@@ -34,13 +36,8 @@ class DiagonalHamiltonian:
     energies: np.ndarray
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
-        if energies.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} energies, got {energies.shape}")
-        if not np.all(np.isfinite(energies)):
-            raise ValueError("Hamiltonian energies must be finite")
-        object.__setattr__(self, "energies", energies)
-        energies.setflags(write=False)
+        _store_array(self, "energies", float, 1,
+                     (lambda e: np.isfinite(e).all(), "Hamiltonian energies must be finite"))
 
 
 @dataclass(frozen=True)
@@ -51,16 +48,10 @@ class DenseHamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 1 << self.n
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("Hamiltonian matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", mat)
-        mat.setflags(write=False)
+        _store_array(self, "matrix", complex, 2,
+                     (lambda m: np.isfinite(m).all(), "Hamiltonian matrix entries must be finite"),
+                     (lambda m: np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL,
+                      "matrix is not Hermitian within tolerance"))
 
 
 @dataclass(frozen=True)

@@ -51,22 +51,26 @@ from .circuits import (
 class CheckResult:
     check_id: str
     params: dict
-    passed: bool
     max_deviation: float
     phase: complex
     elapsed: float
     tolerance: float
     anchor: str
     negative_control: bool = False
-    skipped: bool = False
     skip_reason: str = ""  # "cap" or "n-max" for a skipped instance
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation < self.tolerance
+
+    @property
+    def skipped(self) -> bool:
+        return bool(self.skip_reason)
 
     @property
     def ok(self) -> bool:
         """True when the check behaved as designed (negatives must fail)."""
-        if self.skipped:
-            return True
-        return self.passed != self.negative_control
+        return self.skipped or self.passed != self.negative_control
 
 
 @dataclass(frozen=True)
@@ -329,34 +333,15 @@ def run_check(check_id: str, params: dict | None = None) -> CheckResult:
     params = dict(params or (defn.default_params[0] if defn.default_params else {}))
     start = time.perf_counter()
     max_dev, phase = defn.run(params)
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        check_id=check_id,
-        params=params,
-        passed=max_dev < defn.tolerance,
-        max_deviation=max_dev,
-        phase=phase,
-        elapsed=elapsed,
-        tolerance=defn.tolerance,
-        anchor=defn.anchor,
-        negative_control=defn.negative_control,
-    )
+    return _result(defn, params, max_dev, phase, time.perf_counter() - start)
 
 
-def _skipped(defn: CheckDef, params: dict, reason: str) -> CheckResult:
-    return CheckResult(
-        check_id=defn.check_id,
-        params=dict(params),
-        passed=False,
-        max_deviation=float("nan"),
-        phase=complex(1),
-        elapsed=0.0,
-        tolerance=defn.tolerance,
-        anchor=defn.anchor,
-        negative_control=defn.negative_control,
-        skipped=True,
-        skip_reason=reason,
-    )
+def _result(defn: CheckDef, params: dict, max_dev: float = float("nan"), phase: complex = 1 + 0j,
+            elapsed: float = 0.0, skip_reason: str = "") -> CheckResult:
+    """The result of ``defn`` on ``params``, or, with a ``skip_reason``, of
+    an instance that was not run."""
+    return CheckResult(defn.check_id, dict(params), max_dev, phase, elapsed,
+                       defn.tolerance, defn.anchor, defn.negative_control, skip_reason)
 
 
 def run_suite(filter: str | None = None, n_max: int | None = None) -> list[CheckResult]:
@@ -373,12 +358,12 @@ def run_suite(filter: str | None = None, n_max: int | None = None) -> list[Check
         for params in defn.default_params:
             size = next(iter(params.values())) if params else 0
             if n_max is not None and params and size > n_max:
-                results.append(_skipped(defn, params, "n-max"))
+                results.append(_result(defn, params, skip_reason="n-max"))
                 continue
             try:
                 results.append(run_check(defn.check_id, params))
             except CapExceededError:
-                results.append(_skipped(defn, params, "cap"))
+                results.append(_result(defn, params, skip_reason="cap"))
     results.sort(key=lambda r: (r.check_id, sorted(r.params.items())))
     return results
 

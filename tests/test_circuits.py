@@ -880,6 +880,62 @@ class TestTextFormat:
         ]
         assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
 
+    @pytest.mark.parametrize("build", [
+        parity_circuit, parity_like_circuit, fanout_circuit, simplified_fanout_circuit
+    ])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("swapped", [None, True, False])
+    def test_paper_circuits_round_trip(self, build, n, swapped):
+        c = build(n, swapped=swapped)
+        text = to_text(c)
+        parsed = from_text(text, n=c.n)
+        assert to_text(parsed) == text
+        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_monomial_circuits_round_trip(self, seed):
+        c, _ = seeded_circuit_and_oracle("monomial", seed)
+        parsed = from_text(to_text(c), n=c.n)
+        assert [(s.gate.name, s.targets) for s in parsed.steps] == [
+            (s.gate.name, s.targets) for s in c.steps
+        ]
+        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
+
+    def test_seeded_text_round_trips(self):
+        # the seeded 12-qubit circuit of the CI compile step
+        text = ("H 6\nUN 5\nCNOT 0 2\nS 2\nX 6\nCZ 9 6\nSDAG 3\nH 1\nUNDAG 3\nZ 3\n"
+                "CNOT 6 7\nUN 9\nH 9\nS 5\n")
+        assert to_text(from_text(text, n=12)) == text
+
+    @pytest.mark.parametrize("gate, line", [
+        # from_text rejects the name
+        (GateDef("G", standard_gate("H").unitary), "G 1"),
+        # from_text reads back a Hadamard
+        (GateDef("H", DenseOperator(1, np.array([[0, -1j], [1j, 0]]))), "H 1"),
+        # from_text reads back a Z
+        (GateDef("Z", standard_gate("S").unitary), "Z 1"),
+    ])
+    def test_gate_that_does_not_read_back_is_not_written(self, gate, line):
+        c = Circuit(2, (Step(standard_gate("X"), (0,)), Step(gate, (1,))))
+        with pytest.raises(ValueError, match=f"^step 1: '{line}' would not read back as its gate$"):
+            to_text(c)
+
+    @pytest.mark.parametrize("name, evolution", [("UN", un_dagger), ("UNDAG", un)])
+    def test_evolution_that_does_not_read_back_is_not_written(self, name, evolution):
+        c = Circuit(3, (Step(GateDef(name, evolution(3)), (0, 1, 2)),))
+        message = f"^step 0: '{name} 3' would not read back as its gate$"
+        with pytest.raises(ValueError, match=message):
+            to_text(c)
+
+    @pytest.mark.parametrize("gate", [
+        GateDef("Z", DenseOperator(1, np.diag([1, -1]))),  # the matrix of Z, held dense
+        GateDef("sdg", standard_gate("SDAG").unitary),  # a name from_text reads as SDAG
+    ])
+    def test_gate_that_reads_back_as_its_matrix_is_written(self, gate):
+        c = Circuit(1, (Step(gate, (0,)),))
+        parsed = from_text(to_text(c))
+        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
+
     def test_format_lines(self):
         text = to_text(parity_circuit(2))
         lines = text.strip().splitlines()
@@ -912,6 +968,24 @@ class TestTextFormat:
     def test_malformed_line_names_line(self, text):
         with pytest.raises(ValueError, match="line 2"):
             from_text("H 0\n" + text, n=3)
+
+    @pytest.mark.parametrize("name", ["UN", "UNDAG"])
+    @pytest.mark.parametrize("args", ["0", "2 3", ""])
+    def test_evolution_takes_one_positive_size(self, name, args):
+        with pytest.raises(ValueError, match=f"^line 2: {name} takes one positive size$"):
+            from_text(f"H 0\n{name} {args}\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_text_needs_a_qubit_count(self, text):
+        with pytest.raises(ValueError, match="^empty circuit with no qubit count given$"):
+            from_text(text)
+        assert from_text(text, n=2) == Circuit(2, ())
+
+    @pytest.mark.parametrize("targets", [(1, 2), (1, 0)])
+    def test_evolution_off_the_first_qubits_is_not_written(self, targets):
+        c = Circuit(3, (Step(GateDef("UN", un(2)), targets),))
+        with pytest.raises(ValueError, match="^evolution steps must act on qubits 0..k-1$"):
+            to_text(c)
 
     @pytest.mark.parametrize("text", ["", "H 0\n"])
     @pytest.mark.parametrize("n", [0, -2])

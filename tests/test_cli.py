@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spinfanout.cli import main
@@ -164,6 +165,41 @@ class TestMatrixCommand:
     def test_options_the_target_uses_are_accepted(self, capsys, argv):
         code, out, err = run_cli(capsys, "matrix", *argv)
         assert code == 0 and out and err == ""
+
+    def test_undag_is_the_inverse_of_un(self, capsys):
+        entries = {}
+        for what in ("un", "undag"):
+            code, out, _ = run_cli(capsys, "matrix", "--what", what, "--n", "2")
+            assert code == 0
+            header, *lines = out.splitlines()
+            assert header == "diagonal operator on 2 qubits"
+            entries[what] = np.array([complex(line.split()[1]) for line in lines])
+        # U_2 is diag(1, i, i, 1) after normalization
+        assert np.max(np.abs(entries["un"] - [1, 1j, 1j, 1])) < 1e-15
+        assert np.max(np.abs(entries["un"] * entries["undag"] - 1)) < 1e-15
+
+    @pytest.mark.parametrize("what, rows", [
+        ("parity_ref", [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
+        ("fanout_ref", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ])
+    def test_references(self, capsys, what, rows):
+        code, out, _ = run_cli(capsys, "matrix", "--what", what, "--n", "2", "--format", "csv")
+        assert code == 0
+        assert [[complex(z) for z in line.split(",")] for line in out.splitlines()] == rows
+
+    def test_circuit_file_needs_a_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--what", "circuit-file"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--what circuit-file requires --file" in captured.err
+
+    def test_diagonal_csv_is_one_entry_per_line(self, capsys):
+        _, text, _ = run_cli(capsys, "matrix", "--what", "un", "--n", "2")
+        code, out, _ = run_cli(capsys, "matrix", "--what", "un", "--n", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [line.split()[1] for line in text.splitlines()[1:]]
 
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -361,6 +397,21 @@ class TestExploreCommand:
         ):
             code, out, err = run_cli(capsys, "explore", *argv, "--grid", "0.25pi", "--json")
             assert code == 0 and out and err == ""
+
+    def test_no_qubits_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--hamiltonian", "hn", "--n", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n must be positive" in captured.err
+
+    def test_kn_file_needs_a_coupling_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--hamiltonian", "kn-file", "--n", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--hamiltonian kn-file requires --coupling-file" in captured.err
 
     def test_ring_coupling_defaults_to_one(self, capsys):
         args = ("explore", "--hamiltonian", "ring", "--n", "4", "--grid", "0.25pi", "--json")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,16 @@ from spinfanout.core import (
 from spinfanout import core
 from spinfanout.circuits import Circuit, compile_circuit, from_text
 from spinfanout.gates import fanout_reference, parity_reference
-from spinfanout.hamiltonians import CouplingMatrix, build_hn, build_kn, build_l2, un, un_dagger
+from spinfanout.hamiltonians import (
+    CouplingMatrix,
+    DenseHamiltonian,
+    DiagonalHamiltonian,
+    build_hn,
+    build_kn,
+    build_l2,
+    un,
+    un_dagger,
+)
 
 from helpers import random_unitary, schmidt_rank_one_deviation
 
@@ -270,6 +280,78 @@ class TestSizeCaps:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# each array-holding value type, the array it is given, and the words it
+# refuses a wrong shape with
+_WRONG_SHAPES = [
+    pytest.param(StateVector, np.zeros(3, complex), "expected 4 amplitudes, got (3,)",
+                 id="StateVector"),
+    pytest.param(DiagonalOperator, np.zeros(3, complex), "expected 4 entries, got (3,)",
+                 id="DiagonalOperator"),
+    pytest.param(DenseOperator, np.zeros((4, 3), complex), "expected 4x4 matrix, got (4, 3)",
+                 id="DenseOperator"),
+    pytest.param(DiagonalHamiltonian, np.zeros(8), "expected 4 energies, got (8,)",
+                 id="DiagonalHamiltonian"),
+    pytest.param(DenseHamiltonian, np.zeros((2, 2), complex), "expected 4x4 matrix, got (2, 2)",
+                 id="DenseHamiltonian"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("cls, array, message", _WRONG_SHAPES)
+    def test_wrong_shape_is_refused_and_left_writable(self, cls, array, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(2, array)
+        assert array.flags.writeable
+
+    def test_coupling_matrix_wrong_shape(self):
+        with pytest.raises(ValueError, match="^expected 3x3 coupling array$"):
+            CouplingMatrix(3, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("cls, array", [
+        pytest.param(DiagonalHamiltonian, np.array([0.0, np.nan]), id="diagonal_not_finite"),
+        pytest.param(DenseHamiltonian, np.array([[0, np.inf], [np.inf, 0]], complex),
+                     id="dense_not_finite"),
+        pytest.param(DenseHamiltonian, np.array([[0, 1], [0, 0]], complex),
+                     id="dense_not_hermitian"),
+    ])
+    def test_a_rejected_hamiltonian_leaves_its_array_writable(self, cls, array):
+        with pytest.raises(ValueError):
+            cls(1, array)
+        assert array.flags.writeable
+
+    @pytest.mark.parametrize("cls, array", [
+        pytest.param(cls, array, id=cls.__name__) for cls, array in [
+            (StateVector, np.array([1, 0], complex)),
+            (DiagonalOperator, [1, 1j]),
+            (DenseOperator, np.eye(2)),
+            (DiagonalHamiltonian, [0, 1]),
+            (DenseHamiltonian, np.eye(2, dtype=complex)),
+            (CouplingMatrix, np.ones((1, 1))),
+        ]
+    ])
+    def test_an_accepted_array_is_stored_read_only(self, cls, array):
+        value = cls(1, array)
+        stored = next(v for v in vars(value).values() if isinstance(v, np.ndarray))
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+
+    @pytest.mark.parametrize("value", [-1, 4])
+    def test_basis_index_out_of_range(self, value):
+        with pytest.raises(IndexError, match=f"^basis index {value} out of range for 2 qubits$"):
+            StateVector.basis(2, value)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_equivalence_tolerance_must_be_positive(self, tol):
+        u = DiagonalOperator.identity(1)
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            equiv_up_to_global_phase(u, u, tol)
+
+    def test_equivalence_qubit_count_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2 qubits$"):
+            equiv_up_to_global_phase(DiagonalOperator.identity(1), DiagonalOperator.identity(2))
 
 
 class TestSchmidt:

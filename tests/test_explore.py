@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinfanout.core import _SLICE, CapExceededError, DenseOperator, DiagonalOperator
+from spinfanout.gates import standard_gate
 from spinfanout.explore import (
     ParityDiagonalVerdict,
     ScanResult,
@@ -55,6 +57,18 @@ class TestClassify:
         with pytest.raises(ValueError, match="at least one qubit"):
             classify_parity_diagonal(DiagonalOperator(0, [1]))
 
+    @pytest.mark.parametrize("u", [
+        pytest.param(standard_gate("X").unitary, id="dense"),
+        pytest.param(DiagonalOperator(1, [0, 1]), id="diagonal"),
+    ])
+    def test_first_entry_exactly_zero_has_no_relative_phase(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = classify_parity_diagonal(u)
+        assert not v.parity_usable
+        assert math.isnan(v.relative_phase)
+        assert v.score == math.inf
+
     def test_off_diagonal_detected(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         v = classify_parity_diagonal(DenseOperator(1, h))
@@ -102,8 +116,27 @@ class TestScan:
         b = scan(build_kn(build_ring(4, 1.0)), grid, hamiltonian_id="r")
         assert scan_result_json(a) == scan_result_json(b)
 
+    def test_best_is_the_first_lowest_score(self):
+        usable, identity = (classify_parity_diagonal(u)
+                            for u in (un(6), DiagonalOperator.identity(2)))
+        res = ScanResult("r", (1.0, 2.0, 3.0, 4.0), (identity, usable, identity, usable))
+        assert res.best == 1 and res.best_time == 2.0 and res.best_verdict is usable
+        assert "best" not in {f.name for f in dataclasses.fields(ScanResult)}
+
+    def test_json_line_of_a_verdict_with_no_relative_phase(self):
+        x, identity = (classify_parity_diagonal(u)
+                       for u in (standard_gate("X").unitary, DiagonalOperator.identity(1)))
+        res = ScanResult("x", (1.0, 2.0), (x, identity))
+        assert res.best == 1  # an infinite score is never the best over a finite one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [json.loads(line) for line in scan_result_json(res).splitlines()]
+        assert rows[0]["relative_phase"] is None and rows[0]["score"] is None
+        assert rows[0]["phase_even_re"] == 0 and not rows[0]["parity_usable"]
+        assert [row["best"] for row in rows] == [False, True]
+
     def test_json_lines(self):
-        assert scan_result_json(ScanResult("hn", (), (), 0)) == ""
+        assert scan_result_json(ScanResult("hn", (), ())) == ""
         text = scan_result_json(scan(build_hn(4), [math.pi / 4, 1.0], hamiltonian_id="hn"))
         lines = text.split("\n")
         assert len(lines) == 3 and lines[-1] == ""

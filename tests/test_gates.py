@@ -44,6 +44,18 @@ class TestStandardGates:
         with pytest.raises(KeyError):
             standard_gate("T")
 
+    @pytest.mark.parametrize("name", ["SDG", "sdg", "S†"])
+    def test_sdag_aliases(self, name):
+        assert standard_gate(name) is standard_gate("SDAG")
+
+    @pytest.mark.parametrize("reference, message", [
+        (fanout_reference, "fanout needs at least 2 qubits"),
+        (parity_reference, "parity needs at least 2 qubits"),
+    ])
+    def test_reference_on_one_qubit_refused(self, reference, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reference(1)
+
 
 class TestFanoutReference:
     def test_two_qubits_is_cnot(self):

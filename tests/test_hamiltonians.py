@@ -142,6 +142,10 @@ class TestCouplingMatrix:
         with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\).*0\.\.2"):
             CouplingMatrix.from_pairs(3, {pair: 1.0})
 
+    def test_from_pairs_rejects_a_self_coupling(self):
+        with pytest.raises(ValueError, match="^no self-coupling allowed$"):
+            CouplingMatrix.from_pairs(3, {(1, 1): 1.0})
+
     def test_from_pairs_takes_either_order(self):
         J = CouplingMatrix.from_pairs(3, {(1, 0): 0.5, (2, 1): 7.0}).J
         assert J[0, 1] == 0.5 and J[1, 2] == 7.0 and J[1, 0] == 0.0
@@ -201,6 +205,10 @@ class TestL2:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             build_l2(9)
+
+    def test_no_qubits_refused(self):
+        with pytest.raises(ValueError, match="^need at least one qubit, got n=0$"):
+            build_l2(0)
 
 
 class TestEvolve:

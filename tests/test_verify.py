@@ -23,6 +23,8 @@ from spinfanout.circuits import (
 from spinfanout.core import (
     CapExceededError,
     DenseOperator,
+    DiagonalOperator,
+    EquivalenceReport,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,
@@ -36,6 +38,7 @@ from spinfanout.gates import (
 )
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import (
+    CheckResult,
     _matches_reference,
     known_check_ids,
     run_check,
@@ -476,6 +479,45 @@ class TestRunSuite:
         assert check_results_json(a) == check_results_json(b)
 
 
+class TestDerivedFields:
+    """``passed`` and ``skipped`` are read from the fields that decide them,
+    so no result can contradict itself."""
+
+    def test_not_stored(self):
+        names = {f.name for f in dataclasses.fields(CheckResult)}
+        assert not names & {"passed", "skipped"}
+        assert "equivalent" not in {f.name for f in dataclasses.fields(EquivalenceReport)}
+
+    def test_passed_follows_the_deviation(self):
+        ran = run_check("ieq")
+        assert ran.passed and ran.max_deviation < ran.tolerance
+        worse = dataclasses.replace(ran, max_deviation=0.5)
+        assert not worse.passed and not worse.ok
+        assert json.loads(check_results_json([worse]))["passed"] is False
+        assert "FAIL" in check_results_table([worse])
+
+    def test_skipped_follows_the_reason(self):
+        ran = run_check("ieq")
+        assert not ran.skipped and ran.skip_reason == ""
+        skipped = dataclasses.replace(ran, skip_reason="n-max")
+        assert skipped.skipped and skipped.ok
+        assert "SKIP(n-max)" in check_results_table([skipped])
+
+    @pytest.mark.parametrize("reason", ["n-max", "cap"])
+    def test_a_skipped_instance_has_no_deviation(self, reason, lower_caps):
+        if reason == "cap":
+            lower_caps(dense=8, l2=8, state=20)
+        n_max = 6 if reason == "n-max" else None
+        [r] = [r for r in run_suite("fanout_simplified", n_max=n_max) if r.params == {"n": 8}]
+        assert r.skipped and r.skip_reason == reason
+        assert math.isnan(r.max_deviation) and not r.passed and r.ok
+
+    def test_equivalent_follows_the_deviation(self):
+        rep = equiv_up_to_global_phase(DiagonalOperator.identity(1), DiagonalOperator.identity(1))
+        assert rep.equivalent
+        assert not dataclasses.replace(rep, max_deviation=rep.tolerance).equivalent
+
+
 class TestReportFormat:
     def test_json_lines_parse(self):
         results = run_suite(filter="ieq")
@@ -519,7 +561,7 @@ class TestReportFormat:
 
     def test_table_shows_elapsed_ms(self):
         ran = dataclasses.replace(run_check("ieq"), elapsed=0.01234)
-        skipped = dataclasses.replace(ran, check_id="skipped_one", skipped=True)
+        skipped = dataclasses.replace(ran, check_id="skipped_one", skip_reason="cap")
         header, _, ran_row, skipped_row = check_results_table([ran, skipped]).splitlines()
         assert header.split()[4] == "elapsed_ms"
         assert ran_row.split()[4] == "12.3" and skipped_row.split()[4] == "-"
