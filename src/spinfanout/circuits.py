@@ -287,15 +287,13 @@ def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
     np.matmul(mat, operand, out=out)
 
 
-def _run_steps(
-    plan: tuple[_Entry, ...], n: int, block: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_steps(plan: tuple[_Entry, ...], n: int, block: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The plan entries applied, in order, to the columns of a ``(2^n, cols)``
-    block with ``work`` as scratch; returns ``(result, scratch)`` as
-    :func:`_apply_to_block` does."""
+    block with ``work`` as scratch; returns whichever of the two holds the
+    result."""
     for gate, lo in plan:
         block, work = _apply_to_block(block, gate, lo, n, work)
-    return block, work
+    return block
 
 
 def _summed_inputs(n: int, mask: int) -> np.ndarray:
@@ -322,6 +320,7 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     ``_BLOCK_ENTRIES`` entries (or one column).  Every block is overwritten
     by the next one.
     """
+    check_state(c.n)
     n, dim = c.n, 1 << c.n
     inputs = _summed_inputs(n, c._support[0] | extra)
     cols = max(1, min(len(inputs), _BLOCK_ENTRIES >> n))
@@ -334,7 +333,7 @@ def _summed_blocks(c: Circuit, extra: int = 0):
         block, work = pair
         block.fill(0)
         block[inputs[start:start + cols], np.arange(cols)[:, None]] = 1
-        yield inputs[start:start + cols], _run_steps(c._plan, n, block, work)[0]
+        yield inputs[start:start + cols], _run_steps(c._plan, n, block, work)
 
 
 def compile_circuit(c: Circuit) -> DenseOperator:
@@ -364,8 +363,9 @@ def run_circuit(c: Circuit, state: StateVector) -> StateVector:
     """Apply the circuit's steps to a state, in order."""
     if state.n != c.n:
         raise ValueError(f"circuit on {c.n} qubits applied to a {state.n}-qubit state")
+    check_state(c.n)
     amps = state.amplitudes[:, None].copy()
-    return StateVector(c.n, _run_steps(c._plan, c.n, amps, np.empty_like(amps))[0][:, 0])
+    return StateVector(c.n, _run_steps(c._plan, c.n, amps, np.empty_like(amps))[:, 0])
 
 
 def _use_swapped_evolution(n: int) -> bool:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import CapExceededError, DenseOperator, DiagonalOperator, Operator, check_state
+from .core import CapExceededError, DenseOperator, DiagonalOperator, Operator
 from .circuits import (
     compile_circuit,
     fanout_circuit,
@@ -127,37 +127,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if suite_ok(results) else EXIT_CHECK_FAILED
 
 
-def _phase_normalize(op: Operator) -> Operator:
-    """Rotate by a global phase so the (0,0) entry is real and >= 0."""
-    first = op.entries[0] if isinstance(op, DiagonalOperator) else op.matrix[0, 0]
-    if abs(first) < 1e-300:
-        return op
-    phase = first / abs(first)
-    if isinstance(op, DiagonalOperator):
-        return DiagonalOperator(op.n, op.entries / phase)
-    return DenseOperator(op.n, op.matrix / phase)
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}j"
 
 
 def _print_operator(op: Operator, fmt: str) -> None:
-    op = _phase_normalize(op)
-    if isinstance(op, DiagonalOperator):
-        if fmt == "csv":
-            for z in op.entries:
-                sys.stdout.write(_fmt_complex(z) + "\n")
-        else:
-            sys.stdout.write(f"diagonal operator on {op.n} qubits\n")
-            for i, z in enumerate(op.entries):
-                sys.stdout.write(f"{i:>6}  {_fmt_complex(z)}\n")
-        return
+    """Print ``op`` one row at a time (a diagonal: one entry per row), each row
+    divided by the global phase that makes the (0,0) entry real and >= 0,
+    unless that entry is 0."""
+    diagonal = isinstance(op, DiagonalOperator)
+    rows = op.entries[:, None] if diagonal else op.matrix
+    first = rows[0, 0]
+    phase = first / abs(first) if abs(first) >= 1e-300 else None
     sep = "," if fmt == "csv" else "  "
     if fmt == "text":
-        sys.stdout.write(f"dense operator on {op.n} qubits\n")
-    for row in op.matrix:
-        sys.stdout.write(sep.join(_fmt_complex(z) for z in row) + "\n")
+        sys.stdout.write(f"{'diagonal' if diagonal else 'dense'} operator on {op.n} qubits\n")
+    for i, row in enumerate(rows):
+        label = f"{i:>6}  " if diagonal and fmt == "text" else ""
+        row = row if phase is None else row / phase
+        sys.stdout.write(label + sep.join(_fmt_complex(z) for z in row) + "\n")
 
 
 def _require_n(args, parser) -> int:
@@ -269,7 +257,6 @@ def _cmd_explore(args, parser) -> int:
         h = build_hn(n)
         ham_id = f"hn(n={n})"
     elif args.hamiltonian == "ring":
-        check_state(n)  # before the n x n coupling matrix
         j = 1.0 if args.j is None else args.j
         h = build_kn(build_ring(n, j))
         ham_id = f"ring(n={n},J={j:g})"
@@ -279,7 +266,6 @@ def _cmd_explore(args, parser) -> int:
     else:
         if not args.coupling_file:
             parser.error("--hamiltonian kn-file requires --coupling-file")
-        check_state(n)  # before the n x n coupling matrix
         h = build_kn(_load_coupling_file(args.coupling_file, n))
         ham_id = f"kn(n={n},file={args.coupling_file})"
     res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id)

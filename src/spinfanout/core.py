@@ -57,6 +57,7 @@ def check_l2(n: int) -> None:
 
 def popcounts(n: int) -> np.ndarray:
     """Hamming weights of the basis labels ``0 .. 2**n - 1`` (int64)."""
+    check_state(n)
     # int64, so that products such as k * (n - k) cannot wrap
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 

@@ -76,6 +76,7 @@ class CouplingMatrix:
         """Couplings from ``{(i, j): J_ij}``; ``(i, j)`` and ``(j, i)`` name one pair,
         so a dict holding both raises ``ValueError``, as does an index outside
         ``0..n-1``."""
+        check_state(n)
         J = np.zeros((n, n))
         given: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), val in pairs.items():
@@ -92,8 +93,8 @@ class CouplingMatrix:
 
     @classmethod
     def uniform(cls, n: int, value: float) -> "CouplingMatrix":
-        J = np.full((n, n), value)
-        return cls(n, J)
+        check_state(n)
+        return cls(n, np.full((n, n), value))
 
     def pairs(self):
         """Nonzero couplings as (i, j, J_ij) with i < j."""
@@ -137,6 +138,7 @@ def build_ring(n: int, J: float) -> CouplingMatrix:
     """Nearest-neighbour couplings on a cycle of ``n`` sites, all equal to J."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 sites, got n={n}")
+    check_state(n)
     pairs = {(i, (i + 1) % n): J for i in range(n)}
     return CouplingMatrix.from_pairs(n, pairs)
 

@@ -87,14 +87,10 @@ def _circuit(build: Callable[..., Circuit], n: int, swapped: bool | None = None)
     """``build(n, swapped=swapped)``, built once per process: a circuit is
     immutable and keeps its plan and support, so a later row only runs it.
 
-    A fresh build of the paper's circuits checks the state cap at ``n`` (in
-    :func:`un`), so that check comes before the lookup, and a hit raises as
-    the build would; the Hadamard layer, whose columns are ``n``-qubit
-    states, is held to it too.  Circuits on more qubits than the dense
-    cap, which only the ``unentangled_control`` row builds, are built
-    afresh each time, so the cache holds at most 32 small circuits.
+    Circuits on more qubits than the dense cap, which only the
+    ``unentangled_control`` row builds, are built afresh each time, so the
+    cache holds at most 32 small circuits.
     """
-    check_state(n)
     if n >= core.DENSE_CAP:  # the builders here make at most n + 1 qubits
         return build(n, swapped=swapped)
     return _cached_circuit(build, n, swapped)
@@ -219,7 +215,6 @@ def _check_parity_like(params: dict) -> tuple[float, complex]:
 
 def _check_fig3_conjugation(params: dict) -> tuple[float, complex]:
     m = params["n_plus_1"]
-    check_dense(m)  # the cap compile_circuit checks, before the lookup
     layer = compile_circuit(_circuit(_hadamard_circuit, m)).matrix
     # P @ layer as a row gather by the parity map, an involution; the product
     # stays complex, as a real one would round the m=8 deviation differently
@@ -245,7 +240,7 @@ def _check_unitary_pow4(params: dict) -> tuple[float, complex]:
 
 def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    check_state(n + 1)  # each column of a block is an (n+1)-qubit state
+    check_state(n + 1)  # before the 2^(n+1)-entry wrong-value map
     prefix = _circuit(_control_prefix, n)
     control = n - 1
     # the mass of the control qubit must sit entirely on |p xor r>, the

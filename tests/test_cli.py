@@ -201,6 +201,13 @@ class TestMatrixCommand:
         assert code == 0
         assert out.splitlines() == [line.split()[1] for line in text.splitlines()[1:]]
 
+    def test_operator_with_a_zero_first_entry_is_printed_unnormalized(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("X 0\n")
+        code, out, err = run_cli(capsys, "matrix", "--what", "circuit-file", "--file", str(path))
+        assert code == 0 and err == ""
+        assert out == "dense operator on 1 qubits\n0+0j  1+0j\n1+0j  0+0j\n"
+
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "matrix", "--what", "circuit-file", "--file", str(tmp_path / "nope")
@@ -355,6 +362,44 @@ class TestExploreCommand:
         )
         assert code == 2
         assert out == "" and err == f"error: line 2: pair {second} repeats line 1\n"
+
+    def test_tolerance_is_accepted(self, capsys):
+        # 1e-7 past pi/4 the score is 2e-7: usable at --tol 1e-6, not at the default 1e-8
+        usable = []
+        for tol in ((), ("--tol", "1e-6")):
+            code, out, err = run_cli(
+                capsys, "explore", "--hamiltonian", "hn", "--n", "2", "--grid", "0.7853982634",
+                *tol, "--json",
+            )
+            assert code == 0 and err == ""
+            usable.append(json.loads(out)["parity_usable"])
+        assert usable == [False, True]
+
+    def test_coupling_file_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        outputs = []
+        for name, text in (("plain", "1 2 1.0\n2 3 0.5\n"),
+                           ("commented", "# a chain\n\n1 2 1.0  # first bond\n\n2 3 0.5\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run_cli(
+                capsys, "explore", "--hamiltonian", "kn-file", "--n", "3",
+                "--coupling-file", str(path), "--grid", "0.25pi,1", "--json",
+            )
+            assert code == 0 and err == ""
+            outputs.append(out.replace(str(path), "J"))
+        assert outputs[0] == outputs[1]
+
+    def test_malformed_coupling_file_over_cap_exits_2(self, capsys, tmp_path, lower_caps):
+        # the file is read before the coupling matrix checks the cap
+        path = tmp_path / "J.txt"
+        path.write_text("1 2\n")
+        lower_caps(dense=4, l2=4, state=6)
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", "kn-file", "--n", "7",
+            "--coupling-file", str(path), "--grid", "1",
+        )
+        assert code == 2
+        assert out == "" and err == "error: line 1: expected 'i j J_ij'\n"
 
     @pytest.mark.parametrize("hamiltonian", ["ring", "kn-file"])
     def test_coupling_over_state_cap_exits_3(self, capsys, tmp_path, hamiltonian):

@@ -16,7 +16,7 @@ from spinfanout.core import (
     popcounts,
 )
 from spinfanout import core
-from spinfanout.circuits import Circuit, compile_circuit, from_text
+from spinfanout.circuits import Circuit, _summed_blocks, compile_circuit, from_text, run_circuit
 from spinfanout.gates import fanout_reference, parity_reference
 from spinfanout.hamiltonians import (
     CouplingMatrix,
@@ -25,6 +25,7 @@ from spinfanout.hamiltonians import (
     build_hn,
     build_kn,
     build_l2,
+    build_ring,
     un,
     un_dagger,
 )
@@ -280,6 +281,30 @@ class TestSizeCaps:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda state: popcounts(7), id="popcounts"),
+            pytest.param(lambda state: run_circuit(Circuit(7, ()), state), id="run_circuit"),
+            pytest.param(lambda state: next(_summed_blocks(Circuit(7, ()))), id="_summed_blocks"),
+            pytest.param(lambda state: build_ring(7, 1.0), id="build_ring"),
+            pytest.param(lambda state: CouplingMatrix.uniform(7, 1.0), id="uniform"),
+            pytest.param(lambda state: CouplingMatrix.from_pairs(7, {}), id="from_pairs"),
+        ],
+    )
+    def test_one_over_a_lowered_state_cap_raises_before_it_allocates(self, call, lower_caps):
+        # the function that allocates checks its own cap; no caller does it for it
+        state = StateVector(7, np.zeros(1 << 7, complex))  # built without a cap check
+        lower_caps(dense=4, l2=4, state=6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="n=7 exceeds state-vector cap 6"):
+                call(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
 
 # each array-holding value type, the array it is given, and the words it

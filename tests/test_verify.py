@@ -381,7 +381,8 @@ class TestCircuitCache:
     def test_hit_still_checks_the_state_cap(self, lower_caps):
         run_check("parity", {"n": 6})  # warm
         lower_caps(dense=12, l2=8, state=5)
-        # the dense cap lets the 7-qubit row through; only un(6) is over a cap
+        # the dense cap lets the 7-qubit row through; the cached circuit's
+        # 7-qubit column blocks are over the state cap
         with pytest.raises(CapExceededError):
             run_check("parity", {"n": 6})
 
