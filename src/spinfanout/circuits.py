@@ -67,6 +67,17 @@ class Circuit:
         return tuple(entry for run in _runs(self.steps) for entry in _fuse(*run))
 
     @cached_property
+    def _real_prefix(self) -> int:
+        """The number of leading plan entries whose data (matrix, entries or
+        phases) are real: :func:`_summed_blocks` runs them on float64 blocks."""
+        for i, (gate, _) in enumerate(self._plan):
+            data = (gate.phases if isinstance(gate, _MonomialOperator)
+                    else gate.entries if isinstance(gate, DiagonalOperator) else gate.matrix)
+            if data is not None and data.imag.any():
+                return i
+        return len(self._plan)
+
+    @cached_property
     def _support(self) -> tuple[int, np.ndarray]:
         """``(mixed, owner)``: the input bits that some dense plan entry mixes,
         and for each row, the input row whose value the plan's monomial
@@ -252,7 +263,8 @@ def _apply_to_block(
     every column of a ``(2^n, cols)`` block, as one operation on the middle
     axis of its ``(2^(n-lo-m), 2^m, cols)`` view: a diagonal scales it in
     place, a monomial gate gathers and scales it, and a dense gate is one
-    batched matrix product.
+    batched matrix product.  A ``float64`` block takes only a gate whose
+    data are real (see ``Circuit._real_prefix``).
 
     The one gate-application kernel: state vectors are blocks with one
     column, and a compiled unitary is filled one block of columns of the
@@ -262,25 +274,26 @@ def _apply_to_block(
     that now holds the result, and the other one for the next call.
     """
     view = block.reshape(1 << (n - lo - gate.n), 1 << gate.n, -1)
+    real = block.dtype == np.float64
     if isinstance(gate, DiagonalOperator):
-        view *= gate.entries.reshape(-1, 1)
+        view *= (gate.entries.real if real else gate.entries).reshape(-1, 1)
         return block, work
     out = work.reshape(view.shape)
     if isinstance(gate, _MonomialOperator):
         # the source is in range by construction; mode="raise" would buffer `out`
         np.take(view, gate.source, axis=1, out=out, mode="wrap")
         if gate.phases is not None:
-            out *= gate.phases.reshape(-1, 1)
+            out *= (gate.phases.real if real else gate.phases).reshape(-1, 1)
     else:
         _matmul(gate.matrix, view, out)
     return work, block
 
 
 def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
-    """``mat @ operand`` into ``out``, over the last two axes of complex arrays
-    whose last axis is contiguous.  A real ``mat`` multiplies the ``float64``
-    view, whose last axis interleaves the real and imaginary parts: half the
-    work of a complex product, and the same sums."""
+    """``mat @ operand`` into ``out``, over the last two axes of arrays whose
+    last axis is contiguous.  A real ``mat`` multiplies the ``float64`` view,
+    which for a complex operand interleaves the real and imaginary parts:
+    half the work of a complex product, and the same sums."""
     if not mat.imag.any():
         mat = np.ascontiguousarray(mat.real)
         operand, out = operand.view(np.float64), out.view(np.float64)
@@ -316,7 +329,8 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     the unitary, and its other entries in those columns are exact zeros.
     At k = n the columns are the basis ones, and ``inputs[q, 0]`` is the
     basis input of column ``q``.  Each block starts from its sums (at k = n,
-    a slice of the identity) and runs the whole plan, in blocks of at most
+    a slice of the identity), runs the plan's real prefix on ``float64``
+    sums, and the rest of the plan once made complex, in blocks of at most
     ``_BLOCK_ENTRIES`` entries (or one column).  Every block is overwritten
     by the next one.
     """
@@ -329,11 +343,17 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     # dynamic mmap threshold, which freeing a larger mmapped array raises, and
     # one taken from a trimmed heap faults its pages in anew each time
     pair = np.empty((2, dim, cols), dtype=complex)
+    # the float64 pair shares the first complex block's bytes; one column stays
+    # complex, as numpy's matrix-vector product rounds a float64 one differently
+    head = c._plan[:c._real_prefix] if cols > 1 else ()
+    floats = pair[0].reshape(-1).view(np.float64).reshape(2, dim, cols)
+    sums, work = floats if head else pair[::-1]
     for start in range(0, len(inputs), cols):
-        block, work = pair
-        block.fill(0)
-        block[inputs[start:start + cols], np.arange(cols)[:, None]] = 1
-        yield inputs[start:start + cols], _run_steps(c._plan, n, block, work)
+        sums.fill(0)
+        sums[inputs[start:start + cols], np.arange(cols)[:, None]] = 1
+        if head:
+            np.copyto(pair[1], _run_steps(head, n, sums, work))
+        yield inputs[start:start + cols], _run_steps(c._plan[len(head):], n, pair[1], pair[0])
 
 
 def compile_circuit(c: Circuit) -> DenseOperator:

@@ -68,9 +68,10 @@ def _store_array(obj, field: str, dtype: type, ndim: int, *checks) -> None:
     ``checks``, ``(test, message)`` pairs, holds; else raise ``ValueError``
     and leave the given array writable."""
     arr = np.asarray(getattr(obj, field), dtype=dtype)
-    shape = (1 << obj.n,) * ndim
-    if arr.shape != shape:
-        raise ValueError(f"expected {'x'.join(map(str, shape))} {field}, got {arr.shape}")
+    # no axis is 2^64 long: a larger or negative n is named, never computed
+    dim = 1 << obj.n if 0 <= obj.n < 64 else f"2^{obj.n}"
+    if arr.shape != (dim,) * ndim:
+        raise ValueError(f"expected {'x'.join([str(dim)] * ndim)} {field}, got {arr.shape}")
     for test, message in checks:
         if not test(arr):
             raise ValueError(message)

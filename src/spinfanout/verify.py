@@ -35,6 +35,7 @@ from .gates import _fanout_targets, _parity_targets, ieq_reference, standard_gat
 from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
 from .circuits import (
     Circuit,
+    Step,
     _hadamard_layer,
     _summed_blocks,
     _use_swapped_evolution,
@@ -101,9 +102,17 @@ def _cached_circuit(build: Callable[..., Circuit], n: int, swapped: bool | None)
     return build(n, swapped=swapped)
 
 
-def _hadamard_circuit(m: int, swapped: bool | None = None) -> Circuit:
-    """A Hadamard on each of ``m`` qubits (``swapped`` is not used)."""
-    return Circuit(m, _hadamard_layer(range(m)))
+def _fig3_circuit(n: int, swapped: bool | None = None) -> Circuit:
+    """Fig. 3 on ``n + 1`` qubits: a Hadamard on each, the parity of qubits
+    0..n-1 into qubit n by CNOTs, and a Hadamard on each (``swapped`` is not
+    used)."""
+    layer, cnot = _hadamard_layer(range(n + 1)), standard_gate("CNOT")
+    return Circuit(n + 1, layer + tuple(Step(cnot, (q, n)) for q in range(n)) + layer)
+
+
+def _cnot_from_cz(n: int, swapped: bool | None = None) -> Circuit:
+    """CNOT, control 0, as CZ between Hadamards on qubit 1 (no parameter is used)."""
+    return from_text("H 1\nCZ 0 1\nH 1\n")
 
 
 def _control_prefix(n: int, swapped: bool | None = None) -> Circuit:
@@ -141,7 +150,7 @@ def _check_ieq(params: dict) -> tuple[float, complex]:
 def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
     restriction = DiagonalOperator(2, ieq_reference().entries[4:])  # third qubit in |1>
     cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
-    conj = compile_circuit(from_text("H 1\nCZ 0 1\nH 1\n"))  # CNOT, control 0
+    conj = compile_circuit(_circuit(_cnot_from_cz, 2))
     cnot_rep = equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=1e-12)
     return max(cz_rep.max_deviation, cnot_rep.max_deviation), cz_rep.phase
 
@@ -213,13 +222,12 @@ def _check_parity_like(params: dict) -> tuple[float, complex]:
     return float(np.max(devs)), complex(1)
 
 
+_fig3_row = _matches_reference(_fig3_circuit, _fanout_targets)
+
+
 def _check_fig3_conjugation(params: dict) -> tuple[float, complex]:
-    m = params["n_plus_1"]
-    layer = compile_circuit(_circuit(_hadamard_circuit, m)).matrix
-    # P @ layer as a row gather by the parity map, an involution; the product
-    # stays complex, as a real one would round the m=8 deviation differently
-    conj = layer @ layer[_parity_targets(m)]
-    return _permutation_deviation(conj, _fanout_targets(m), 1.0 + 0.0j), complex(1)
+    # the circuit is real and its entry (0, 0) positive, so the phase is 1
+    return _fig3_row({"n": params["n_plus_1"] - 1})
 
 
 def _check_kn_offset(params: dict) -> tuple[float, complex]:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinfanout import circuits
+from spinfanout import circuits, verify
 from spinfanout.core import (
     CapExceededError,
     DenseOperator,
@@ -222,6 +222,61 @@ class TestColumnBlocks:
     def test_paper_circuits_equal_the_kernel_loop(self, n, build, entries, monkeypatch):
         c = build(n)
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
+
+
+# real plan entries of every kind: dense, monomial with real phases, diagonal
+REAL_STEPS = "H 0\nH 1\nCNOT 1 6\nH 6\nCZ 0 6\nX 3\nZ 3\n"
+
+
+def real_prefix_circuits():
+    """7-qubit circuits whose plans start with several real entries and end
+    at each kind of first complex entry, one with an empty real prefix, and
+    the all-real Fig. 3 circuit: each with the length of its real prefix
+    and the kind of its first complex entry."""
+    texts = {
+        "complex diagonal": (REAL_STEPS + "S 0\nCZ 0 6\n", 3, "diagonal"),
+        "complex dense": (REAL_STEPS + "H 6\nS 6\nH 6\n", 4, "complex dense at lo > 0"),
+        "monomial with complex phases": (REAL_STEPS + "CNOT 6 0\nS 0\n", 3, "monomial with phases"),
+        "empty prefix": ("S 0\n" + REAL_STEPS, 0, "complex dense at lo = 0"),
+    }
+    cases = {name: (from_text(text, n=7), real, first) for name, (text, real, first) in texts.items()}
+    fig3 = verify._fig3_circuit(6)
+    cases["all real (Fig. 3)"] = (fig3, len(fig3._plan), None)
+    return cases
+
+
+def is_real(entry):
+    gate, _ = entry
+    data = getattr(gate, "matrix", getattr(gate, "entries", getattr(gate, "phases", None)))
+    return data is None or not np.iscomplex(data).any()
+
+
+class TestRealPrefix:
+    """The leading plan entries whose data are real run on float64 blocks;
+    every block must equal the complex kernel loop byte for byte, at every
+    block width (a one-column block stays complex)."""
+
+    @pytest.mark.parametrize("name", list(real_prefix_circuits()))
+    def test_prefix_is_the_leading_real_entries(self, name):
+        c, real, first = real_prefix_circuits()[name]
+        assert c._real_prefix == real
+        assert [is_real(e) for e in c._plan[:real]] == [True] * real
+        assert first is None or (not is_real(c._plan[real]) and kind(c._plan[real]) == first)
+        if first and real > 1:  # a real dense entry, a real monomial with phases (X 3, Z 3), ...
+            assert {"real dense at lo = 0", "monomial with phases"} <= {kind(e) for e in c._plan[:real]}
+        if name == "complex dense":  # ... and a real diagonal (CZ 0 6)
+            assert kind(c._plan[3]) == "diagonal"
+
+    @pytest.mark.parametrize("entries", [1 << 16, 1 << 10, 1 << 4], ids=["2^16", "2^10", "2^4"])
+    @pytest.mark.parametrize("name", list(real_prefix_circuits()))
+    def test_blocks_and_compile_equal_the_complex_kernel_loop(self, name, entries, monkeypatch):
+        c = real_prefix_circuits()[name][0]
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        expected = [(start, block.tobytes()) for start, block in kernel_loop_blocks(c)]
+        got = [(int(inputs[0, 0]), block.tobytes())
+               for inputs, block in _summed_blocks(c, (1 << c.n) - 1)]
+        assert got == expected
         assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
 
 

@@ -330,6 +330,26 @@ class TestInputChecks:
             cls(2, array)
         assert array.flags.writeable
 
+    @pytest.mark.parametrize("cls, n, array, message", [
+        pytest.param(StateVector, 10**8, np.zeros(2, complex),
+                     "expected 2^100000000 amplitudes, got (2,)", id="StateVector-huge"),
+        pytest.param(DiagonalHamiltonian, 10**8, np.zeros(2),
+                     "expected 2^100000000 energies, got (2,)", id="DiagonalHamiltonian-huge"),
+        pytest.param(StateVector, -1, np.zeros(2, complex),
+                     "expected 2^-1 amplitudes, got (2,)", id="StateVector-negative"),
+    ])
+    def test_a_huge_or_negative_qubit_count_is_refused_before_any_shape_is_built(
+            self, cls, n, array, message):
+        # 1 << 10**8 alone would be a 12 MiB integer
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls(n, array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
     def test_coupling_matrix_wrong_shape(self):
         with pytest.raises(ValueError, match="^expected 3x3 coupling array$"):
             CouplingMatrix(3, np.zeros((3, 2)))

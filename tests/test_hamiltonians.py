@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,40 @@ class TestBuildKn:
         kn = build_kn(CouplingMatrix(n, J))
         for x in rng.integers(0, 1 << n, size=8):
             assert kn.energies[x] == pytest.approx(brute_force_zz_energy(int(x), n, J))
+
+
+def per_pair_energies(coupling):
+    """``build_kn``'s energies as one sign array per pair, from the bits of
+    each basis index: the summation order ``build_kn`` keeps."""
+    idx = np.arange(1 << coupling.n)
+    energies = np.zeros(1 << coupling.n)
+    for i, j, jij in coupling.pairs():
+        energies += jij * (1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1))
+    return energies
+
+
+class TestBuildKnSignTable:
+    @pytest.mark.parametrize("n", [3, 7, 12, 14])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_per_pair_sums_byte_for_byte(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        J = np.triu(rng.normal(size=(n, n)), k=1)
+        J[rng.random((n, n)) < 0.3] = 0
+        J[0, 1], J[0, n - 1] = -1.25, 0.0  # a negative and a zero coupling at least
+        coupling = CouplingMatrix(n, J)
+        assert build_kn(coupling).energies.tobytes() == per_pair_energies(coupling).tobytes()
+
+    def test_ring_at_the_state_cap_stays_small(self):
+        ring = build_ring(20, -1.5)
+        tracemalloc.start()
+        try:
+            energies = build_kn(ring).energies
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the energies are 8 MiB and the sign table 20 MiB
+        assert peak < 64 << 20
+        assert energies[:4].tolist() == [-30.0, -24.0, -24.0, -24.0]
 
 
 class TestCouplingMatrix:

@@ -321,6 +321,76 @@ class TestFig3Gather:
         assert np.array_equal(layer[_parity_targets(m)], p @ layer)
 
 
+def fig3_mutant(drop_h=None, retarget=None):
+    """A builder of the Fig. 3 circuit on ``n + 1`` qubits with the Hadamard on
+    qubit ``drop_h`` of the second layer left out, or the CNOT from source
+    ``retarget[0]`` aimed at qubit ``retarget[1]`` instead of qubit n."""
+
+    def build(n, swapped=None):
+        steps = list(verify._fig3_circuit(n).steps)  # n + 1 H, n CNOT, n + 1 H
+        if drop_h is not None:
+            del steps[2 * n + 1 + drop_h]
+        if retarget is not None:
+            source, target = retarget
+            steps[n + 1 + source] = Step(standard_gate("CNOT"), (source, target))
+        return Circuit(n + 1, tuple(steps))
+
+    return build
+
+
+class TestFig3Row:
+    """The Fig. 3 row runs H, parity by CNOTs and H on the block loop and
+    compares them with the fanout permutation."""
+
+    def test_the_circuit_is_the_figure(self):
+        c = verify._fig3_circuit(3)
+        names = [(s.gate.name, s.targets) for s in c.steps]
+        layer = [("H", (q,)) for q in range(4)]
+        assert names == layer + [("CNOT", (q, 3)) for q in range(3)] + layer
+        assert c._real_prefix == len(c._plan)  # every block runs in float64
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_the_compiled_comparison(self, m):
+        rep = equiv_up_to_global_phase(compile_circuit(verify._fig3_circuit(m - 1)), fanout_reference(m))
+        r = run_check("fig3_conjugation", {"n_plus_1": m})
+        assert r.passed and r.max_deviation == rep.max_deviation
+        assert r.phase == rep.phase == 1
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda n: {"drop_h": 0},
+            lambda n: {"drop_h": n},
+            lambda n: {"retarget": (0, 1)},
+            lambda n: {"retarget": (n - 1, 0)},
+        ],
+        ids=["drop-first-h", "drop-last-h", "retarget-first-cnot", "retarget-last-cnot"],
+    )
+    def test_mutants_fail(self, mutant, m):
+        n = m - 1
+        dev, _ = _matches_reference(fig3_mutant(**mutant(n)), _fanout_targets)({"n": n})
+        assert dev >= 0.5
+
+
+class TestCzFromIeq:
+    def test_warm_row_builds_nothing(self, monkeypatch):
+        assert run_check("cz_from_ieq").passed  # warm
+        built = []
+
+        def no_text(*args, **kwargs):
+            raise AssertionError("from_text called")
+
+        def recording(self):
+            built.append(self)
+
+        monkeypatch.setattr(verify, "from_text", no_text)
+        monkeypatch.setattr(circuits, "from_text", no_text)
+        monkeypatch.setattr(Circuit, "__post_init__", recording)
+        assert run_check("cz_from_ieq").passed
+        assert built == []
+
+
 def _ids(check_id, key, values):
     return {(check_id, ((key, v),)) for v in values}
 
