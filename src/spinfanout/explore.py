@@ -40,8 +40,10 @@ class ScanResult:
 
     @functools.cached_property
     def best(self) -> int:
-        """Index into times/verdicts of the first lowest score."""
-        return int(np.argmin([vd.score for vd in self.verdicts]))
+        """Index into times/verdicts of the first score within ``SCAN_TOL`` of the
+        lowest, so rounding does not pick between tied times; or of the first NaN."""
+        scores = np.array([vd.score for vd in self.verdicts])
+        return int(np.argmax((scores <= np.min(scores) + SCAN_TOL) | np.isnan(scores)))
 
     @property
     def best_time(self) -> float:

@@ -182,10 +182,8 @@ def spectral_phases(w: np.ndarray) -> Callable[[float | np.ndarray], np.ndarray]
         for s in times.reshape(-1).tolist():
             if not math.isfinite(s * radius):
                 raise ValueError(f"time {s:g} times spectral radius {radius:g} is not finite")
-        if not times.ndim:
-            return np.exp(-1j * w * t)
         # one array per call: the product is exponentiated in place
-        phases = np.multiply(-1j * w, times[:, None], out=np.empty((times.size, w.size), complex))
+        phases = np.multiply.outer(times, -1j * w)
         return np.exp(phases, out=phases)
 
     return phases_at

@@ -697,6 +697,14 @@ class TestMonomialRuns:
         for x in range(1 << c.n):
             assert np.array_equal(run_circuit(c, StateVector.basis(c.n, x)).amplitudes, total[:, x])
 
+    def test_phases_composing_to_one_are_dropped(self):
+        # S and S-dagger scale the flipped qubit by i and -i, whose product is
+        # exactly 1: one gather and no scale
+        c = from_text("X 0\nS 0\nSDAG 0\n", n=2)
+        [(gate, lo)] = c._plan
+        assert isinstance(gate, _MonomialOperator) and gate.phases is None
+        assert np.array_equal(compile_circuit(c).matrix, kron_oracle_product(c))
+
     @pytest.mark.parametrize("text", ["CNOT 0 8\n", "CNOT 8 0\n"])
     def test_lone_cnot_across_nine_qubits(self, text):
         c = from_text(text, n=9)

@@ -9,6 +9,7 @@ import pytest
 from spinfanout.core import _SLICE, CapExceededError, DenseOperator, DiagonalOperator
 from spinfanout.gates import standard_gate
 from spinfanout.explore import (
+    SCAN_TOL,
     ParityDiagonalVerdict,
     ScanResult,
     _energy_levels,
@@ -122,6 +123,23 @@ class TestScan:
         res = ScanResult("r", (1.0, 2.0, 3.0, 4.0), (identity, usable, identity, usable))
         assert res.best == 1 and res.best_time == 2.0 and res.best_verdict is usable
         assert "best" not in {f.name for f in dataclasses.fields(ScanResult)}
+
+    def test_best_does_not_depend_on_rounding(self):
+        # a later score lower by far less than SCAN_TOL does not win; with a
+        # NaN score, the first NaN does, as argmin gives
+        identity = classify_parity_diagonal(DiagonalOperator.identity(2))
+        high, near, low, nan = (dataclasses.replace(identity, score=s)
+                                for s in (1.0, 0.5 + 1e-12, 0.5, math.nan))
+        assert ScanResult("r", (1.0, 2.0, 3.0), (high, near, low)).best == 1
+        assert ScanResult("r", (1.0, 2.0, 3.0, 4.0), (high, near, nan, low)).best == 2
+
+    def test_l2_best_is_pi(self):
+        # U is proportional to I at pi and at 2 pi, whose scores differ by rounding
+        res = scan(build_l2(6), default_time_grid(), hamiltonian_id="l2")
+        times = np.array(res.times)
+        pi, two_pi = (int(np.argmin(np.abs(times - t))) for t in (math.pi, 2 * math.pi))
+        assert abs(res.verdicts[pi].score - res.verdicts[two_pi].score) < SCAN_TOL
+        assert res.best == pi == 319
 
     def test_json_line_of_a_verdict_with_no_relative_phase(self):
         x, identity = (classify_parity_diagonal(u)

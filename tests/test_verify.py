@@ -10,7 +10,6 @@ from spinfanout import circuits, core, verify
 from spinfanout.circuits import (
     Circuit,
     Step,
-    _hadamard_layer,
     _summed_blocks,
     _use_swapped_evolution,
     compile_circuit,
@@ -95,10 +94,12 @@ class TestRunCheck:
         assert r.phase == 1 + 0j
 
 
-def unentangled_control_per_state(n: int) -> float:
-    """The unentangled-control check, one basis state and one SVD at a time."""
-    circ = parity_circuit(n)
-    prefix = Circuit(circ.n, circ.steps[:4])
+def unentangled_control_per_state(n: int, prefix: Circuit | None = None) -> float:
+    """The unentangled-control check, one basis state and one SVD at a time,
+    of ``prefix``, by default the steps of ``parity_circuit(n)`` before its CNOT."""
+    if prefix is None:
+        circ = parity_circuit(n)
+        prefix = Circuit(circ.n, circ.steps[:4])
     control = n - 1
     control_bit = (np.arange(1 << (n + 1)) >> control) & 1
     source_parity = popcounts(n - 1) & 1
@@ -152,6 +153,53 @@ class TestUnentangledControl:
             run_check("unentangled_control", {"n": n})
         [r] = [r for r in run_suite(filter="unentangled") if r.params == {"n": n}]
         assert r.skipped
+
+
+def _prefix_steps(n, swapped=None):
+    return parity_circuit(n, swapped).steps[:4]  # H, evolution, S-dagger, H
+
+
+def _s_for_sdag(n):
+    h, evolution, _, closing_h = _prefix_steps(n)
+    return h, evolution, Step(standard_gate("S"), (n - 1,)), closing_h
+
+
+# each breaks the claim: the control holds p xor r, unentangled, before the CNOT
+CONTROL_PREFIX_MUTANTS = {
+    "drop-closing-h": (lambda n: _prefix_steps(n)[:3], 0.5 ** 0.5),
+    "s-for-sdag": (_s_for_sdag, 1.0),
+    "other-order": (lambda n: _prefix_steps(n, not _use_swapped_evolution(n)), 1.0),
+    "h-on-source-0": (lambda n: (Step(standard_gate("H"), (0,)),) + _prefix_steps(n), 0.5 ** 0.5),
+}
+
+
+class TestUnentangledControlMutants:
+    """The row measures only the wrong-value mass: each input's second singular
+    value across the control cut is at most that mass, as zeroing the
+    wrong-value row leaves a rank-one matrix.  On a broken prefix the row
+    still reports exactly the SVD-inclusive per-state deviation, and fails."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("mutant", list(CONTROL_PREFIX_MUTANTS))
+    def test_mutant_gives_the_per_state_deviation(self, mutant, n, monkeypatch):
+        steps, value = CONTROL_PREFIX_MUTANTS[mutant]
+        prefix = Circuit(n + 1, steps(n))
+        monkeypatch.setattr(verify, "_control_prefix", lambda n, swapped=None: prefix)
+        r = run_check("unentangled_control", {"n": n})
+        assert r.max_deviation == unentangled_control_per_state(n, prefix)
+        assert r.max_deviation >= 0.5 and not r.passed
+        assert r.max_deviation == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_entangled_control_is_caught_by_its_mass(self, n):
+        # an H on source 0 first entangles the control with qubit 0: its
+        # second singular value reaches the mass the row reports
+        prefix = Circuit(n + 1, CONTROL_PREFIX_MUTANTS["h-on-source-0"][0](n))
+        second_sv = max(
+            schmidt_rank_one_deviation(run_circuit(prefix, StateVector.basis(n + 1, x)), n - 1)
+            for x in range(1 << (n + 1))
+        )
+        assert second_sv == pytest.approx(0.5 ** 0.5, abs=1e-12)
 
 
 BUILDS = {
@@ -313,14 +361,6 @@ class TestParityLike:
         assert peak < 4 << 20
 
 
-class TestFig3Gather:
-    @pytest.mark.parametrize("m", range(2, 9))
-    def test_gather_equals_the_product(self, m):
-        layer = compile_circuit(Circuit(m, _hadamard_layer(range(m)))).matrix
-        p = parity_reference(m).matrix
-        assert np.array_equal(layer[_parity_targets(m)], p @ layer)
-
-
 def fig3_mutant(drop_h=None, retarget=None):
     """A builder of the Fig. 3 circuit on ``n + 1`` qubits with the Hadamard on
     qubit ``drop_h`` of the second layer left out, or the CNOT from source
@@ -374,6 +414,12 @@ class TestFig3Row:
 
 
 class TestCzFromIeq:
+    def test_cnot_row_equals_the_compiled_comparison(self):
+        # the 2-qubit parity map is CNOT with control 0
+        conj = compile_circuit(verify._cnot_from_cz(1))
+        rep = equiv_up_to_global_phase(conj, standard_gate("CNOT").unitary, tol=1e-12)
+        assert verify._cnot_row({"n": 1}) == (rep.max_deviation, rep.phase)
+
     def test_warm_row_builds_nothing(self, monkeypatch):
         assert run_check("cz_from_ieq").passed  # warm
         built = []
@@ -492,6 +538,15 @@ class TestRunSuite:
         assert negatives
         for r in negatives:
             assert not r.passed and r.max_deviation > 0.5
+
+    def test_needs_no_svd_and_no_compiled_unitary(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by the suite")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(circuits, "compile_circuit", forbidden)
+        monkeypatch.setattr(verify, "compile_circuit", forbidden, raising=False)
+        assert suite_ok(run_suite())
 
     def test_sorted_output(self, results):
         keys = [(r.check_id, sorted(r.params.items())) for r in results]
