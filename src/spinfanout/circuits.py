@@ -7,8 +7,9 @@ The builders follow the qubit layout used throughout the package: for an
 fanout control) is qubit n.
 
 A circuit holds its diagonal evolutions and one- and two-qubit gates, so
-building one is bounded by the state cap (through :func:`un`); only
-:func:`compile_circuit` allocates a dense matrix and checks the dense cap.
+building one is bounded by the state cap (through :func:`un`); the dense
+cap bounds the matrix of :func:`compile_circuit` and the summed columns
+of :func:`_summed_blocks`.
 """
 from __future__ import annotations
 
@@ -332,11 +333,14 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     a slice of the identity), runs the plan's real prefix on ``float64``
     sums, and the rest of the plan once made complex, in blocks of at most
     ``_BLOCK_ENTRIES`` entries (or one column).  Every block is overwritten
-    by the next one.
+    by the next one.  The state cap bounds the 2^n rows, and the dense cap
+    the 2^k columns (at k = n, the dense unitary), before the first block.
     """
     check_state(c.n)
     n, dim = c.n, 1 << c.n
-    inputs = _summed_inputs(n, c._support[0] | extra)
+    mask = c._support[0] | extra
+    check_dense(mask.bit_count())
+    inputs = _summed_inputs(n, mask)
     cols = max(1, min(len(inputs), _BLOCK_ENTRIES >> n))
     # the block and its scratch are one array made once per loop: whether a
     # fresh 1 MiB array is mmapped or taken from the heap depends on glibc's

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   become matrices only through ``to_dense``.
 * Each representation has one qubit-count cap, a module constant read at
   call time: ``STATE_CAP`` for length-2^n data (state vectors, diagonal
-  operators and Hamiltonians), ``DENSE_CAP`` for 2^n x 2^n matrices and
-  ``L2_CAP`` for dense Hermitian eigensolves.  The function that allocates
+  operators and Hamiltonians), ``DENSE_CAP`` for 2^n x 2^n matrices (and
+  for the 2^k summed columns of a block loop, at k = n the dense unitary)
+  and ``L2_CAP`` for dense Hermitian eigensolves.  The function that allocates
   a representation calls its check (``check_state``, ``check_dense`` or
   ``check_l2``) first, which raises ``CapExceededError`` over the cap.
 """

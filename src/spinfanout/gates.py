@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, DiagonalOperator, Operator, check_dense, popcounts
+from .core import DenseOperator, DiagonalOperator, Operator, check_dense, check_state, popcounts
 
 _SQRT2_INV = 1 / np.sqrt(2)
 
@@ -52,12 +52,14 @@ def standard_gate(name: str) -> GateDef:
 
 def _fanout_targets(m: int) -> np.ndarray:
     """Row of the 1 in each column of :func:`fanout_reference` on ``m`` qubits."""
+    check_state(m)
     x = np.arange(1 << m)
     return x ^ ((x >> (m - 1)) * ((1 << (m - 1)) - 1))
 
 
 def _parity_targets(m: int) -> np.ndarray:
     """Row of the 1 in each column of :func:`parity_reference` on ``m`` qubits."""
+    check_state(m)
     return np.arange(1 << m) ^ (np.tile(popcounts(m - 1) & 1, 2) << (m - 1))
 
 

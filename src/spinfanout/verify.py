@@ -26,13 +26,14 @@ from .core import (
     DiagonalOperator,
     _SLICE,
     _phase,
-    check_dense,
     check_state,
     equiv_up_to_global_phase,
     popcounts,
 )
 from .gates import _fanout_targets, _parity_targets, ieq_reference, standard_gate
-from .hamiltonians import build_hn, build_kn, CouplingMatrix, un
+from .hamiltonians import (
+    TIME_QUARTER, CouplingMatrix, _hn_levels, build_hn, build_kn, spectral_phases, un,
+)
 from .circuits import (
     Circuit,
     Step,
@@ -87,9 +88,9 @@ def _circuit(build: Callable[..., Circuit], n: int, swapped: bool | None = None)
     """``build(n, swapped=swapped)``, built once per process: a circuit is
     immutable and keeps its plan and support, so a later row only runs it.
 
-    Circuits on more qubits than the dense cap, which only the
-    ``unentangled_control`` row builds, are built afresh each time, so the
-    cache holds at most 32 small circuits.
+    Circuits on more qubits than the dense cap, which the ``parity``,
+    ``parity_like`` and ``unentangled_control`` rows past it build, are
+    built afresh each time, so the cache holds at most 32 small circuits.
     """
     if n >= core.DENSE_CAP:  # the builders here make at most n + 1 qubits
         return build(n, swapped=swapped)
@@ -120,22 +121,24 @@ def _control_prefix(n: int, swapped: bool | None = None) -> Circuit:
     return Circuit(circ.n, circ.steps[:4])
 
 
-def _un_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of U_N divided by its entry 0, and the Hamming weight of each index."""
-    entries = un(n).entries
-    return entries / entries[0], popcounts(n)
+def _un_levels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phases of U_N at the Hamming weights ``k = 0 .. n``, which :func:`un`
+    gathers by popcount, and those weights: every entry of its diagonal is
+    one of them, so a maximum over them is the maximum over the diagonal."""
+    return spectral_phases(_hn_levels(n))(TIME_QUARTER), np.arange(n + 1, dtype=np.int64)
 
 
 def _check_phase_formula(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    diag, k = _un_diagonal(n)
+    phases, k = _un_levels(n)
     expected = 1j ** (k * (n - k))
-    return float(np.max(np.abs(diag - expected))), complex(1)
+    return float(np.max(np.abs(phases / phases[0] - expected))), complex(1)
 
 
 def _check_parity_dichotomy(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    diag, k = _un_diagonal(n)
+    phases, k = _un_levels(n)
+    diag = phases / phases[0]
     odd_phase = 1j if n % 4 == 2 else -1j
     expected = np.where(k % 2 == 0, 1, odd_phase)
     return float(np.max(np.abs(diag - expected))), complex(odd_phase)
@@ -184,13 +187,13 @@ def _matches_reference(
     up to a global phase, with the phase and deviation that
     :func:`equiv_up_to_global_phase` gives for the dense matrices, but one
     block of summed columns of the circuit at a time (see
-    :func:`_reference_blocks`), so neither matrix is assembled.
+    :func:`_reference_blocks`), so neither matrix is assembled, and only
+    the state cap and the dense cap on the 2^k summed columns bound the row.
     ``wrong_variant`` builds the other evolution order than the mod-4 rule
     picks, for a negative control."""
 
     def run(params: dict) -> tuple[float, complex]:
         n = params["n"]
-        check_dense(n + 1)  # the cap of the dense reference it stands for
         swapped = not _use_swapped_evolution(n) if wrong_variant else None
         rows = targets(n + 1)
         assert rows[0] == 0  # a GF(2)-linear map: the dense reference peaks at (0, 0)
@@ -206,7 +209,6 @@ def _matches_reference(
 
 def _check_parity_like(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    check_dense(n)  # the cap of the dense unitary it stands for
     # each input with the last qubit in |0> goes to a unit-phase multiple of
     # its column of the parity permutation; with that qubit the top summed
     # bit, those inputs fill the first half of the summed columns
@@ -237,29 +239,31 @@ def _check_kn_offset(params: dict) -> tuple[float, complex]:
 
 
 def _check_unitary_pow4(params: dict) -> tuple[float, complex]:
-    n = params["n"]
-    u2 = un(n).entries ** 2
-    u4 = DiagonalOperator(n, u2 * u2)
-    rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
-    return rep.max_deviation, rep.phase
+    u2 = _un_levels(params["n"])[0] ** 2
+    u4 = u2 * u2
+    phase = _phase(u4[0], 1.0 + 0.0j, 1e-12)  # against the identity's entry 0
+    return float(np.max(np.abs(u4 - phase))), complex(phase)
 
 
 def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     n = params["n"]
-    check_state(n + 1)  # before the 2^(n+1)-entry wrong-value map
+    check_state(n + 1)  # before the 2^(n+1)-entry row maps
     prefix = _circuit(_control_prefix, n)
-    control = n - 1
-    # the mass of the control qubit must sit entirely on |p xor r>, the
+    mixed, owner = prefix._support
+    # the mass of the control qubit n - 1 must sit entirely on |p xor r>, the
     # parity of input bits 0..n-1 (p of the sources 0..n-2, r of bit n-1);
-    # it bounds the second singular value across the cut too (Eckart-Young)
-    wrong_value = np.tile(1 - (popcounts(n) & 1), 2)
+    # it bounds the second singular value across the cut too (Eckart-Young).
+    # Row r of summed column q holds input (owner[r] & ~mixed) | inputs[q, 0]
+    # (see _summed_blocks): the rows of one input, ascending, are a row of
+    # `rows`, the same in every column, and its control value is wrong where
+    # the row's control bit differs from the parity of the input's bits 0..n-1
+    unmixed, parity, low = owner & ~mixed, popcounts(n) & 1, (1 << n) - 1
+    rows = np.argsort(unmixed, kind="stable").reshape(-1, 1 << mixed.bit_count())
+    flip = ((rows >> (n - 1)) & 1) ^ parity[unmixed[rows] & low]
     worst = 0.0
-    for inputs, out in _summed_blocks(prefix, (1 << prefix.n) - 1):  # basis columns
-        cols = out.shape[1]
-        # axes (qubit n, control, qubits 0..n-2, input) to one
-        # (control) x (other qubits) matrix per input
-        cut = out.reshape(2, 2, 1 << control, cols).transpose(3, 1, 0, 2).reshape(cols, 2, -1)
-        wrong_mass = np.linalg.norm(cut[np.arange(cols), wrong_value[inputs[:, 0]]], axis=1)
+    for inputs, out in _summed_blocks(prefix):
+        wrong = flip[:, :, None] != parity[inputs[:, 0] & low]
+        wrong_mass = np.linalg.norm(np.where(wrong, out[rows], 0), axis=1)
         worst = max(worst, float(wrong_mass.max()))
     return worst, complex(1)
 

@@ -16,8 +16,15 @@ from spinfanout.core import (
     popcounts,
 )
 from spinfanout import core
-from spinfanout.circuits import Circuit, _summed_blocks, compile_circuit, from_text, run_circuit
-from spinfanout.gates import fanout_reference, parity_reference
+from spinfanout.circuits import (
+    Circuit,
+    _hadamard_layer,
+    _summed_blocks,
+    compile_circuit,
+    from_text,
+    run_circuit,
+)
+from spinfanout.gates import _fanout_targets, _parity_targets, fanout_reference, parity_reference
 from spinfanout.hamiltonians import (
     CouplingMatrix,
     DenseHamiltonian,
@@ -249,6 +256,18 @@ class TestSizeCaps:
         with pytest.raises(CapExceededError, match="n=7 exceeds state-vector cap 6"):
             core.check_state(7)
 
+    @pytest.mark.parametrize("extra, raises", [(0, False), (1 << 4, True)])
+    def test_summed_blocks_count_the_extra_bits(self, extra, raises, lower_caps):
+        # Hadamards mix bits 0..3; a summed bit more is 5 over the dense cap of 4
+        lower_caps(dense=4, l2=4, state=6)
+        blocks = _summed_blocks(Circuit(5, _hadamard_layer(range(4))), extra)
+        if raises:
+            with pytest.raises(CapExceededError, match="n=5 exceeds dense cap 4"):
+                next(blocks)
+        else:
+            inputs, _ = next(blocks)
+            assert inputs.shape == (16, 2)
+
     def test_documented_values(self):
         assert (core.STATE_CAP, core.DENSE_CAP, core.L2_CAP) == (20, 12, 8)
 
@@ -269,10 +288,16 @@ class TestSizeCaps:
             pytest.param(lambda: parity_reference(13), id="parity_reference"),
             pytest.param(lambda: compile_circuit(Circuit(13, ())), id="compile_circuit"),
             pytest.param(lambda: DiagonalOperator.identity(13).to_dense(), id="to_dense"),
+            pytest.param(lambda: _fanout_targets(21), id="_fanout_targets"),
+            pytest.param(lambda: _parity_targets(21), id="_parity_targets"),
+            # a Hadamard on each of 13 qubits mixes 13 bits: 2^13 summed columns
+            pytest.param(lambda: next(_summed_blocks(Circuit(13, _hadamard_layer(range(13))))),
+                         id="_summed_blocks"),
         ],
     )
     def test_one_over_the_real_cap_raises_before_it_allocates(self, call):
-        # one over its cap, each call would allocate 4 MiB (build_l2) to 1 GiB (dense)
+        # one over its cap, each call would allocate 4 MiB (build_l2) to 1 GiB
+        # (dense), or run 2^13 summed columns of 2^13 entries (_summed_blocks)
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError):

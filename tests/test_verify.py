@@ -35,6 +35,7 @@ from spinfanout.gates import (
     parity_reference,
     standard_gate,
 )
+from spinfanout.hamiltonians import un
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import (
     CheckResult,
@@ -45,7 +46,7 @@ from spinfanout.verify import (
     suite_ok,
 )
 
-from helpers import kernel_loop_blocks, schmidt_rank_one_deviation
+from helpers import schmidt_rank_one_deviation
 
 
 class TestRunCheck:
@@ -93,6 +94,67 @@ class TestRunCheck:
         r = run_check("parity_negative_control", {"n": 4})
         assert r.phase == 1 + 0j
 
+    @pytest.mark.parametrize(
+        "check_id, n",
+        [("parity", 12), ("parity_negative_control", 12), ("parity_like", 12), ("parity_like", 14)],
+    )
+    def test_parity_rows_run_past_the_dense_cap(self, check_id, n):
+        # n + 1 (parity) and n (parity_like) qubits on 2^2 and 2^1 summed
+        # columns: bounded by the state cap, as no dense matrix stands behind them
+        r = run_check(check_id, {"n": n})
+        assert r.ok and not r.skipped
+        assert r.passed != r.negative_control
+        if r.negative_control:
+            assert r.max_deviation > 0.5
+
+    @pytest.mark.parametrize(
+        "check_id, params",
+        [("fanout", {"n": 12}), ("fanout_simplified", {"n": 12}),
+         ("fig3_conjugation", {"n_plus_1": 13})],
+    )
+    def test_rows_that_mix_every_bit_stop_at_the_dense_cap(self, check_id, params):
+        # their 2^13 summed columns are the dense 13-qubit unitary (1 GiB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="n=13 exceeds dense cap 12"):
+                run_check(check_id, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def un_diagonal_rows(n: int) -> dict[str, tuple[float, complex]]:
+    """``phase_formula``, ``parity_dichotomy`` and ``unitary_pow4`` over all
+    2^n entries of ``un(n)``: the oracle for the rows, which read only its
+    n + 1 weight phases."""
+    entries = un(n).entries
+    diag, k = entries / entries[0], popcounts(n)
+    odd_phase = 1j if n % 4 == 2 else -1j
+    u2 = entries ** 2
+    u4 = DiagonalOperator(n, u2 * u2)
+    rep = equiv_up_to_global_phase(u4, DiagonalOperator.identity(n), tol=1e-12)
+    return {
+        "phase_formula": (float(np.max(np.abs(diag - 1j ** (k * (n - k))))), complex(1)),
+        "parity_dichotomy": (
+            float(np.max(np.abs(diag - np.where(k % 2 == 0, 1, odd_phase)))), complex(odd_phase)
+        ),
+        "unitary_pow4": (rep.max_deviation, rep.phase),
+    }
+
+
+class TestUnDiagonalRows:
+    """The rows on U_N read its n + 1 weight phases; ``un(n)`` gathers those
+    by popcount, so each maximum is the one over all 2^n entries, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_levels_give_the_full_diagonal_rows(self, n):
+        for check_id, expected in un_diagonal_rows(n).items():
+            if check_id == "parity_dichotomy" and n % 2:
+                continue
+            r = run_check(check_id, {"n": n})
+            assert (r.max_deviation, r.phase) == expected, check_id
+
 
 def unentangled_control_per_state(n: int, prefix: Circuit | None = None) -> float:
     """The unentangled-control check, one basis state and one SVD at a time,
@@ -116,35 +178,54 @@ def unentangled_control_per_state(n: int, prefix: Circuit | None = None) -> floa
 
 
 class TestUnentangledControl:
-    """The check runs blocks of basis columns through the circuit at once; it
-    must report exactly the deviation of the per-state loop."""
+    """The check runs the prefix on its summed columns and groups each
+    column's rows by the input they hold; it must report exactly the
+    deviation of the per-state loop."""
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_matches_per_state_loop(self, n):
-        # default caps: all 2^(n+1) columns in one block
+        # default caps: all 2^k summed columns in one block
         r = run_check("unentangled_control", {"n": n})
         assert r.passed and r.max_deviation == unentangled_control_per_state(n)
 
-    def test_matches_per_state_loop_in_several_blocks(self, monkeypatch):
-        # 2^6 entries per block, the rule compile_circuit follows too: 2 of
-        # the 32 five-qubit basis columns at a time
-        expected = unentangled_control_per_state(4)
+    @pytest.mark.parametrize("n, k", [(4, 4), (6, 1)])
+    def test_matches_per_state_loop_in_several_blocks(self, n, k, monkeypatch):
+        # 2^(n+1) entries per block, the rule compile_circuit follows too: one
+        # summed column at a time.  At n = 4 the plan fuses the prefix into one
+        # dense window on qubits 0..3, which mixes their 4 bits; at n = 6 only
+        # the Hadamards on the control mix its bit
+        expected = unentangled_control_per_state(n)
         blocks = []
 
         def recording(c, extra=0):
             for inputs, block in _summed_blocks(c, extra):
-                blocks.append((inputs[0, 0], block.copy()))
+                blocks.append((inputs.copy(), block.copy()))
                 yield inputs, block
 
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 6)
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << (n + 1))
         monkeypatch.setattr(verify, "_summed_blocks", recording)
-        r = run_check("unentangled_control", {"n": 4})
+        r = run_check("unentangled_control", {"n": n})
         assert r.max_deviation == expected
-        assert [start for start, _ in blocks] == list(range(0, 32, 2))
-        assert all(b.shape == (32, 2) for _, b in blocks)
-        circ = parity_circuit(4)
-        prefix = np.hstack([b for _, b in kernel_loop_blocks(Circuit(circ.n, circ.steps[:4]))])
-        assert np.hstack([b for _, b in blocks]).tobytes() == prefix.tobytes()
+        assert len(blocks) == 1 << k
+        prefix = verify._control_prefix(n)
+        for inputs, block in blocks:
+            assert inputs.shape == (1, 1 << (n + 1 - k)) and block.shape == (1 << (n + 1), 1)
+            summed = np.zeros(1 << (n + 1), dtype=complex)
+            summed[inputs[0]] = 1
+            out = run_circuit(prefix, StateVector(n + 1, summed)).amplitudes
+            assert block[:, 0].tobytes() == out.tobytes()
+
+    def test_twelve_qubit_row_runs_two_summed_columns(self, monkeypatch):
+        shapes = []
+
+        def recording(c, extra=0):
+            for inputs, block in _summed_blocks(c, extra):
+                shapes.append(block.shape)
+                yield inputs, block
+
+        monkeypatch.setattr(verify, "_summed_blocks", recording)
+        r = run_check("unentangled_control", {"n": 12})
+        assert r.passed and shapes == [(1 << 13, 2)]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_skipped_below_n_plus_one_qubits(self, n, lower_caps):
@@ -441,7 +522,8 @@ def _ids(check_id, key, values):
     return {(check_id, ((key, v),)) for v in values}
 
 
-# the instances run_suite skips under dense=4, l2=4, state=6
+# the instances run_suite skips under dense=4, l2=4, state=6; parity_like
+# n=6 runs, as its 6 qubits fit the state cap and its blocks sum all but 1 bit
 TIGHT_CAP_SKIPS = (
     _ids("fanout", "n", (4, 6, 8))
     | _ids("fanout_simplified", "n", (4, 6, 8))
@@ -449,7 +531,7 @@ TIGHT_CAP_SKIPS = (
     | _ids("kn_offset", "n", (7, 8, 9, 10))
     | _ids("parity", "n", (4, 6, 8))
     | _ids("parity_dichotomy", "n", (8, 10))
-    | _ids("parity_like", "n", (6, 8))
+    | _ids("parity_like", "n", (8,))
     | _ids("parity_negative_control", "n", (4,))
     | _ids("phase_formula", "n", (7, 8, 9, 10))
     | _ids("unentangled_control", "n", (6,))
