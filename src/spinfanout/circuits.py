@@ -84,20 +84,23 @@ class Circuit:
         and for each row, the input row whose value the plan's monomial
         gathers bring there.
 
-        A dense entry on the qubits ``W`` mixes the bits of ``owner[r] ^
-        owner[r ^ 2^b]``, for each ``b`` in ``W`` and every row ``r``: the bits
-        in which the owners of two rows that differ only in ``W`` differ,
-        taken here against the first row of each such set.  So two inputs
-        that differ in a bit outside ``mixed`` never reach one row: column
-        ``x`` of the unitary is zero but at the rows ``r`` with ``owner[r] &
-        ~mixed == x & ~mixed`` (see :func:`_summed_blocks`)."""
+        A dense entry ``G`` moves amplitude between local rows ``i`` and ``j``
+        only where ``G[i, j] != 0``, so only in the local bits ``B``, the OR
+        of those ``i ^ j``.  It mixes the bits in which the owners of two rows
+        that differ only in ``B`` differ, taken here against the row of each
+        such set that is 0 in ``B``.  So two inputs that differ in a bit
+        outside ``mixed`` never reach one row: column ``x`` of the unitary is
+        zero but at the rows ``r`` with ``owner[r] & ~mixed == x & ~mixed``
+        (see :func:`_summed_blocks`)."""
         owner, mixed = np.arange(1 << self.n), 0
         for gate, lo in self._plan:
             view = owner.reshape(-1, 1 << gate.n, 1 << lo)
             if isinstance(gate, _MonomialOperator):
                 owner = view[:, gate.source].reshape(-1)
             elif isinstance(gate, DenseOperator):
-                mixed |= int(np.bitwise_or.reduce(view ^ view[:, :1], axis=None))
+                local = np.arange(1 << gate.n)
+                bits = np.bitwise_or.reduce((local[:, None] ^ local)[gate.matrix != 0])
+                mixed |= int(np.bitwise_or.reduce(view ^ view[:, local & ~bits], axis=None))
         return mixed, owner
 
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from .core import CapExceededError, DenseOperator, DiagonalOperator, Operator
 from .circuits import (
+    Circuit,
     compile_circuit,
     fanout_circuit,
     from_text,
@@ -80,17 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_matrix = sub.add_parser("matrix", help="print an operator's entries")
-    p_matrix.add_argument(
-        "--what",
-        required=True,
-        choices=[
-            "un", "undag", "ieq", "hn", "l2",
-            "parity_ref", "fanout_ref",
-            "parity_circuit", "parity_like_circuit",
-            "fanout_circuit", "simplified_fanout_circuit",
-            "circuit-file",
-        ],
-    )
+    p_matrix.add_argument("--what", required=True, choices=list(_MATRIX_TARGETS))
     p_matrix.add_argument("--n", type=int, help="qubit count / circuit size parameter")
     p_matrix.add_argument(
         "--t", type=finite_float, help="evolution time for hn/l2 (default: print H itself)"
@@ -99,9 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--file", help="circuit file for --what circuit-file")
 
     p_explore = sub.add_parser("explore", help="scan a Hamiltonian for parity-usable times")
-    p_explore.add_argument(
-        "--hamiltonian", required=True, choices=["hn", "ring", "l2", "kn-file"]
-    )
+    p_explore.add_argument("--hamiltonian", required=True, choices=list(_HAMILTONIANS))
     p_explore.add_argument("--n", type=int, required=True)
     p_explore.add_argument(
         "--j", type=finite_float, help="ring coupling strength (default: 1)"
@@ -127,10 +117,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if suite_ok(results) else EXIT_CHECK_FAILED
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.15g}{z.imag:+.15g}j"
-
-
 def _print_operator(op: Operator, fmt: str) -> None:
     """Print ``op`` one row at a time (a diagonal: one entry per row), each row
     divided by the global phase that makes the (0,0) entry real and >= 0,
@@ -140,62 +126,74 @@ def _print_operator(op: Operator, fmt: str) -> None:
     first = rows[0, 0]
     phase = first / abs(first) if abs(first) >= 1e-300 else None
     sep = "," if fmt == "csv" else "  "
+    # one format for a whole row, applied to its interleaved real and imaginary parts
+    row_format = sep.join(["%.15g%+.15gj"] * rows.shape[1]) + "\n"
     if fmt == "text":
         sys.stdout.write(f"{'diagonal' if diagonal else 'dense'} operator on {op.n} qubits\n")
     for i, row in enumerate(rows):
         label = f"{i:>6}  " if diagonal and fmt == "text" else ""
         row = row if phase is None else row / phase
-        sys.stdout.write(label + sep.join(_fmt_complex(z) for z in row) + "\n")
+        parts = np.ascontiguousarray(row).view(np.float64).tolist()
+        sys.stdout.write(label + row_format % tuple(parts))
 
 
-def _require_n(args, parser) -> int:
-    if args.n is None or args.n < 1:
-        parser.error("--n must be a positive integer for this target")
-    return args.n
+def _checked_builder(parser, args, flag: str, table: dict, options: tuple[str, ...]):
+    """The builder of the ``table`` row that ``--flag`` names, bound to the options
+    it reads, once each of ``options`` (refused in this order) that it does not
+    read is absent and each it requires is given: ``--n`` positive, any other nonempty."""
+    name = getattr(args, flag)
+    build, required, optional = table[name]
+    for dest in options:
+        if getattr(args, dest) is not None and dest not in required + optional:
+            parser.error(f"--{dest.replace('_', '-')} does not apply to --{flag} {name}")
+    for dest in required:
+        value = getattr(args, dest)
+        if dest == "n" and (value is None or value < 1):
+            parser.error("--n must be a positive integer for this target")
+        if not value:
+            parser.error(f"--{flag} {name} requires --{dest.replace('_', '-')}")
+    return functools.partial(build, *(getattr(args, dest) for dest in required + optional))
+
+
+def _hn_matrix(n: int, t: float | None) -> Operator:
+    h = build_hn(n)
+    return DiagonalOperator(n, h.energies) if t is None else evolve(h, t)
+
+
+def _l2_matrix(n: int, t: float | None) -> Operator:
+    h = build_l2(n)
+    return DenseOperator(n, h.matrix) if t is None else evolve(h, t)
+
+
+def _circuit_file(path: str, n: int | None) -> Circuit:
+    with open(path) as fh:
+        return from_text(fh.read(), n=n)
+
+
+# each --what target: the builder of its operator or circuit, the options of
+# _MATRIX_OPTIONS it requires and those it may read, passed to the builder in
+# this order; it refuses the rest
+_MATRIX_TARGETS = {
+    "un": (un, ("n",), ()),
+    "undag": (un_dagger, ("n",), ()),
+    "ieq": (ieq_reference, (), ()),
+    "hn": (_hn_matrix, ("n",), ("t",)),
+    "l2": (_l2_matrix, ("n",), ("t",)),
+    "parity_ref": (parity_reference, ("n",), ()),
+    "fanout_ref": (fanout_reference, ("n",), ()),
+    "parity_circuit": (parity_circuit, ("n",), ()),
+    "parity_like_circuit": (parity_like_circuit, ("n",), ()),
+    "fanout_circuit": (fanout_circuit, ("n",), ()),
+    "simplified_fanout_circuit": (simplified_fanout_circuit, ("n",), ()),
+    "circuit-file": (_circuit_file, ("file",), ("n",)),
+}
+_MATRIX_OPTIONS = ("t", "file", "n")
 
 
 def _cmd_matrix(args, parser) -> int:
-    what = args.what
-    # refuse an option the target would silently ignore
-    if args.t is not None and what not in ("hn", "l2"):
-        parser.error(f"--t does not apply to --what {what}")
-    if args.file is not None and what != "circuit-file":
-        parser.error(f"--file does not apply to --what {what}")
-    if args.n is not None and what == "ieq":
-        parser.error("--n does not apply to --what ieq")
-    if what == "circuit-file":
-        if not args.file:
-            parser.error("--what circuit-file requires --file")
-        with open(args.file) as fh:
-            circ = from_text(fh.read(), n=args.n)
-        op: Operator = compile_circuit(circ)
-    elif what == "un":
-        op = un(_require_n(args, parser))
-    elif what == "undag":
-        op = un_dagger(_require_n(args, parser))
-    elif what == "ieq":
-        op = ieq_reference()
-    elif what == "hn":
-        h = build_hn(_require_n(args, parser))
-        op = evolve(h, args.t) if args.t is not None else DiagonalOperator(
-            h.n, h.energies.astype(complex)
-        )
-    elif what == "l2":
-        h = build_l2(_require_n(args, parser))
-        op = evolve(h, args.t) if args.t is not None else DenseOperator(h.n, h.matrix)
-    elif what == "parity_ref":
-        op = parity_reference(_require_n(args, parser))
-    elif what == "fanout_ref":
-        op = fanout_reference(_require_n(args, parser))
-    else:
-        builders = {
-            "parity_circuit": parity_circuit,
-            "parity_like_circuit": parity_like_circuit,
-            "fanout_circuit": fanout_circuit,
-            "simplified_fanout_circuit": simplified_fanout_circuit,
-        }
-        op = compile_circuit(builders[what](_require_n(args, parser)))
-    _print_operator(op, args.format)
+    build = _checked_builder(parser, args, "what", _MATRIX_TARGETS, _MATRIX_OPTIONS)
+    op = build()
+    _print_operator(compile_circuit(op) if isinstance(op, Circuit) else op, args.format)
     return EXIT_OK
 
 
@@ -243,31 +241,33 @@ def _load_coupling_file(path: str, n: int) -> CouplingMatrix:
     return CouplingMatrix.from_pairs(n, pairs)
 
 
+def _ring(n: int, j: float | None):
+    j = 1.0 if j is None else j
+    return build_kn(build_ring(n, j)), f"ring(n={n},J={j:g})"
+
+
+def _kn_file(n: int, path: str):
+    return build_kn(_load_coupling_file(path, n)), f"kn(n={n},file={path})"
+
+
+# each --hamiltonian: the builder of it and its report id, the options it
+# requires (--n, which _cmd_explore checks first) and those of _EXPLORE_OPTIONS
+# it may read, passed to the builder in this order; it refuses the rest
+_HAMILTONIANS = {
+    "hn": (lambda n: (build_hn(n), f"hn(n={n})"), ("n",), ()),
+    "ring": (_ring, ("n",), ("j",)),
+    "l2": (lambda n: (build_l2(n), f"l2(n={n})"), ("n",), ()),
+    "kn-file": (_kn_file, ("n", "coupling_file"), ()),
+}
+_EXPLORE_OPTIONS = ("j", "coupling_file")
+
+
 def _cmd_explore(args, parser) -> int:
-    n = args.n
-    if n < 1:
+    if args.n < 1:
         parser.error("--n must be positive")
-    # refuse an option the Hamiltonian would silently ignore
-    if args.j is not None and args.hamiltonian != "ring":
-        parser.error(f"--j does not apply to --hamiltonian {args.hamiltonian}")
-    if args.coupling_file is not None and args.hamiltonian != "kn-file":
-        parser.error(f"--coupling-file does not apply to --hamiltonian {args.hamiltonian}")
+    build = _checked_builder(parser, args, "hamiltonian", _HAMILTONIANS, _EXPLORE_OPTIONS)
     grid = default_time_grid() if args.grid is None else _parse_grid(args.grid)
-    if args.hamiltonian == "hn":
-        h = build_hn(n)
-        ham_id = f"hn(n={n})"
-    elif args.hamiltonian == "ring":
-        j = 1.0 if args.j is None else args.j
-        h = build_kn(build_ring(n, j))
-        ham_id = f"ring(n={n},J={j:g})"
-    elif args.hamiltonian == "l2":
-        h = build_l2(n)
-        ham_id = f"l2(n={n})"
-    else:
-        if not args.coupling_file:
-            parser.error("--hamiltonian kn-file requires --coupling-file")
-        h = build_kn(_load_coupling_file(args.coupling_file, n))
-        ham_id = f"kn(n={n},file={args.coupling_file})"
+    h, ham_id = build()
     res = scan(h, grid, tol=args.tol, hamiltonian_id=ham_id)
     if args.json:
         sys.stdout.write(scan_result_json(res))

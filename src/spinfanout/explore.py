@@ -59,8 +59,9 @@ def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagon
     if isinstance(u, DiagonalOperator):
         diag, off_max = u.entries.copy(), 0.0
     else:
-        diag = np.diag(u.matrix).copy()
-        off_max = float(np.max(np.abs(u.matrix - np.diag(diag))))
+        diag, off = np.diag(u.matrix).copy(), np.abs(u.matrix)
+        np.fill_diagonal(off, np.abs(diag - diag))  # 0, or NaN where an entry is not finite
+        off_max = float(np.max(off))
     return _verdicts(diag[None], _parity_classes(u.n), off_max, tol)[0]
 
 

@@ -198,19 +198,12 @@ def evolver(h: DiagonalHamiltonian | DenseHamiltonian) -> Callable[[float], Oper
     finite raises ``ValueError``: its phases would be NaN.
     """
     if isinstance(h, DiagonalHamiltonian):
-        w, v = h.energies, None
-    else:
-        check_l2(h.n)
-        w, v = np.linalg.eigh(h.matrix)
-    phases_at = spectral_phases(w)
-
-    def evolve_for(t: float) -> Operator:
-        phases = phases_at(t)
-        if v is None:
-            return DiagonalOperator(h.n, phases)
-        return DenseOperator(h.n, (v * phases) @ v.conj().T)
-
-    return evolve_for
+        phases_at = spectral_phases(h.energies)
+        return lambda t: DiagonalOperator(h.n, phases_at(t))
+    check_l2(h.n)
+    w, v = np.linalg.eigh(h.matrix)
+    phases_at, v_dagger = spectral_phases(w), v.conj().T
+    return lambda t: DenseOperator(h.n, (v * phases_at(t)) @ v_dagger)
 
 
 def evolve(h: DiagonalHamiltonian | DenseHamiltonian, t: float) -> Operator:

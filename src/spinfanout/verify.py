@@ -70,8 +70,10 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        """True when the check behaved as designed (negatives must fail)."""
-        return self.skipped or self.passed != self.negative_control
+        """True when the check behaved as designed: a positive check passes and a
+        negative control fails, by a deviation at or above its tolerance (not NaN)."""
+        failed = self.max_deviation >= self.tolerance
+        return self.skipped or (failed if self.negative_control else self.passed)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,67 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from spinfanout.cli import main
+from spinfanout import verify
+from spinfanout.cli import _HAMILTONIANS, _MATRIX_TARGETS, _print_operator, main
+from spinfanout.core import DenseOperator, DiagonalOperator
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the options each --what target requires, and all it reads; it refuses the rest
+MATRIX_REQUIRES = {
+    "un": ("--n",), "undag": ("--n",), "ieq": (), "hn": ("--n",), "l2": ("--n",),
+    "parity_ref": ("--n",), "fanout_ref": ("--n",), "parity_circuit": ("--n",),
+    "parity_like_circuit": ("--n",), "fanout_circuit": ("--n",),
+    "simplified_fanout_circuit": ("--n",), "circuit-file": ("--file",),
+}
+MATRIX_READS = {
+    **MATRIX_REQUIRES, "hn": ("--n", "--t"), "l2": ("--n", "--t"),
+    "circuit-file": ("--file", "--n"),
+}
+# the options each --hamiltonian reads besides --n; it refuses the rest
+EXPLORE_READS = {"hn": (), "ring": ("--j",), "l2": (), "kn-file": ("--coupling-file",)}
+
+
+def print_per_entry(op, fmt):
+    """The output of ``_print_operator``, one f-string per entry."""
+    diagonal = isinstance(op, DiagonalOperator)
+    rows = op.entries[:, None] if diagonal else op.matrix
+    first = rows[0, 0]
+    phase = first / abs(first) if abs(first) >= 1e-300 else None
+    sep = "," if fmt == "csv" else "  "
+    lines = [f"{'diagonal' if diagonal else 'dense'} operator on {op.n} qubits\n"] * (fmt == "text")
+    for i, row in enumerate(rows):
+        label = f"{i:>6}  " if diagonal and fmt == "text" else ""
+        row = row if phase is None else row / phase
+        lines.append(label + sep.join(f"{z.real:.15g}{z.imag:+.15g}j" for z in row) + "\n")
+    return "".join(lines)
+
+
+def test_tables_cover_every_choice():
+    assert list(MATRIX_READS) == list(_MATRIX_TARGETS)
+    assert list(EXPLORE_READS) == list(_HAMILTONIANS)
+
+
+def matrix_args(tmp_path, *options):
+    path = tmp_path / "circ.txt"
+    path.write_text("H 0\nCNOT 0 1\n")
+    values = {"--n": "2", "--t": "0.5", "--file": str(path)}
+    return [arg for option in options for arg in (option, values[option])]
+
+
+def explore_args(tmp_path, *options):
+    path = tmp_path / "J.txt"
+    path.write_text("1 2 1.0\n")
+    values = {"--j": "2", "--coupling-file": str(path)}
+    return [arg for option in options for arg in (option, values[option])]
 
 
 class TestVerifyCommand:
@@ -38,6 +90,14 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --n-max: invalid positive_int value: {n_max!r}" in err
+
+    def test_negative_control_with_a_nan_deviation_exits_1(self, capsys, monkeypatch):
+        defn = verify._BY_ID["parity_negative_control"]
+        nan_run = dataclasses.replace(defn, run=lambda params: (float("nan"), 1 + 0j))
+        monkeypatch.setitem(verify._BY_ID, "parity_negative_control", nan_run)
+        code, out, err = run_cli(capsys, "verify", "--filter", "parity_negative")
+        assert code == 1 and err == ""
+        assert "NEG-BAD" in out and "NEG-OK" not in out
 
     def test_json_byte_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--filter", "kn_offset", "--json")
@@ -140,31 +200,38 @@ class TestMatrixCommand:
         assert code == 3
         assert out == "" and "state-vector cap" in err
 
-    @pytest.mark.parametrize("argv, option", [
-        (["--what", "un", "--n", "2", "--t", "5"], "--t"),
-        (["--what", "fanout_circuit", "--n", "2", "--t", "1"], "--t"),
-        (["--what", "circuit-file", "--file", "c.txt", "--t", "1"], "--t"),
-        (["--what", "un", "--n", "2", "--file", "c.txt"], "--file"),
-        (["--what", "ieq", "--file", "c.txt"], "--file"),
-        (["--what", "ieq", "--n", "2"], "--n"),
+    @pytest.mark.parametrize("what, option, value", [
+        (what, option, value) for what, reads in MATRIX_READS.items()
+        for option, values in (("--n", ("2", "0")), ("--t", ("1", "0")), ("--file", ("c.txt", "")))
+        if option not in reads for value in values
     ])
-    def test_option_the_target_ignores_exits_2(self, capsys, argv, option):
+    def test_option_the_target_ignores_exits_2(self, capsys, tmp_path, what, option, value):
+        # a given option is refused, even at a value that reads as false
+        argv = matrix_args(tmp_path, *MATRIX_REQUIRES[what]) + [option, value]
         with pytest.raises(SystemExit) as exc:
-            main(["matrix"] + argv)
+            main(["matrix", "--what", what, *argv])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{option} does not apply to --what {argv[1]}" in captured.err
+        assert captured.err.endswith(f"error: {option} does not apply to --what {what}\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["--what", "ieq"],
-        ["--what", "hn", "--n", "2", "--t", "0.5"],
-        ["--what", "l2", "--n", "2", "--t", "0.5"],
-        ["--what", "un", "--n", "2"],
+    @pytest.mark.parametrize("what, given", [
+        (what, given) for what, reads in MATRIX_READS.items()
+        for given in dict.fromkeys([MATRIX_REQUIRES[what], reads])
     ])
-    def test_options_the_target_uses_are_accepted(self, capsys, argv):
-        code, out, err = run_cli(capsys, "matrix", *argv)
+    def test_options_the_target_uses_are_accepted(self, capsys, tmp_path, what, given):
+        code, out, err = run_cli(capsys, "matrix", "--what", what, *matrix_args(tmp_path, *given))
         assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("what", [what for what, req in MATRIX_REQUIRES.items() if req])
+    def test_target_without_an_option_it_requires_exits_2(self, capsys, what):
+        message = ("--n must be a positive integer for this target" if what != "circuit-file"
+                   else "--what circuit-file requires --file")
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--what", what])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
 
     def test_undag_is_the_inverse_of_un(self, capsys):
         entries = {}
@@ -187,14 +254,6 @@ class TestMatrixCommand:
         assert code == 0
         assert [[complex(z) for z in line.split(",")] for line in out.splitlines()] == rows
 
-    def test_circuit_file_needs_a_file(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["matrix", "--what", "circuit-file"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--what circuit-file requires --file" in captured.err
-
     def test_diagonal_csv_is_one_entry_per_line(self, capsys):
         _, text, _ = run_cli(capsys, "matrix", "--what", "un", "--n", "2")
         code, out, _ = run_cli(capsys, "matrix", "--what", "un", "--n", "2", "--format", "csv")
@@ -207,6 +266,25 @@ class TestMatrixCommand:
         code, out, err = run_cli(capsys, "matrix", "--what", "circuit-file", "--file", str(path))
         assert code == 0 and err == ""
         assert out == "dense operator on 1 qubits\n0+0j  1+0j\n1+0j  0+0j\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("first", [0.6 - 0.8j, 0.0, 1e-310, complex("nan"), -0.0])
+    def test_rows_print_as_their_entries_one_at_a_time(self, capsys, fmt, first):
+        # each row is one format applied to its interleaved floats; the text
+        # must equal an entry-by-entry formatting, non-finite entries included
+        inf, nan = float("inf"), float("nan")
+        matrix = np.array([
+            [first, -0.0, complex(-0.0, -0.0), 5e-324j],
+            [complex(inf, -inf), complex(nan, 1), 1e300 + 1e-300j, -1 / 3],
+            [complex(-inf, nan), 2.5e-310, 1 + 1j, 0.1j],
+            [123456789.123456789, -1e-5j, 0, 1],
+        ])
+        for op in (DenseOperator(2, matrix), DiagonalOperator(2, matrix[:, 0]),
+                   DiagonalOperator(2, matrix[0])):
+            with np.errstate(invalid="ignore"):  # inf divided by the phase
+                _print_operator(op, fmt)
+                expected = print_per_entry(op, fmt)
+            assert capsys.readouterr().out == expected
 
     def test_missing_circuit_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -414,34 +492,34 @@ class TestExploreCommand:
         assert code == 3
         assert out == "" and "state-vector cap" in err
 
-    @pytest.mark.parametrize("argv, option", [
-        (["--hamiltonian", "hn", "--n", "4", "--j", "5"], "--j"),
-        (["--hamiltonian", "l2", "--n", "3", "--j", "1"], "--j"),
-        (["--hamiltonian", "kn-file", "--n", "3", "--j", "1",
-          "--coupling-file", "J.txt"], "--j"),
-        (["--hamiltonian", "l2", "--n", "3", "--coupling-file", "/nonexistent"],
-         "--coupling-file"),
-        (["--hamiltonian", "hn", "--n", "3", "--coupling-file", "J.txt"], "--coupling-file"),
-        (["--hamiltonian", "ring", "--n", "3", "--coupling-file", "J.txt"],
-         "--coupling-file"),
+    @pytest.mark.parametrize("hamiltonian, option, value", [
+        (hamiltonian, option, value) for hamiltonian, reads in EXPLORE_READS.items()
+        for option, values in (("--j", ("5", "0")), ("--coupling-file", ("/nonexistent", "")))
+        if option not in reads for value in values
     ])
-    def test_option_the_hamiltonian_ignores_exits_2(self, capsys, argv, option):
+    def test_option_the_hamiltonian_ignores_exits_2(
+        self, capsys, tmp_path, hamiltonian, option, value
+    ):
+        argv = explore_args(tmp_path, *EXPLORE_READS[hamiltonian]) + [option, value]
         with pytest.raises(SystemExit) as exc:
-            main(["explore"] + argv + ["--grid", "0.25pi"])
+            main(["explore", "--hamiltonian", hamiltonian, "--n", "3", *argv, "--grid", "0.25pi"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{option} does not apply to --hamiltonian {argv[1]}" in captured.err
+        message = f"{option} does not apply to --hamiltonian {hamiltonian}"
+        assert captured.err.endswith(f"error: {message}\n")
 
-    def test_options_the_hamiltonian_uses_are_accepted(self, capsys, tmp_path):
-        path = tmp_path / "J.txt"
-        path.write_text("1 2 1.0\n")
-        for argv in (
-            ["--hamiltonian", "ring", "--n", "3", "--j", "2"],
-            ["--hamiltonian", "kn-file", "--n", "3", "--coupling-file", str(path)],
-        ):
-            code, out, err = run_cli(capsys, "explore", *argv, "--grid", "0.25pi", "--json")
-            assert code == 0 and out and err == ""
+    @pytest.mark.parametrize("hamiltonian, given", [
+        (hamiltonian, given) for hamiltonian, reads in EXPLORE_READS.items()
+        for given in dict.fromkeys([reads, tuple(o for o in reads if o != "--j")])
+    ])
+    def test_options_the_hamiltonian_uses_are_accepted(self, capsys, tmp_path, hamiltonian, given):
+        argv = explore_args(tmp_path, *given)
+        code, out, err = run_cli(
+            capsys, "explore", "--hamiltonian", hamiltonian, "--n", "3", *argv,
+            "--grid", "0.25pi", "--json",
+        )
+        assert code == 0 and out and err == ""
 
     def test_no_qubits_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -70,6 +70,20 @@ class TestClassify:
         assert math.isnan(v.relative_phase)
         assert v.score == math.inf
 
+    @pytest.mark.parametrize("entry, at", [
+        (0.5j, (0, 0)), (math.nan, (0, 0)), (math.nan, (0, 1)), (math.inf, (1, 1)),
+        (complex(0, -math.inf), (1, 0)),
+    ])
+    def test_off_diagonal_maximum_equals_the_subtracted_diagonal(self, entry, at):
+        # the maximum over the matrix less its diagonal: a NaN or an infinite
+        # diagonal entry gives NaN, as inf - inf does
+        m = np.array([[1, 0.25], [-0.5j, 1j]], dtype=complex)
+        m[at] = entry
+        with np.errstate(invalid="ignore"):
+            off_max = classify_parity_diagonal(DenseOperator(1, m)).off_diag_max
+            expected = float(np.max(np.abs(m - np.diag(np.diag(m)))))
+        assert off_max == expected or math.isnan(off_max) and math.isnan(expected)
+
     def test_off_diagonal_detected(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         v = classify_parity_diagonal(DenseOperator(1, h))

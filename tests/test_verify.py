@@ -188,12 +188,12 @@ class TestUnentangledControl:
         r = run_check("unentangled_control", {"n": n})
         assert r.passed and r.max_deviation == unentangled_control_per_state(n)
 
-    @pytest.mark.parametrize("n, k", [(4, 4), (6, 1)])
+    @pytest.mark.parametrize("n, k", [(4, 1), (6, 1)])
     def test_matches_per_state_loop_in_several_blocks(self, n, k, monkeypatch):
         # 2^(n+1) entries per block, the rule compile_circuit follows too: one
         # summed column at a time.  At n = 4 the plan fuses the prefix into one
-        # dense window on qubits 0..3, which mixes their 4 bits; at n = 6 only
-        # the Hadamards on the control mix its bit
+        # dense window on qubits 0..3, whose nonzero entries mix only the helper
+        # wire's bit; at n = 6 the Hadamards on that wire are windows of their own
         expected = unentangled_control_per_state(n)
         blocks = []
 
@@ -523,16 +523,16 @@ def _ids(check_id, key, values):
 
 
 # the instances run_suite skips under dense=4, l2=4, state=6; parity_like
-# n=6 runs, as its 6 qubits fit the state cap and its blocks sum all but 1 bit
+# n=6 and parity n=4 run, as their qubits fit the state cap and their blocks
+# sum all but 1 and 2 bits
 TIGHT_CAP_SKIPS = (
     _ids("fanout", "n", (4, 6, 8))
     | _ids("fanout_simplified", "n", (4, 6, 8))
     | _ids("fig3_conjugation", "n_plus_1", (5, 6, 7, 8))
     | _ids("kn_offset", "n", (7, 8, 9, 10))
-    | _ids("parity", "n", (4, 6, 8))
+    | _ids("parity", "n", (6, 8))
     | _ids("parity_dichotomy", "n", (8, 10))
     | _ids("parity_like", "n", (8,))
-    | _ids("parity_negative_control", "n", (4,))
     | _ids("phase_formula", "n", (7, 8, 9, 10))
     | _ids("unentangled_control", "n", (6,))
     | _ids("unitary_pow4", "n", (7, 8, 9, 10))
@@ -696,13 +696,23 @@ class TestDerivedFields:
         assert not names & {"passed", "skipped"}
         assert "equivalent" not in {f.name for f in dataclasses.fields(EquivalenceReport)}
 
-    def test_passed_follows_the_deviation(self):
+    @pytest.mark.parametrize("deviation", [0.5, math.nan])
+    def test_passed_follows_the_deviation(self, deviation):
         ran = run_check("ieq")
         assert ran.passed and ran.max_deviation < ran.tolerance
-        worse = dataclasses.replace(ran, max_deviation=0.5)
-        assert not worse.passed and not worse.ok
+        worse = dataclasses.replace(ran, max_deviation=deviation)
+        assert not worse.passed and not worse.ok and not suite_ok([worse])
         assert json.loads(check_results_json([worse]))["passed"] is False
         assert "FAIL" in check_results_table([worse])
+
+    def test_nan_deviation_fails_a_negative_control(self):
+        # a negative control is ok only when it measures a failure
+        r = run_check("parity_negative_control", {"n": 4})
+        nan = dataclasses.replace(r, max_deviation=float("nan"))
+        assert not nan.passed and not nan.ok and not suite_ok([nan])
+        assert "NEG-BAD" in check_results_table([nan])
+        at_tolerance = dataclasses.replace(r, max_deviation=r.tolerance)
+        assert at_tolerance.ok and "NEG-OK" in check_results_table([at_tolerance])
 
     def test_skipped_follows_the_reason(self):
         ran = run_check("ieq")
