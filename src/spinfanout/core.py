@@ -162,7 +162,7 @@ def equiv_up_to_global_phase(
     the phase also defaults to 1, rather than the phase of a rounding
     residue.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if u.n != v.n:
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n} qubits")

@@ -154,7 +154,7 @@ def _check_ieq(params: dict) -> tuple[float, complex]:
 def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
     restriction = DiagonalOperator(2, ieq_reference().entries[4:])  # third qubit in |1>
     cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
-    return max(cz_rep.max_deviation, _cnot_row({"n": 1})[0]), cz_rep.phase
+    return float(np.max([cz_rep.max_deviation, _cnot_row({"n": 1})[0]])), cz_rep.phase
 
 
 def _permutation_deviation(block: np.ndarray, rows: np.ndarray, phase: complex) -> float:
@@ -262,12 +262,11 @@ def _check_unentangled_control(params: dict) -> tuple[float, complex]:
     unmixed, parity, low = owner & ~mixed, popcounts(n) & 1, (1 << n) - 1
     rows = np.argsort(unmixed, kind="stable").reshape(-1, 1 << mixed.bit_count())
     flip = ((rows >> (n - 1)) & 1) ^ parity[unmixed[rows] & low]
-    worst = 0.0
+    devs = []
     for inputs, out in _summed_blocks(prefix):
         wrong = flip[:, :, None] != parity[inputs[:, 0] & low]
-        wrong_mass = np.linalg.norm(np.where(wrong, out[rows], 0), axis=1)
-        worst = max(worst, float(wrong_mass.max()))
-    return worst, complex(1)
+        devs.append(np.max(np.linalg.norm(np.where(wrong, out[rows], 0), axis=1)))
+    return float(np.max(devs)), complex(1)
 
 
 _REGISTRY: tuple[CheckDef, ...] = (

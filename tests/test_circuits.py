@@ -1,11 +1,9 @@
-import functools
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinfanout import circuits, verify
+from spinfanout import circuits
 from spinfanout.core import (
     CapExceededError,
     DenseOperator,
@@ -18,7 +16,6 @@ from spinfanout.circuits import (
     Circuit,
     Step,
     _MonomialOperator,
-    _apply_to_block,
     _summed_blocks,
     compile_circuit,
     fanout_circuit,
@@ -29,35 +26,20 @@ from spinfanout.circuits import (
     simplified_fanout_circuit,
     to_text,
 )
-from spinfanout.gates import (
-    _STANDARD,
-    GateDef,
-    fanout_reference,
-    parity_reference,
-    standard_gate,
-)
+from spinfanout.gates import GateDef, fanout_reference, parity_reference, standard_gate
 from spinfanout.hamiltonians import un, un_dagger
 
-from helpers import kernel_loop_blocks, random_unitary
+from corpus import CORPUS, ENTRY_KINDS, kind, named
+from helpers import kernel_loop_blocks, kernel_loop_matrix, kron_oracle_product, mixed_bits
 
 
 class TestCompile:
-    def test_empty(self):
-        assert np.allclose(compile_circuit(Circuit(2, ())).matrix, np.eye(4))
-
     def test_single_cnot(self):
         c = Circuit(2, (Step(standard_gate("CNOT"), (0, 1)),))
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[2, 2] = 1
         expected[3, 1] = expected[1, 3] = 1
         assert np.allclose(compile_circuit(c).matrix, expected)
-
-    def test_global_phase_step(self):
-        # a diagonal gate on no qubits multiplies every column by its one entry
-        phase = GateDef("P", DiagonalOperator(0, np.array([1j])))
-        c = Circuit(2, (Step(standard_gate("H"), (1,)), Step(phase, ())))
-        expected = 1j * np.kron(standard_gate("H").unitary.matrix, np.eye(2))
-        assert np.max(np.abs(compile_circuit(c).matrix - expected)) < 1e-12
 
     def test_hadamard_pair(self):
         h = standard_gate("H")
@@ -81,393 +63,10 @@ class TestCompile:
             Circuit(2, (Step(standard_gate("H"), (0, 1)),))
 
 
-def mixed_bits(c):
-    """The input bits that ``c``'s plan mixes, ascending: k of them."""
-    return [b for b in range(c.n) if c._support[0] >> b & 1]
-
-
-def summed_loop_matrix(c):
-    """``c``'s unitary as the kernel loop on summed columns gives it: each block
-    of columns ``q`` starts from ``S0[r, q] = [bits_M(r) == q]``, where
-    ``bits_M`` packs the mixed bits low to high, runs ``_apply_to_block`` for
-    each entry of ``c._plan``, and its entry ``(r, q)`` goes to column
-    ``(owner[r] & ~M) | deposit_M(q)`` of a zeroed matrix."""
-    n, dim = c.n, 1 << c.n
-    mixed, owner = c._support
-    bits = mixed_bits(c)
-    k = len(bits)
-    rows, packed, deposit = np.arange(dim), np.zeros(dim, dtype=int), np.zeros(1 << k, dtype=int)
-    for j, b in enumerate(bits):
-        packed |= ((rows >> b) & 1) << j
-        deposit |= ((np.arange(1 << k) >> j) & 1) << b
-    cols = max(1, min(1 << k, circuits._BLOCK_ENTRIES >> n))
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, 1 << k, cols):
-        block = np.zeros((dim, cols), dtype=complex)
-        here = (packed >= start) & (packed < start + cols)
-        block[rows[here], packed[here] - start] = 1
-        work = np.empty_like(block)
-        for gate, lo in c._plan:
-            block, work = _apply_to_block(block, gate, lo, n, work)
-        columns = (owner & ~mixed)[:, None] | deposit[start:start + cols]
-        matrix[rows[:, None], columns] = block
-    return matrix
-
-
-def kernel_loop_matrix(c):
-    """``c``'s unitary from the kernel loop, as ``compile_circuit`` builds it: on
-    the basis columns when the plan mixes all n input bits, and otherwise on
-    the 2^k summed columns (:func:`summed_loop_matrix`)."""
-    if len(mixed_bits(c)) < c.n:
-        return summed_loop_matrix(c)
-    return np.hstack([block for _, block in kernel_loop_blocks(c)])
-
-
-def kind(entry):
-    gate, lo = entry
-    if isinstance(gate, DenseOperator):
-        real = "real" if not gate.matrix.imag.any() else "complex"
-        return f"{real} dense at lo {'> 0' if lo else '= 0'}"
-    if isinstance(gate, _MonomialOperator):
-        return "monomial" if gate.phases is None else "monomial with phases"
-    return "diagonal"
-
-
-# one text per kind of plan entry, on 7 qubits, and a step on another qubit
-# that fuses with none of it
-ENTRY_KINDS = {
-    "diagonal": ("CZ 4 5\nS 5\n", "H 0\n"),
-    "monomial with phases": ("X 4\nS 5\n", "H 0\n"),
-    "monomial": ("CNOT 4 5\n", "H 0\n"),
-    "real dense at lo = 0": ("H 0\nH 1\n", "H 6\n"),
-    "complex dense at lo = 0": ("H 0\nS 1\nH 1\n", "H 6\n"),
-    "real dense at lo > 0": ("H 4\nCNOT 4 5\n", "H 0\n"),
-    "complex dense at lo > 0": ("H 1\nS 2\nH 2\n", "H 6\n"),
-}
-
-
-def entry_kind_circuits():
-    """Each kind of plan entry alone, first and last; a wide dense gate placed
-    between two gathers, alone, first and last; a global phase and no step."""
-    h = standard_gate("H").unitary.matrix
-    wide = Step(GateDef("G", DenseOperator(2, np.kron(h, h))), (5, 0))
-    phase = Step(GateDef("P", DiagonalOperator(0, np.array([1j]))), ())
-    cases = {"wide": (wide,), "global phase": (phase,), "empty": ()}
-    for name, (text, other) in ENTRY_KINDS.items():
-        steps, other = from_text(text, n=7).steps, from_text(other, n=7).steps
-        cases[name] = steps
-        cases[f"{name} first"] = steps + other
-        cases[f"{name} last"] = other + steps
-    h2 = from_text("H 2\n", n=7).steps
-    cases["gather first"] = (wide,) + h2
-    cases["gather last"] = h2 + (wide,)
-    return {name: Circuit(7, steps) for name, steps in cases.items()}
-
-
-def full_support_circuits():
-    """Each case of :func:`entry_kind_circuits` after a Hadamard on all 7 qubits
-    as one dense gate, which fuses with none of it: its plan mixes every
-    input bit (k = n), and then runs the case's entries."""
-    h7 = functools.reduce(np.kron, [standard_gate("H").unitary.matrix] * 7)
-    layer = Step(GateDef("H7", DenseOperator(7, h7)), tuple(range(7)))
-    return {
-        f"{name} after H on all": Circuit(7, (layer,) + c.steps)
-        for name, c in entry_kind_circuits().items()
-    }
-
-
-class TestColumnBlocks:
-    """``compile_circuit`` and ``_summed_blocks`` on all n bits start each block
-    from its slice of the identity and run the whole plan; both must equal
-    the entry-by-entry kernel loop byte for byte, signed zeros included.  A
-    plan that mixes k < n input bits compiles on 2^k summed columns, and its
-    kernel loop does too."""
-
-    def test_cases_cover_every_kind_first_and_last(self):
-        cases = entry_kind_circuits()
-        kinds = set(ENTRY_KINDS)
-        assert {kind(c._plan[0]) for name, c in cases.items() if name.endswith("first")} >= kinds
-        assert {kind(c._plan[-1]) for name, c in cases.items() if name.endswith("last")} >= kinds
-        for name in ENTRY_KINDS:
-            assert [kind(e) for e in cases[name]._plan] == [name]
-        for plan in (cases["wide"]._plan, cases["gather first"]._plan[:3], cases["gather last"]._plan[1:]):
-            assert [kind(e) for e in plan] == ["monomial", "real dense at lo = 0", "monomial"]
-        assert [kind(e) for e in cases["global phase"]._plan] == ["diagonal"]
-        assert cases["empty"]._plan == ()
-
-    def test_full_support_cases_mix_every_bit_and_keep_their_last_entry(self):
-        cases = entry_kind_circuits()
-        for name, c in full_support_circuits().items():
-            assert c._support[0] == 127, name
-            plan = cases[name.removesuffix(" after H on all")]._plan
-            assert [kind(e) for e in c._plan] == ["real dense at lo = 0"] + [kind(e) for e in plan]
-        assert {kind(c._plan[-1]) for name, c in full_support_circuits().items()} >= set(ENTRY_KINDS)
-
-    @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
-    @pytest.mark.parametrize("name", list(entry_kind_circuits()) + list(full_support_circuits()))
-    def test_blocks_and_compile_equal_the_kernel_loop(self, name, entries, monkeypatch):
-        c = {**entry_kind_circuits(), **full_support_circuits()}[name]
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
-        expected = list(kernel_loop_blocks(c))
-        blocks = _summed_blocks(c, (1 << c.n) - 1)
-        got = [(int(inputs[0, 0]), block.tobytes()) for inputs, block in blocks]
-        assert got == [(start, block.tobytes()) for start, block in expected]
-        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
-
-    @pytest.mark.parametrize("entries", [1 << 16, 1 << 4], ids=["default", "2^4"])
-    @pytest.mark.parametrize(
-        "build", [parity_circuit, parity_like_circuit, fanout_circuit, simplified_fanout_circuit]
-    )
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_paper_circuits_equal_the_kernel_loop(self, n, build, entries, monkeypatch):
-        c = build(n)
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
-        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
-
-
-# real plan entries of every kind: dense, monomial with real phases, diagonal
-REAL_STEPS = "H 0\nH 1\nCNOT 1 6\nH 6\nCZ 0 6\nX 3\nZ 3\n"
-
-
-def real_prefix_circuits():
-    """7-qubit circuits whose plans start with several real entries and end
-    at each kind of first complex entry, one with an empty real prefix, and
-    the all-real Fig. 3 circuit: each with the length of its real prefix
-    and the kind of its first complex entry."""
-    texts = {
-        "complex diagonal": (REAL_STEPS + "S 0\nCZ 0 6\n", 3, "diagonal"),
-        "complex dense": (REAL_STEPS + "H 6\nS 6\nH 6\n", 4, "complex dense at lo > 0"),
-        "monomial with complex phases": (REAL_STEPS + "CNOT 6 0\nS 0\n", 3, "monomial with phases"),
-        "empty prefix": ("S 0\n" + REAL_STEPS, 0, "complex dense at lo = 0"),
-    }
-    cases = {name: (from_text(text, n=7), real, first) for name, (text, real, first) in texts.items()}
-    fig3 = verify._fig3_circuit(6)
-    cases["all real (Fig. 3)"] = (fig3, len(fig3._plan), None)
-    return cases
-
-
 def is_real(entry):
     gate, _ = entry
     data = getattr(gate, "matrix", getattr(gate, "entries", getattr(gate, "phases", None)))
     return data is None or not np.iscomplex(data).any()
-
-
-class TestRealPrefix:
-    """The leading plan entries whose data are real run on float64 blocks;
-    every block must equal the complex kernel loop byte for byte, at every
-    block width (a one-column block stays complex)."""
-
-    @pytest.mark.parametrize("name", list(real_prefix_circuits()))
-    def test_prefix_is_the_leading_real_entries(self, name):
-        c, real, first = real_prefix_circuits()[name]
-        assert c._real_prefix == real
-        assert [is_real(e) for e in c._plan[:real]] == [True] * real
-        assert first is None or (not is_real(c._plan[real]) and kind(c._plan[real]) == first)
-        if first and real > 1:  # a real dense entry, a real monomial with phases (X 3, Z 3), ...
-            assert {"real dense at lo = 0", "monomial with phases"} <= {kind(e) for e in c._plan[:real]}
-        if name == "complex dense":  # ... and a real diagonal (CZ 0 6)
-            assert kind(c._plan[3]) == "diagonal"
-
-    @pytest.mark.parametrize("entries", [1 << 16, 1 << 10, 1 << 4], ids=["2^16", "2^10", "2^4"])
-    @pytest.mark.parametrize("name", list(real_prefix_circuits()))
-    def test_blocks_and_compile_equal_the_complex_kernel_loop(self, name, entries, monkeypatch):
-        c = real_prefix_circuits()[name][0]
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
-        expected = [(start, block.tobytes()) for start, block in kernel_loop_blocks(c)]
-        got = [(int(inputs[0, 0]), block.tobytes())
-               for inputs, block in _summed_blocks(c, (1 << c.n) - 1)]
-        assert got == expected
-        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
-
-
-def kron_embed_oracle(gate_matrix, targets, n):
-    """Independent full-matrix embedding, built entry by entry from bits."""
-    m = len(targets)
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    rest_mask = (dim - 1) ^ sum(1 << t for t in targets)
-    for col in range(dim):
-        loc_in = sum(((col >> t) & 1) << j for j, t in enumerate(targets))
-        for loc_out in np.flatnonzero(gate_matrix[:, loc_in]):
-            row = (col & rest_mask) | sum(
-                ((loc_out >> j) & 1) << t for j, t in enumerate(targets)
-            )
-            full[row, col] = gate_matrix[loc_out, loc_in]
-    return full
-
-
-def kernel_matrix(gate, targets, n):
-    """``gate`` on ``targets``, compiled as a one-step circuit."""
-    return compile_circuit(Circuit(n, (Step(GateDef("G", gate), tuple(targets)),))).matrix
-
-
-def apply_step(state, gate, targets):
-    """``state`` run through the one-step circuit of ``gate`` on ``targets``."""
-    c = Circuit(state.n, (Step(GateDef("G", gate), tuple(targets)),))
-    return run_circuit(c, state)
-
-
-class TestApplyGate:
-    def test_identity(self):
-        state = StateVector.basis(3, 5)
-        out = apply_step(state, DiagonalOperator.identity(1), [1])
-        assert np.allclose(out.amplitudes, state.amplitudes)
-
-    def test_x_flips(self):
-        out = apply_step(StateVector.basis(1, 0), standard_gate("X").unitary, [0])
-        assert np.allclose(out.amplitudes, [0, 1])
-
-    def test_h_involution(self):
-        h = standard_gate("H").unitary
-        state = StateVector.basis(1, 0)
-        out = apply_step(apply_step(state, h, [0]), h, [0])
-        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
-
-    def test_duplicate_target_rejected(self):
-        with pytest.raises(IndexError):
-            Circuit(2, (Step(standard_gate("CNOT"), (0, 0)),))
-
-    def test_out_of_range_target_rejected(self):
-        with pytest.raises(IndexError):
-            Circuit(2, (Step(standard_gate("H"), (2,)),))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_kron_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 3))
-        targets = list(rng.choice(n, size=m, replace=False))
-        gate = random_unitary(m, rng)
-        full = kron_embed_oracle(gate.matrix, targets, n)
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        amps /= np.linalg.norm(amps)
-        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
-        out = apply_step(StateVector(n, amps), gate, targets)
-        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_norm_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
-        out = apply_step(state, random_unitary(2, rng), [2, 0])
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-
-class TestApplyAgreesWithCompose:
-    """Gates applied one at a time agree with the product of their embedded matrices."""
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_random_depth_10_circuits(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 3
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(n, amps)
-        total = np.eye(1 << n, dtype=complex)
-        for _ in range(10):
-            m = int(rng.integers(1, 3))
-            targets = list(rng.choice(n, size=m, replace=False))
-            gate = random_unitary(m, rng)
-            state = apply_step(state, gate, targets)
-            total = kron_embed_oracle(gate.matrix, targets, n) @ total
-        once = total @ amps
-        assert np.max(np.abs(state.amplitudes - once)) < 1e-12
-
-
-def random_orthogonal(n, rng):
-    """A real dense gate: the kernel multiplies it as a real matrix."""
-    q, r = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
-    return DenseOperator(n, q * np.sign(np.diag(r)))
-
-
-def random_diagonal(m, rng):
-    return DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
-
-
-def random_step(n, rng):
-    """A dense or diagonal gate on 1..3 distinct qubits, in random order."""
-    m = int(rng.integers(1, min(n, 3) + 1))
-    targets = tuple(int(t) for t in rng.permutation(n)[:m])
-    gate = random_unitary(m, rng) if rng.random() < 0.5 else random_diagonal(m, rng)
-    return Step(GateDef("G", gate), targets)
-
-
-def fusion_step(n, rng):
-    """A diagonal on all n qubits (sometimes, in ascending or random order),
-    else a complex dense, real dense or diagonal gate on 1..3 qubits, in
-    random order, of a window of 1..6 adjacent qubits: runs of these steps
-    fuse below, at and past the fusion width."""
-    if rng.random() < 0.1:
-        targets = range(n) if rng.random() < 0.5 else rng.permutation(n)
-        return Step(GateDef("D", random_diagonal(n, rng)), tuple(int(t) for t in targets))
-    width = int(rng.integers(1, min(n, 6) + 1))
-    lo = int(rng.integers(0, n - width + 1))
-    m = int(rng.integers(1, min(width, 3) + 1))
-    targets = tuple(lo + int(t) for t in rng.permutation(width)[:m])
-    kind = rng.random()
-    if kind < 0.3:
-        gate = random_unitary(m, rng)
-    elif kind < 0.6:
-        gate = random_orthogonal(m, rng)
-    else:
-        gate = random_diagonal(m, rng)
-    return Step(GateDef("G", gate), targets)
-
-
-def random_circuit(rng):
-    n = int(rng.integers(1, 10))
-    depth = int(rng.integers(1, 21))
-    return Circuit(n, tuple(fusion_step(n, rng) for _ in range(depth)))
-
-
-def monomial_step(n, rng):
-    """Mostly X, CNOT or CZ on any qubits in either order, else an evolution
-    ``UN k`` or ``UNDAG k`` on qubits 0..k-1, or H: runs of these steps fuse
-    into monomial runs of every span, broken by the Hadamards."""
-    name = str(rng.choice(["X", "CNOT", "CZ", "X", "CNOT", "CZ", "UN", "UNDAG", "H"]))
-    if name in ("UN", "UNDAG"):
-        k = int(rng.integers(1, n + 1))
-        return Step(GateDef(name, (un if name == "UN" else un_dagger)(k)), tuple(range(k)))
-    gate = standard_gate(name if n > 1 or name == "H" else "X")
-    return Step(gate, tuple(int(t) for t in rng.permutation(n)[:gate.unitary.n]))
-
-
-def monomial_circuit(rng, seed):
-    """A circuit of ``monomial_step`` on n = 1..9 qubits, cycling with the seed."""
-    n = 1 + seed % 9
-    depth = int(rng.integers(1, 21))
-    return Circuit(n, tuple(monomial_step(n, rng) for _ in range(depth)))
-
-
-def kron_oracle_product(c):
-    """The product of the kron-embedded steps of ``c``."""
-    total = np.eye(1 << c.n, dtype=complex)
-    for step in c.steps:
-        gate = step.gate.unitary.to_dense().matrix
-        total = kron_embed_oracle(gate, list(step.targets), c.n) @ total
-    return total
-
-
-# the seeded circuit families, 30 seeds each
-FAMILIES = ("random", "monomial")
-
-
-@functools.lru_cache(maxsize=None)
-def seeded_circuit_and_oracle(family, seed):
-    """The seeded ``random_circuit`` or ``monomial_circuit`` and the product of
-    its kron-embedded steps."""
-    rng = np.random.default_rng(seed)
-    c = random_circuit(rng) if family == "random" else monomial_circuit(rng, seed)
-    return c, kron_oracle_product(c)
-
-
-def assert_columns_match_run_circuit(c, total):
-    """Every basis column of ``run_circuit`` equals that column of ``total``."""
-    for x in range(1 << c.n):
-        out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
-        assert np.max(np.abs(total[:, x] - out)) < 1e-12
 
 
 def moved_back_runs(c):
@@ -479,47 +78,98 @@ def moved_back_runs(c):
     return [run for run in runs if np.any(np.diff([index[id(s)] for s in run[3]]) != 1)]
 
 
-def monomial_matrix(gate):
-    """The dense matrix of a ``_MonomialOperator``: ``phases[r]`` at ``(r, source[r])``."""
-    dim = 1 << gate.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), gate.source] = 1 if gate.phases is None else gate.phases
-    return mat
+def block_widths(c):
+    """2^16 entries per block; and for a circuit of several steps on at most 8
+    qubits (at 9, 2^16 entries are 4 blocks already), each of 2^10 and 2^4
+    that gives it another number of columns per block than the larger ones."""
+    widths = {}
+    for e in (16, 10, 4) if len(c.steps) > 1 and c.n <= 8 else (16,):
+        widths.setdefault(max(1, min(1 << c.n, (1 << e) >> c.n)), e)
+    return list(widths.values())
 
 
-class TestBlockKernel:
-    """compile_circuit and run_circuit share one kernel, ``_apply_to_block``;
-    each is checked against an independent path."""
+class TestCorpus:
+    """Each property of the planner and the kernel, over every case of the
+    corpus (``corpus.py``): ``compile_circuit``, its column blocks and
+    ``run_circuit`` against the Kronecker oracle, or byte for byte against
+    the kernel loop."""
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_matches_kron_oracle_product(self, seed):
-        c, total = seeded_circuit_and_oracle("random", seed)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_plan_shows_what_the_case_pins(self, name):
+        """Every entry on the qubits ``lo .. lo + m - 1``, the one layout the
+        kernel handles; the real prefix is the leading entries whose data are
+        real; the kinds, mixed bits and real prefix are those the case pins."""
+        case = CORPUS[name]
+        c, real = case.circuit, case.circuit._real_prefix
+        assert all(0 <= lo and lo + g.n <= c.n for g, lo in c._plan)
+        assert all(map(is_real, c._plan[:real])) and not any(map(is_real, c._plan[real:real + 1]))
+        assert case.kinds is None or tuple(kind(e) for e in c._plan) == case.kinds
+        assert case.mixed is None or tuple(mixed_bits(c)) == case.mixed
+        assert case.real_prefix in (None, real)
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_columns_match_run_circuit(self, seed):
-        assert_columns_match_run_circuit(*seeded_circuit_and_oracle("random", seed))
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_compile_matches_the_oracle(self, name):
+        case = CORPUS[name]
+        assert np.max(np.abs(compile_circuit(case.circuit).matrix - case.oracle)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_in_many_blocks(self, seed, monkeypatch):
-        """With blocks of 2^4 entries the seeded circuits on three qubits or
-        more compile in several blocks, from four qubits one column at a time;
-        the compile equals the kron product and, byte for byte, the kernel
-        loop over the same blocks."""
-        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 1 << 4)
-        for family in FAMILIES:
-            c, total = seeded_circuit_and_oracle(family, seed)
-            blocked = compile_circuit(c).matrix
-            assert np.max(np.abs(blocked - total)) < 1e-12
-            assert blocked.tobytes() == kernel_loop_matrix(c).tobytes()
+    @pytest.mark.parametrize("name, entries", [
+        pytest.param(name, 1 << e, id=f"{name}-2^{e}")
+        for name, case in CORPUS.items() for e in block_widths(case.circuit)
+    ])
+    def test_blocks_and_compile_equal_the_kernel_loop(self, name, entries, monkeypatch):
+        """``_summed_blocks`` on all n bits starts each block from its slice of
+        the identity, and ``compile_circuit`` from its 2^k summed columns; each
+        runs its real prefix on float64 blocks, and must equal the complex
+        kernel loop byte for byte, signed zeros included, at every width."""
+        c = CORPUS[name].circuit
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", entries)
+        every = (1 << c.n) - 1
+        if c._support[0] != every:  # else these are the blocks the compile runs
+            got = [(int(inputs[0, 0]), b.tobytes()) for inputs, b in _summed_blocks(c, every)]
+            assert got == [(start, b.tobytes()) for start, b in kernel_loop_blocks(c, every)]
+        assert compile_circuit(c).matrix.tobytes() == kernel_loop_matrix(c).tobytes()
 
-    def test_random_circuits_cover_the_fusion_cases(self):
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_run_circuit_matches_the_oracle(self, name):
+        """On every basis input, and on one random state."""
+        case = CORPUS[name]
+        c = case.circuit
+        for x in range(1 << c.n):
+            out = run_circuit(c, StateVector.basis(c.n, x)).amplitudes
+            assert np.max(np.abs(case.oracle[:, x] - out)) < 1e-12
+        rng = np.random.default_rng(c.n)
+        amps = rng.normal(size=1 << c.n) + 1j * rng.normal(size=1 << c.n)
+        amps /= np.linalg.norm(amps)
+        out = run_circuit(c, StateVector(c.n, amps)).amplitudes
+        assert np.max(np.abs(out - case.oracle @ amps)) < 1e-12
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_oracle_is_zero_outside_the_support(self, name):
+        """Inputs that differ in a bit outside ``mixed`` never reach one row."""
+        case = CORPUS[name]
+        mixed, owner = case.circuit._support
+        rows, inputs = np.nonzero(case.oracle)
+        assert np.array_equal(inputs & ~mixed, owner[rows] & ~mixed)
+
+    @pytest.mark.parametrize("name", [name for name, case in CORPUS.items() if case.writable])
+    def test_text_round_trip(self, name):
+        c = CORPUS[name].circuit
+        text = to_text(c)
+        parsed = from_text(text, n=c.n)
+        assert to_text(parsed) == text  # the same names and targets, line by line
+        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
+
+    def test_cases_cover_every_kind_first_and_last(self):
+        """Also last after a dense entry that mixes every input bit."""
+        kinds = [(name, case.kinds) for name, case in CORPUS.items() if case.kinds]
+        assert {k[0] for _, k in kinds} >= set(ENTRY_KINDS) <= {k[-1] for _, k in kinds}
+        assert {k[-1] for name, k in kinds if name.endswith("on all")} >= set(ENTRY_KINDS)
+
+    def test_seeded_circuits_cover_the_fusion_cases(self):
         """The seeded circuits of both families reach every kind of fused run."""
-        seeded = [seeded_circuit_and_oracle(f, seed)[0] for f in FAMILIES for seed in range(30)]
+        seeded = named("seeded ")
         steps = [(c.n, s) for c in seeded for s in c.steps]
         plan = [(gate, lo) for c in seeded for gate, lo in c._plan]
-        # the one layout the kernel handles: every gate on qubits lo .. lo + gate.n - 1
-        assert all(0 <= lo and lo + g.n <= c.n for c in seeded for g, lo in c._plan)
         assert max(c.n for c in seeded) == 9
         assert max(len(c.steps) for c in seeded) >= 18
         # full-width diagonals, on more qubits than a dense window holds
@@ -553,31 +203,28 @@ class TestBlockKernel:
         moved = [run for c in seeded for run in moved_back_runs(c)]
         assert {all_monomial for _, _, all_monomial, _ in moved} == {True, False}
 
-    @pytest.mark.parametrize(
-        "targets", [(5, 0), (0, 5), (6, 1), (6, 1, 3), (0, 3, 6)],
-        ids=lambda t: "-".join(map(str, t)),
-    )
-    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_lone_dense_step_wider_than_the_window(self, targets, real):
+    def test_seeded_circuits_reach_every_width(self):
+        gaps = {c.n - len(mixed_bits(c)) for c in named("seeded ")}
+        # every input bit mixed, all but one, all but four or more, and none
+        assert {0, 1} <= gaps and max(gaps) >= 4
+        assert any(not mixed_bits(c) for c in named("seeded "))
+
+
+class TestBlockKernel:
+    """compile_circuit and run_circuit share one kernel, ``_apply_to_block``."""
+
+    @pytest.mark.parametrize("name", [name for name in CORPUS if name.startswith("lone wide")])
+    def test_lone_dense_step_wider_than_the_window(self, name):
         """A lone dense step whose span is wider than ``_FUSE_QUBITS`` plans as a
         gather of its targets to the bottom of the span, the gate, and the
-        gather back."""
-        n, m = 7, len(targets)
-        rng = np.random.default_rng(list(targets))
-        gate = (random_orthogonal if real else random_unitary)(m, rng)
-        c = Circuit(n, (Step(GateDef("G", gate), targets),))
-        lo, span = min(targets), max(targets) - min(targets) + 1
+        gather back (their kinds pinned in the corpus)."""
+        c = CORPUS[name].circuit
+        [step] = c.steps
+        lo, span = min(step.targets), max(step.targets) - min(step.targets) + 1
         assert span > _FUSE_QUBITS
         [(to_bottom, lo_a), (g, lo_b), (back, lo_c)] = c._plan
-        assert g is gate and lo_a == lo_b == lo_c == lo
-        for gather in (to_bottom, back):
-            assert isinstance(gather, _MonomialOperator) and gather.phases is None
-            assert gather.n == span
-        full = kron_embed_oracle(gate.matrix, list(targets), n)
-        assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        out = run_circuit(c, StateVector(n, amps)).amplitudes
-        assert np.max(np.abs(out - full @ amps)) < 1e-12
+        assert g is step.gate.unitary and lo_a == lo_b == lo_c == lo
+        assert to_bottom.n == back.n == span
 
     def test_compile_allocates_one_full_size_matrix(self):
         c = parity_like_circuit(10)
@@ -591,45 +238,6 @@ class TestBlockKernel:
         # the 16 MiB result and two blocks; a full-size scratch array would be 2x
         assert peak < 1.25 * u.matrix.nbytes
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_apply_gate_matches_embed(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 7))
-        step = random_step(n, rng)
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        gate, targets = step.gate.unitary, list(step.targets)
-        full = kron_embed_oracle(gate.to_dense().matrix, targets, n)
-        assert np.max(np.abs(kernel_matrix(gate, targets, n) - full)) < 1e-12
-        out = run_circuit(Circuit(n, (step,)), StateVector(n, amps))
-        assert np.max(np.abs(out.amplitudes - full @ amps)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "targets",
-        [t for m in (1, 2, 3) for t in itertools.permutations(range(4), m)],
-        ids=lambda t: "-".join(map(str, t)),
-    )
-    def test_every_target_order(self, targets):
-        """Adjacent ascending, adjacent descending and non-adjacent targets."""
-        n, m = 4, len(targets)
-        rng = np.random.default_rng(list(targets))
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        dense = random_unitary(m, rng)
-        real = random_orthogonal(m, rng)
-        diagonal = DiagonalOperator(m, np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m)))
-        # a cycle through all 2^m rows, with phases: the plan gathers its rows
-        perm = rng.permutation(1 << m)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << m))
-        cycle = _MonomialOperator(m, perm[(np.argsort(perm) - 1) % (1 << m)], phases)
-        monomial = DenseOperator(m, monomial_matrix(cycle))
-        for gate in (dense, real, diagonal, monomial):
-            full = kron_embed_oracle(gate.to_dense().matrix, list(targets), n)
-            c = Circuit(n, (Step(GateDef("G", gate), targets),))
-            if gate is monomial:
-                assert isinstance(c._plan[0][0], _MonomialOperator)
-            assert np.max(np.abs(compile_circuit(c).matrix - full)) < 1e-12
-            out = run_circuit(c, StateVector(n, amps)).amplitudes
-            assert np.max(np.abs(out - full @ amps)) < 1e-12
-
     def test_run_circuit_rejects_other_qubit_count(self):
         c = Circuit(2, (Step(standard_gate("H"), (0,)),))
         with pytest.raises(ValueError):
@@ -640,22 +248,6 @@ class TestSummedColumns:
     """A plan whose dense entries mix k < n input bits compiles on 2^k summed
     columns: ``Circuit._support`` names the mixed bits and, for each row, the
     input that the plan's gathers bring there."""
-
-    @pytest.mark.parametrize("seed", range(30))
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_kron_product_is_zero_outside_the_support(self, family, seed):
-        c, total = seeded_circuit_and_oracle(family, seed)
-        mixed, owner = c._support
-        rows, inputs = np.nonzero(total)
-        assert np.array_equal(inputs & ~mixed, owner[rows] & ~mixed)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-
-    def test_seeded_circuits_reach_every_width(self):
-        seeded = [seeded_circuit_and_oracle(f, seed)[0] for f in FAMILIES for seed in range(30)]
-        gaps = {c.n - len(mixed_bits(c)) for c in seeded}
-        # every input bit mixed, all but one, all but four or more, and none
-        assert {0, 1} <= gaps and max(gaps) >= 4
-        assert any(not mixed_bits(c) for c in seeded)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_parity_circuits_mix_two_bits_and_parity_like_one(self, n):
@@ -677,16 +269,7 @@ class TestSummedColumns:
 
 class TestMonomialRuns:
     """Runs of basis-permuting steps fuse into one row gather and one phase
-    scale; each is checked against the kron oracle and ``run_circuit``."""
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_compile_matches_kron_oracle_product(self, seed):
-        c, total = seeded_circuit_and_oracle("monomial", seed)
-        assert np.max(np.abs(compile_circuit(c).matrix - total)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_columns_match_run_circuit(self, seed):
-        assert_columns_match_run_circuit(*seeded_circuit_and_oracle("monomial", seed))
+    scale."""
 
     def test_pure_permutation_run(self):
         # every phase is 1: one gather over qubits 0..5 and no scale
@@ -783,8 +366,7 @@ class TestMonomialRuns:
     def test_fused_sources_are_permutations(self):
         """The kernel gathers with ``mode="wrap"``, which checks no index: every
         fused source array must be a permutation of ``0..2^m-1``."""
-        seeded = [seeded_circuit_and_oracle(f, seed)[0] for f in FAMILIES for seed in range(30)]
-        seeded.append(from_text("CNOT 0 8\n", n=9))
+        seeded = named("seeded ") + [from_text("CNOT 0 8\n", n=9)]
         fused = [g for c in seeded for g, _ in c._plan if isinstance(g, _MonomialOperator)]
         assert len(fused) >= 20
         for gate in fused:
@@ -913,59 +495,6 @@ class TestSimplify:
 
 
 class TestTextFormat:
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_round_trip(self, n):
-        c = parity_circuit(n)
-        text = to_text(c)
-        parsed = from_text(text)
-        assert parsed.n == c.n
-        rep = equiv_up_to_global_phase(compile_circuit(parsed), compile_circuit(c), 1e-12)
-        assert rep.equivalent and abs(rep.phase - 1) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        names = sorted(_STANDARD) + ["UN", "UNDAG"]
-        steps = []
-        for _ in range(12):
-            name = names[rng.integers(len(names))]
-            if name in ("UN", "UNDAG"):
-                k = int(rng.integers(1, n + 1))
-                evo = un(k) if name == "UN" else un_dagger(k)
-                steps.append(Step(GateDef(name, evo), tuple(range(k))))
-            else:
-                gate = standard_gate(name)
-                targets = rng.choice(n, size=gate.unitary.n, replace=False)
-                steps.append(Step(gate, tuple(int(t) for t in targets)))
-        c = Circuit(n, tuple(steps))
-        parsed = from_text(to_text(c), n=n)
-        assert [(s.gate.name, s.targets) for s in parsed.steps] == [
-            (s.gate.name, s.targets) for s in c.steps
-        ]
-        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
-
-    @pytest.mark.parametrize("build", [
-        parity_circuit, parity_like_circuit, fanout_circuit, simplified_fanout_circuit
-    ])
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    @pytest.mark.parametrize("swapped", [None, True, False])
-    def test_paper_circuits_round_trip(self, build, n, swapped):
-        c = build(n, swapped=swapped)
-        text = to_text(c)
-        parsed = from_text(text, n=c.n)
-        assert to_text(parsed) == text
-        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_seeded_monomial_circuits_round_trip(self, seed):
-        c, _ = seeded_circuit_and_oracle("monomial", seed)
-        parsed = from_text(to_text(c), n=c.n)
-        assert [(s.gate.name, s.targets) for s in parsed.steps] == [
-            (s.gate.name, s.targets) for s in c.steps
-        ]
-        assert np.array_equal(compile_circuit(parsed).matrix, compile_circuit(c).matrix)
-
     def test_seeded_text_round_trips(self):
         # the seeded 12-qubit circuit of the CI compile step
         text = ("H 6\nUN 5\nCNOT 0 2\nS 2\nX 6\nCZ 9 6\nSDAG 3\nH 1\nUNDAG 3\nZ 3\n"

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -413,7 +414,7 @@ class TestInputChecks:
         with pytest.raises(IndexError, match=f"^basis index {value} out of range for 2 qubits$"):
             StateVector.basis(2, value)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_equivalence_tolerance_must_be_positive(self, tol):
         u = DiagonalOperator.identity(1)
         with pytest.raises(ValueError, match="^tolerance must be positive$"):

@@ -29,6 +29,7 @@ from spinfanout.core import (
     popcounts,
 )
 from spinfanout.gates import (
+    GateDef,
     _fanout_targets,
     _parity_targets,
     fanout_reference,
@@ -368,6 +369,20 @@ class TestColumnBlockComparison:
             dev, phase = _matches_reference(fanout_circuit, _fanout_targets)({"n": 4})
         assert calls == [(32, 8)] * 4
         assert np.isnan(dev) and abs(abs(phase) - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "check_id, n", [("unentangled_control", n) for n in (2, 4, 6)] + [("cz_from_ieq", None)]
+    )
+    def test_nan_term_gives_nan_deviation(self, check_id, n, monkeypatch):
+        # a NaN step after the control prefix makes its wrong-value mass NaN,
+        # and a NaN CNOT row is a NaN term of cz_from_ieq: each row keeps it
+        prefix, nan = verify._control_prefix, DiagonalOperator(1, np.array([np.nan, 1]))
+        monkeypatch.setattr(verify, "_control_prefix", lambda n, swapped=None: Circuit(
+            n + 1, prefix(n, swapped).steps + (Step(GateDef("NAN", nan), (0,)),)))
+        monkeypatch.setattr(verify, "_cnot_row", lambda params: (math.nan, 1 + 0j))
+        with np.errstate(invalid="ignore"):
+            r = run_check(check_id, {"n": n} if n else {})
+        assert math.isnan(r.max_deviation) and not r.passed
 
     @pytest.mark.parametrize(
         "build, targets, leaves",
