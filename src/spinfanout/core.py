@@ -134,6 +134,19 @@ class DenseOperator:
         return self
 
 
+@dataclass(frozen=True)
+class _PermutationOperator(DenseOperator):
+    """A permutation matrix that also holds, read-only, ``columns``: the column
+    of the 1 in each row.  :func:`equiv_up_to_global_phase` compares an
+    operator with it from ``columns`` alone."""
+
+    columns: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        _store_array(self, "columns", np.intp, 1)
+
+
 Operator = DiagonalOperator | DenseOperator
 
 
@@ -160,7 +173,8 @@ def equiv_up_to_global_phase(
     everywhere the phase defaults to 1 and the check degenerates to
     ``|u| < tol`` elementwise.  If ``u`` is below ``tol`` at that entry
     the phase also defaults to 1, rather than the phase of a rounding
-    residue.
+    residue.  Against a permutation reference (``fanout_reference``,
+    ``parity_reference``) only ``u`` is read: see :func:`_permutation_deviation`.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -170,9 +184,14 @@ def equiv_up_to_global_phase(
         ua, va = u.entries[:, None], v.entries[:, None]
     else:
         ua, va = u.to_dense().matrix, v.to_dense().matrix
-    pos = _peak(va)
+    permutation = isinstance(v, _PermutationOperator)
+    # a permutation's first largest |v| in row-major order is row 0's 1
+    pos = int(v.columns[0]) if permutation else _peak(va)
     phase = _phase(ua.flat[pos], va.flat[pos], tol)
-    max_dev = _max_deviation(ua, va, phase)
+    if permutation:
+        max_dev = _permutation_deviation(ua, v.columns, phase)
+    else:
+        max_dev = _max_deviation(ua, va, phase)
     return EquivalenceReport(phase=complex(phase), max_deviation=max_dev, tolerance=tol)
 
 
@@ -207,3 +226,25 @@ def _max_deviation(u: np.ndarray, v: np.ndarray, phase: complex) -> float:
     # np.max over the chunk maxima keeps a NaN, as one np.max over all would
     return float(np.max([np.max(np.abs(u[r:r + rows] - phase * v[r:r + rows]))
                          for r in range(0, u.shape[0], rows)]))
+
+
+def _permutation_deviation(u: np.ndarray, columns: np.ndarray, phase: complex) -> float:
+    """``max |u - phase * P|`` for the permutation ``P`` whose row ``r`` has its 1
+    in column ``columns[r]``, reading ``u`` once and ``P`` not at all.
+
+    It is bit for bit :func:`_max_deviation` against the dense ``P``: as
+    ``phase * 0`` and ``phase * 1`` are exact (up to the sign of a zero, which
+    ``|.|`` drops), ``|u - phase * P|`` is ``|u|`` off the 1s and ``|u - phase|``
+    on them, and the maximum of the same values is the same value, a NaN
+    included.  So each row chunk's ``|u|`` goes into one reused buffer, with
+    the chunk's 1s overwritten by their ``|u - phase|``."""
+    dim = len(u)
+    rows = max(1, _SLICE // dim)
+    on_ones = np.abs(u[np.arange(dim), columns] - phase)
+    buf, local = np.empty((rows, dim)), np.arange(rows)
+    worst = []
+    for r in range(0, dim, rows):
+        mag = np.abs(u[r:r + rows], out=buf[:dim - r])
+        mag[local[:len(mag)], columns[r:r + rows]] = on_ones[r:r + rows]
+        worst.append(np.max(mag))
+    return float(np.max(worst))

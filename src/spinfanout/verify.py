@@ -160,9 +160,9 @@ def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
 def _permutation_deviation(block: np.ndarray, rows: np.ndarray, phase: complex) -> float:
     """``max |block - phase * P|``, overwriting ``block``, where ``P`` has a 1 in
     column ``c`` at row ``rows[c]``, or at each of the rows ``rows[c, :]``:
-    as ``b - phase * 1`` and ``b - phase * 0`` are exact, bit for bit
-    :func:`core._max_deviation` against the dense ``P``, in its row chunks,
-    so a NaN is kept."""
+    bit for bit :func:`core._max_deviation` against the dense ``P``, for the
+    reason :func:`core._permutation_deviation` gives, in its row chunks, so a
+    NaN is kept."""
     cols = block.shape[1]
     block[rows.reshape(cols, -1), np.arange(cols)[:, None]] -= phase
     step = max(1, _SLICE // cols)

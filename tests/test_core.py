@@ -22,10 +22,18 @@ from spinfanout.circuits import (
     _hadamard_layer,
     _summed_blocks,
     compile_circuit,
+    fanout_circuit,
     from_text,
+    parity_circuit,
     run_circuit,
 )
-from spinfanout.gates import _fanout_targets, _parity_targets, fanout_reference, parity_reference
+from spinfanout.gates import (
+    _fanout_targets,
+    _parity_targets,
+    _permutation,
+    fanout_reference,
+    parity_reference,
+)
 from spinfanout.hamiltonians import (
     CouplingMatrix,
     DenseHamiltonian,
@@ -242,6 +250,119 @@ class TestSlicedEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # a copy of the slice alone is 1 MiB
+
+
+def shuffled_reference(m):
+    """A seeded permutation whose row 0 has its 1 off column 0, unlike the
+    fanout and parity references."""
+    targets = np.random.default_rng(m).permutation(1 << m)
+    if targets[0] == 0:
+        targets[[0, 1]] = targets[[1, 0]]
+    return _permutation(m, targets)
+
+
+PERMUTATION_REFERENCES = {
+    "fanout": fanout_reference,
+    "parity": parity_reference,
+    "shuffled": shuffled_reference,
+}
+
+
+def compiled_circuit(m, name):
+    """The paper's circuit for the reference at odd ``m``, and its CNOT ladder
+    at even ``m``, compiled; the fanout one against the shuffled reference."""
+    if m % 2:
+        return compile_circuit((parity_circuit if name == "parity" else fanout_circuit)(m - 1))
+    if name == "parity":
+        return compile_circuit(from_text("".join(f"CNOT {q} {m - 1}\n" for q in range(m - 1))))
+    return compile_circuit(from_text("".join(f"CNOT {m - 1} {q}\n" for q in range(m - 1))))
+
+
+def near_reference(ref, seed):
+    """``e^{i theta} P`` plus noise of 1e-11 per entry."""
+    rng = np.random.default_rng(seed)
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * ref.matrix + 1e-11 * random_complex(
+        ref.matrix.shape, rng
+    )
+
+
+def permutation_operands(kind, m, name, ref):
+    dim = 1 << m
+    if kind == "compiled":
+        return compiled_circuit(m, name)
+    if kind == "random":
+        return DenseOperator(m, random_complex((dim, dim), np.random.default_rng(m)))
+    if kind == "diagonal":
+        phases = np.exp(1j * np.random.default_rng(m).uniform(0, 2 * np.pi, dim))
+        return DiagonalOperator(m, phases)
+    u = near_reference(ref, m)
+    last = dim - 1  # the last row: in the last row chunk, a later slice from m = 8 on
+    if kind == "nan at a 1":
+        u[last, ref.columns[last]] = np.nan
+    elif kind == "nan off the 1s":
+        u[last, (ref.columns[last] + 1) % dim] = np.nan
+    elif kind == "inf at a 1":
+        u[last, ref.columns[last]] = np.inf
+    elif kind == "inf off the 1s":
+        u[last, (ref.columns[last] + 1) % dim] = -np.inf
+    elif kind == "zero at row 0's 1":
+        u[0, ref.columns[0]] = 0
+    return DenseOperator(m, u)
+
+
+class TestPermutationEquivalence:
+    """Against a permutation reference the comparison reads only ``u``, and
+    must give bit for bit the phase and deviation of the general path on the
+    same matrix as a plain ``DenseOperator``."""
+
+    @pytest.mark.parametrize("kind", [
+        "compiled", "near", "random", "nan at a 1", "nan off the 1s", "inf at a 1",
+        "inf off the 1s", "zero at row 0's 1", "diagonal",
+    ])
+    @pytest.mark.parametrize("name", PERMUTATION_REFERENCES)
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_the_general_path(self, m, name, kind):
+        ref = PERMUTATION_REFERENCES[name](m)
+        assert isinstance(ref, core._PermutationOperator)
+        general = DenseOperator(m, ref.matrix)
+        u = permutation_operands(kind, m, name, ref)
+        for tol in (1e-12, 1e-10, 1e-9):
+            rep = equiv_up_to_global_phase(u, ref, tol)
+            # repr tells apart any two floats with different bits, NaNs aside
+            assert repr(rep) == repr(equiv_up_to_global_phase(u, general, tol))
+            if kind == "zero at row 0's 1":
+                assert rep.phase == 1 + 0j
+            if kind == "near":
+                assert rep.equivalent == (tol >= 1e-10)
+            if kind.startswith(("nan", "inf")):
+                assert not rep.equivalent
+
+    @pytest.mark.parametrize("name, build", [
+        ("fanout", fanout_circuit), ("parity", parity_circuit),
+    ])
+    def test_reads_neither_the_reference_nor_the_general_path(self, name, build, monkeypatch):
+        ref = PERMUTATION_REFERENCES[name](9)
+        targets = (_fanout_targets if name == "fanout" else _parity_targets)(9)
+        expected = np.zeros((512, 512), dtype=complex)
+        expected[targets, np.arange(512)] = 1
+        assert isinstance(ref, DenseOperator) and ref.matrix.tobytes() == expected.tobytes()
+        assert not ref.matrix.flags.writeable and not ref.columns.flags.writeable
+        assert np.array_equal(ref.columns, np.argmax(ref.matrix, axis=1))
+        u = compile_circuit(build(8))
+
+        def general_path(*args):
+            raise AssertionError("the general path was taken")
+
+        monkeypatch.setattr(core, "_peak", general_path)
+        monkeypatch.setattr(core, "_max_deviation", general_path)
+        tracemalloc.start()
+        try:
+            rep = equiv_up_to_global_phase(u, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.equivalent
+        assert peak < 1 << 20  # each operand is 4 MiB
 
 
 class TestSizeCaps:
