@@ -261,7 +261,8 @@ def _fuse(lo: int, hi: int, monomial: bool, steps: list[Step]) -> list[_Entry]:
 
 
 def _apply_to_block(
-    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray
+    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray,
+    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``gate`` on the qubits ``lo .. lo + m - 1`` (``m = gate.n``) to
     every column of a ``(2^n, cols)`` block, as one operation on the middle
@@ -276,13 +277,19 @@ def _apply_to_block(
     array of the same shape, are both overwritten, so a loop of calls
     allocates no large arrays.  Returns ``(result, scratch)``: the array
     that now holds the result, and the other one for the next call.
+    ``into``, if given, takes the result in place of ``work`` (for a
+    diagonal, of ``block``): an array of the block's shape and dtype that
+    reshapes to the view without a copy (see :func:`_run_steps`).
     """
     view = block.reshape(1 << (n - lo - gate.n), 1 << gate.n, -1)
     real = block.dtype == np.float64
     if isinstance(gate, DiagonalOperator):
-        view *= (gate.entries.real if real else gate.entries).reshape(-1, 1)
-        return block, work
-    out = work.reshape(view.shape)
+        into = block if into is None else into
+        np.multiply(view, (gate.entries.real if real else gate.entries).reshape(-1, 1),
+                    out=into.reshape(view.shape))
+        return into, work
+    into = work if into is None else into
+    out = into.reshape(view.shape)
     if isinstance(gate, _MonomialOperator):
         # the source is in range by construction; mode="raise" would buffer `out`
         np.take(view, gate.source, axis=1, out=out, mode="wrap")
@@ -290,7 +297,7 @@ def _apply_to_block(
             out *= (gate.phases.real if real else gate.phases).reshape(-1, 1)
     else:
         _matmul(gate.matrix, view, out)
-    return work, block
+    return into, block
 
 
 def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
@@ -304,13 +311,30 @@ def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
     np.matmul(mat, operand, out=out)
 
 
-def _run_steps(plan: tuple[_Entry, ...], n: int, block: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _run_steps(
+    plan: tuple[_Entry, ...], n: int, block: np.ndarray, work: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """The plan entries applied, in order, to the columns of a ``(2^n, cols)``
     block with ``work`` as scratch; returns whichever of the two holds the
-    result."""
-    for gate, lo in plan:
-        block, work = _apply_to_block(block, gate, lo, n, work)
-    return block
+    result.
+
+    With ``out``, an array of the block's shape, the result lands in ``out``,
+    which is returned.  A dense or diagonal last entry at ``lo = 0`` on a
+    block of ``out``'s dtype writes it there: a column slice of a compiled
+    unitary reshapes to that entry's view without a copy, and BLAS takes the
+    slice's row stride.  Any other result is copied into ``out`` (cast, from
+    a ``float64`` block): a gather into a strided ``out`` is buffered, and at
+    ``lo > 0`` the view of a slice would be a copy."""
+    direct = (out is not None and plan and plan[-1][1] == 0 and block.dtype == out.dtype
+              and not isinstance(plan[-1][0], _MonomialOperator))
+    for i, (gate, lo) in enumerate(plan):
+        into = out if direct and i == len(plan) - 1 else None
+        block, work = _apply_to_block(block, gate, lo, n, work, into)
+    if out is None or block is out:
+        return block
+    np.copyto(out, block)
+    return out
 
 
 def _summed_inputs(n: int, mask: int) -> np.ndarray:
@@ -321,7 +345,7 @@ def _summed_inputs(n: int, mask: int) -> np.ndarray:
     return x[(x & ~mask) == 0][:, None] | x[(x & mask) == 0]
 
 
-def _summed_blocks(c: Circuit, extra: int = 0):
+def _summed_blocks(c: Circuit, extra: int = 0, result: np.ndarray | None = None):
     """``(inputs, block)`` for each block of the circuit's unitary on 2^k summed
     columns, in column order: column ``q`` is the plan applied to the sum of
     the basis inputs ``inputs[q]`` (see :func:`_summed_inputs`), those whose
@@ -336,8 +360,11 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     a slice of the identity), runs the plan's real prefix on ``float64``
     sums, and the rest of the plan once made complex, in blocks of at most
     ``_BLOCK_ENTRIES`` entries (or one column).  Every block is overwritten
-    by the next one.  The state cap bounds the 2^n rows, and the dense cap
-    the 2^k columns (at k = n, the dense unitary), before the first block.
+    by the next one.  At k = n, ``result``, if given, is the unitary: each
+    block lands in its column slice ``result[:, q0:q0 + cols]`` (see
+    :func:`_run_steps`), which is what is yielded.  The state cap bounds the
+    2^n rows, and the dense cap the 2^k columns (at k = n, the dense
+    unitary), before the first block.
     """
     check_state(c.n)
     n, dim = c.n, 1 << c.n
@@ -353,27 +380,38 @@ def _summed_blocks(c: Circuit, extra: int = 0):
     # the float64 pair shares the first complex block's bytes; one column stays
     # complex, as numpy's matrix-vector product rounds a float64 one differently
     head = c._plan[:c._real_prefix] if cols > 1 else ()
+    tail = c._plan[len(head):]
     floats = pair[0].reshape(-1).view(np.float64).reshape(2, dim, cols)
     sums, work = floats if head else pair[::-1]
     for start in range(0, len(inputs), cols):
+        out = None if result is None else result[:, start:start + cols]
         sums.fill(0)
         sums[inputs[start:start + cols], np.arange(cols)[:, None]] = 1
-        if head:
-            np.copyto(pair[1], _run_steps(head, n, sums, work))
-        yield inputs[start:start + cols], _run_steps(c._plan[len(head):], n, pair[1], pair[0])
+        # the real prefix lands, made complex, in the second complex block, or
+        # in the slice when it is the whole plan (without one, sums is pair[1])
+        block = _run_steps(head, n, sums, work, pair[1] if tail or out is None else out)
+        yield inputs[start:start + cols], _run_steps(tail, n, block, pair[0], out)
 
 
 def compile_circuit(c: Circuit) -> DenseOperator:
     """Circuit unitary: every step applied, in order, to the columns of the identity.
 
     The plan runs on the 2^k summed columns of :func:`_summed_blocks`, k the
-    input bits its dense entries mix, and each block, at most 2^16 entries,
-    is scattered into a zeroed result, so a compile holds the result and
-    two blocks.  At k = n the columns are the basis ones.
+    input bits its dense entries mix, in blocks of at most 2^16 entries, so a
+    compile holds the result and two blocks.  At k < n each block is
+    scattered into a zeroed result.  At k = n the columns are the basis
+    ones, so every entry is written and the result is not zeroed: each block
+    lands in its column slice, written there by a dense or diagonal last
+    plan entry at ``lo = 0`` and copied there otherwise.
     """
     check_dense(c.n)
     dim = 1 << c.n
     mixed, owner = c._support
+    if mixed == dim - 1:
+        matrix = np.empty((dim, dim), dtype=complex)
+        for _ in _summed_blocks(c, result=matrix):
+            pass
+        return DenseOperator(c.n, matrix)
     matrix = np.zeros((dim, dim), dtype=complex)
     flat, index = matrix.reshape(-1), None
     for inputs, block in _summed_blocks(c):

@@ -72,6 +72,13 @@ ENTRY_KINDS = {
 GATHERED = ("monomial", "real dense at lo = 0", "monomial")
 
 
+def hadamard_on_all():
+    """A Hadamard on all 7 qubits as one dense gate, which fuses with no
+    other step: a plan that starts with it mixes every input bit (k = n)."""
+    h7 = functools.reduce(np.kron, [standard_gate("H").unitary.matrix] * 7)
+    return Step(GateDef("H7", DenseOperator(7, h7)), tuple(range(7)))
+
+
 def entry_kind_cases():
     """Each kind of plan entry alone, first and last; a wide dense gate placed
     between two gathers, alone, first and last; a global phase and no step.
@@ -92,13 +99,37 @@ def entry_kind_cases():
         cases[name] = (steps, (name,))
         cases[f"{name} first"] = (steps + other, (name, other_kind))
         cases[f"{name} last"] = (other + steps, (other_kind, name))
-    h7 = functools.reduce(np.kron, [h] * 7)
-    layer = Step(GateDef("H7", DenseOperator(7, h7)), tuple(range(7)))
+    layer = hadamard_on_all()
     for name, (steps, kinds) in list(cases.items()):
         cases[f"{name} after H on all"] = ((layer,) + steps, ("real dense at lo = 0",) + kinds)
     return {
         name: Case(Circuit(7, steps), kinds, tuple(range(7)) if name.endswith("on all") else None)
         for name, (steps, kinds) in cases.items()
+    }
+
+
+# last plan entries at lo = 0 in complex plans after a Hadamard on all 7 qubits
+# (k = n), which the compile writes into their column slices (a diagonal) or
+# copies there (a gather): the text, its kinds after the layer's, and the real
+# prefix.  An all-real plan is cast into its slices whatever its last entry,
+# as "real dense at lo = 0 last after H on all" is
+SLICE_ENDS = {
+    "complex diagonal": ("S 0\nCZ 0 1\n", ("diagonal",), 1),
+    "real diagonal in a complex plan": ("H 6\nS 6\nH 6\nCZ 0 1\n",
+                                        ("complex dense at lo > 0", "diagonal"), 1),
+    "monomial in a complex plan": ("H 6\nS 6\nH 6\nCNOT 0 1\n",
+                                   ("complex dense at lo > 0", "monomial"), 1),
+    "monomial with complex phases": ("X 0\nS 1\n", ("monomial with phases",), 1),
+}
+
+
+def slice_end_cases():
+    """Each of ``SLICE_ENDS`` after the Hadamard on all 7 qubits."""
+    return {
+        f"k = n ends in a {name} at lo = 0": Case(
+            Circuit(7, (hadamard_on_all(),) + from_text(text, n=7).steps),
+            ("real dense at lo = 0",) + kinds, tuple(range(7)), real)
+        for name, (text, kinds, real) in SLICE_ENDS.items()
     }
 
 
@@ -234,7 +265,8 @@ def seeded_cases():
     return cases
 
 
-GROUPS = (entry_kind_cases(), real_prefix_cases(), paper_cases(), one_step_cases(), seeded_cases())
+GROUPS = (entry_kind_cases(), slice_end_cases(), real_prefix_cases(), paper_cases(),
+          one_step_cases(), seeded_cases())
 CORPUS = {name: case for group in GROUPS for name, case in group.items()}
 assert len(CORPUS) == sum(map(len, GROUPS))  # no name given twice
 

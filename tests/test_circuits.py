@@ -238,6 +238,46 @@ class TestBlockKernel:
         # the 16 MiB result and two blocks; a full-size scratch array would be 2x
         assert peak < 1.25 * u.matrix.nbytes
 
+    def test_fanout_compile_holds_the_result_and_one_block_pair(self):
+        """At k = n the result is not zeroed and no flat index is built: the
+        9-qubit fanout peaks at its 4 MiB result, the 2 MiB block pair, and
+        the 128 KiB buffer numpy's multiply takes for a broadcast diagonal
+        and a few small arrays; a scatter's flat index alone is 512 KiB."""
+        c = fanout_circuit(8)
+        c._plan, c._support  # built once per circuit, before the traced compile
+        pair = 2 * circuits._BLOCK_ENTRIES * 16
+        tracemalloc.start()
+        try:
+            result = compile_circuit(c).matrix.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < result + pair + (192 << 10)
+
+    def test_fanout_blocks_are_written_into_their_column_slices(self, monkeypatch):
+        """The 9-qubit fanout's plan ends in a dense window at lo = 0: in each
+        block, that last product writes into the block's column slice of the
+        result, whose first entry is ``(0, q0)``."""
+        c = fanout_circuit(8)
+        c._plan  # fused before the spy, by products of its own
+        outs, matmul = [], circuits._matmul
+
+        def spy(mat, operand, out):
+            outs.append(out)
+            matmul(mat, operand, out)
+
+        monkeypatch.setattr(circuits, "_matmul", spy)
+        u = compile_circuit(c).matrix
+        assert kind(c._plan[-1]) == "real dense at lo = 0"
+        dense = sum(isinstance(g, DenseOperator) for g, _ in c._plan)
+        cols = circuits._BLOCK_ENTRIES >> c.n
+        lasts = outs[dense - 1::dense]
+        assert len(outs) == dense * len(lasts) and len(lasts) == (1 << c.n) // cols
+        assert all(np.shares_memory(out, u) for out in lasts)
+        assert [out.ctypes.data for out in lasts] == [
+            u[:, q0:].ctypes.data for q0 in range(0, 1 << c.n, cols)
+        ]
+
     def test_run_circuit_rejects_other_qubit_count(self):
         c = Circuit(2, (Step(standard_gate("H"), (0,)),))
         with pytest.raises(ValueError):
