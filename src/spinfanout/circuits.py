@@ -261,8 +261,7 @@ def _fuse(lo: int, hi: int, monomial: bool, steps: list[Step]) -> list[_Entry]:
 
 
 def _apply_to_block(
-    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray,
-    into: np.ndarray | None = None,
+    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``gate`` on the qubits ``lo .. lo + m - 1`` (``m = gate.n``) to
     every column of a ``(2^n, cols)`` block, as one operation on the middle
@@ -277,19 +276,13 @@ def _apply_to_block(
     array of the same shape, are both overwritten, so a loop of calls
     allocates no large arrays.  Returns ``(result, scratch)``: the array
     that now holds the result, and the other one for the next call.
-    ``into``, if given, takes the result in place of ``work`` (for a
-    diagonal, of ``block``): an array of the block's shape and dtype that
-    reshapes to the view without a copy (see :func:`_run_steps`).
     """
     view = block.reshape(1 << (n - lo - gate.n), 1 << gate.n, -1)
     real = block.dtype == np.float64
     if isinstance(gate, DiagonalOperator):
-        into = block if into is None else into
-        np.multiply(view, (gate.entries.real if real else gate.entries).reshape(-1, 1),
-                    out=into.reshape(view.shape))
-        return into, work
-    into = work if into is None else into
-    out = into.reshape(view.shape)
+        view *= (gate.entries.real if real else gate.entries).reshape(-1, 1)
+        return block, work
+    out = work.reshape(view.shape)
     if isinstance(gate, _MonomialOperator):
         # the source is in range by construction; mode="raise" would buffer `out`
         np.take(view, gate.source, axis=1, out=out, mode="wrap")
@@ -297,7 +290,7 @@ def _apply_to_block(
             out *= (gate.phases.real if real else gate.phases).reshape(-1, 1)
     else:
         _matmul(gate.matrix, view, out)
-    return into, block
+    return work, block
 
 
 def _matmul(mat: np.ndarray, operand: np.ndarray, out: np.ndarray) -> None:
@@ -320,17 +313,18 @@ def _run_steps(
     result.
 
     With ``out``, an array of the block's shape, the result lands in ``out``,
-    which is returned.  A dense or diagonal last entry at ``lo = 0`` on a
-    block of ``out``'s dtype writes it there: a column slice of a compiled
-    unitary reshapes to that entry's view without a copy, and BLAS takes the
-    slice's row stride.  Any other result is copied into ``out`` (cast, from
-    a ``float64`` block): a gather into a strided ``out`` is buffered, and at
-    ``lo > 0`` the view of a slice would be a copy."""
+    which is returned.  A dense last entry at ``lo = 0`` on a block of
+    ``out``'s dtype takes ``out`` as its scratch, so its product is written
+    there: a column slice of a compiled unitary reshapes to that entry's view
+    without a copy, and BLAS takes the slice's row stride.  Any other result
+    is copied into ``out`` (cast, from a ``float64`` block): a gather into a
+    strided ``out`` is buffered, and at ``lo > 0`` the view of a slice would
+    be a copy."""
     direct = (out is not None and plan and plan[-1][1] == 0 and block.dtype == out.dtype
-              and not isinstance(plan[-1][0], _MonomialOperator))
+              and isinstance(plan[-1][0], DenseOperator))
     for i, (gate, lo) in enumerate(plan):
-        into = out if direct and i == len(plan) - 1 else None
-        block, work = _apply_to_block(block, gate, lo, n, work, into)
+        last = direct and i == len(plan) - 1
+        block, work = _apply_to_block(block, gate, lo, n, out if last else work)
     if out is None or block is out:
         return block
     np.copyto(out, block)
@@ -401,8 +395,8 @@ def compile_circuit(c: Circuit) -> DenseOperator:
     compile holds the result and two blocks.  At k < n each block is
     scattered into a zeroed result.  At k = n the columns are the basis
     ones, so every entry is written and the result is not zeroed: each block
-    lands in its column slice, written there by a dense or diagonal last
-    plan entry at ``lo = 0`` and copied there otherwise.
+    lands in its column slice, written there by a dense last plan entry at
+    ``lo = 0`` and copied there otherwise.
     """
     check_dense(c.n)
     dim = 1 << c.n

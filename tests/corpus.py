@@ -109,10 +109,10 @@ def entry_kind_cases():
 
 
 # last plan entries at lo = 0 in complex plans after a Hadamard on all 7 qubits
-# (k = n), which the compile writes into their column slices (a diagonal) or
-# copies there (a gather): the text, its kinds after the layer's, and the real
-# prefix.  An all-real plan is cast into its slices whatever its last entry,
-# as "real dense at lo = 0 last after H on all" is
+# (k = n), which the compile runs into the block and copies into their column
+# slices, where a dense one is written in place: the text, its kinds after the
+# layer's, and the real prefix.  An all-real plan is cast into its slices
+# whatever its last entry, as "real dense at lo = 0 last after H on all" is
 SLICE_ENDS = {
     "complex diagonal": ("S 0\nCZ 0 1\n", ("diagonal",), 1),
     "real diagonal in a complex plan": ("H 6\nS 6\nH 6\nCZ 0 1\n",
