@@ -5,6 +5,7 @@ from .core import (
     DenseOperator,
     DiagonalOperator,
     EquivalenceReport,
+    PermutationOperator,
     StateVector,
     equiv_up_to_global_phase,
     popcounts,

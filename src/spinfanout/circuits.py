@@ -26,7 +26,7 @@ from .core import (
     check_dense,
     check_state,
 )
-from .gates import GateDef, standard_gate
+from .gates import GateDef, _Gate, standard_gate
 from .hamiltonians import un, un_dagger
 
 
@@ -152,7 +152,7 @@ class _MonomialOperator:
 
 
 # a plan entry ``(gate, lo)``: the gate on the qubits ``lo .. lo + gate.n - 1``
-_Entry = tuple[Operator | _MonomialOperator, int]
+_Entry = tuple[_Gate | _MonomialOperator, int]
 
 
 def _evolution_gate(name: str, n: int) -> GateDef:
@@ -160,7 +160,7 @@ def _evolution_gate(name: str, n: int) -> GateDef:
     return GateDef(name, (un if name == "UN" else un_dagger)(n))
 
 
-def _monomial_form(gate: Operator) -> tuple[np.ndarray | None, np.ndarray | None] | None:
+def _monomial_form(gate: _Gate) -> tuple[np.ndarray | None, np.ndarray | None] | None:
     """``(source, phases)`` of a gate whose matrix has exactly one nonzero in
     each row and column: local row ``r`` of its output is ``phases[r]`` times
     local row ``source[r]`` of its input.  ``source`` is None for a diagonal,
@@ -198,7 +198,7 @@ def _set_target_bits(values: np.ndarray, targets: list[int], m: int) -> np.ndarr
     return rows
 
 
-def _adjacent(gate: Operator, targets: list[int]) -> list[_Entry]:
+def _adjacent(gate: _Gate, targets: list[int]) -> list[_Entry]:
     """``gate`` on ``targets`` as plan entries on ascending adjacent qubits.
 
     Targets that already are give the gate itself.  Otherwise a gather
@@ -261,7 +261,7 @@ def _fuse(lo: int, hi: int, monomial: bool, steps: list[Step]) -> list[_Entry]:
 
 
 def _apply_to_block(
-    block: np.ndarray, gate: Operator | _MonomialOperator, lo: int, n: int, work: np.ndarray
+    block: np.ndarray, gate: _Gate | _MonomialOperator, lo: int, n: int, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``gate`` on the qubits ``lo .. lo + m - 1`` (``m = gate.n``) to
     every column of a ``(2^n, cols)`` block, as one operation on the middle

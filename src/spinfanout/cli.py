@@ -122,7 +122,7 @@ def _print_operator(op: Operator, fmt: str) -> None:
     divided by the global phase that makes the (0,0) entry real and >= 0,
     unless that entry is 0."""
     diagonal = isinstance(op, DiagonalOperator)
-    rows = op.entries[:, None] if diagonal else op.matrix
+    rows = op.entries[:, None] if diagonal else op.to_dense().matrix
     first = rows[0, 0]
     phase = first / abs(first) if abs(first) >= 1e-300 else None
     sep = "," if fmt == "csv" else "  "

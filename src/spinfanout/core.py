@@ -8,8 +8,9 @@ Conventions used throughout the package:
   significant bit of its local basis index, ``t1`` as the next bit, and
   so on.  A 2-qubit controlled gate therefore has its control on the
   first listed target.
-* Diagonal operators are stored as entry arrays of length ``2**n`` and
-  become matrices only through ``to_dense``.
+* Diagonal operators and permutations are stored as arrays of length
+  ``2**n`` (the entries, or the row of each column's 1) and become
+  matrices only through ``to_dense``.
 * Each representation has one qubit-count cap, a module constant read at
   call time: ``STATE_CAP`` for length-2^n data (state vectors, diagonal
   operators and Hamiltonians), ``DENSE_CAP`` for 2^n x 2^n matrices (and
@@ -135,19 +136,28 @@ class DenseOperator:
 
 
 @dataclass(frozen=True)
-class _PermutationOperator(DenseOperator):
-    """A permutation matrix that also holds, read-only, ``columns``: the column
-    of the 1 in each row.  :func:`equiv_up_to_global_phase` compares an
-    operator with it from ``columns`` alone."""
+class PermutationOperator:
+    """Permutation of the basis states as its index map, read-only: column
+    ``x`` has its 1 in row ``rows[x]``, and every other entry is 0."""
 
-    columns: np.ndarray
+    n: int
+    rows: np.ndarray
 
     def __post_init__(self):
-        super().__post_init__()
-        _store_array(self, "columns", np.intp, 1)
+        _store_array(self, "rows", np.intp, 1,
+                     (lambda r: np.all((r >= 0) & (r < len(r))), "rows is not a permutation"),
+                     (lambda r: np.all(np.bincount(r, minlength=len(r)) == 1),
+                      "rows is not a permutation"))
+
+    def to_dense(self) -> "DenseOperator":
+        check_dense(self.n)
+        dim = 1 << self.n
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[self.rows, np.arange(dim)] = 1
+        return DenseOperator(self.n, matrix)
 
 
-Operator = DiagonalOperator | DenseOperator
+Operator = DiagonalOperator | DenseOperator | PermutationOperator
 
 
 @dataclass(frozen=True)
@@ -173,24 +183,26 @@ def equiv_up_to_global_phase(
     everywhere the phase defaults to 1 and the check degenerates to
     ``|u| < tol`` elementwise.  If ``u`` is below ``tol`` at that entry
     the phase also defaults to 1, rather than the phase of a rounding
-    residue.  Against a permutation reference (``fanout_reference``,
-    ``parity_reference``) only ``u`` is read: see :func:`_permutation_deviation`.
+    residue.  Against a :class:`PermutationOperator` only ``u`` is read:
+    see :func:`_permutation_deviation`.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if u.n != v.n:
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n} qubits")
-    if isinstance(u, DiagonalOperator) and isinstance(v, DiagonalOperator):
-        ua, va = u.entries[:, None], v.entries[:, None]
+    if isinstance(v, PermutationOperator):
+        ua = u.to_dense().matrix
+        # the first largest |v| in row-major order is row 0's 1, in the
+        # column that the bijection maps to 0, its least row
+        phase = _phase(ua[0, np.argmin(v.rows)], 1.0 + 0.0j, tol)
+        max_dev = _permutation_deviation(ua, v.rows, phase)
     else:
-        ua, va = u.to_dense().matrix, v.to_dense().matrix
-    permutation = isinstance(v, _PermutationOperator)
-    # a permutation's first largest |v| in row-major order is row 0's 1
-    pos = int(v.columns[0]) if permutation else _peak(va)
-    phase = _phase(ua.flat[pos], va.flat[pos], tol)
-    if permutation:
-        max_dev = _permutation_deviation(ua, v.columns, phase)
-    else:
+        if isinstance(u, DiagonalOperator) and isinstance(v, DiagonalOperator):
+            ua, va = u.entries[:, None], v.entries[:, None]
+        else:
+            ua, va = u.to_dense().matrix, v.to_dense().matrix
+        pos = _peak(va)
+        phase = _phase(ua.flat[pos], va.flat[pos], tol)
         max_dev = _max_deviation(ua, va, phase)
     return EquivalenceReport(phase=complex(phase), max_deviation=max_dev, tolerance=tol)
 
@@ -228,23 +240,35 @@ def _max_deviation(u: np.ndarray, v: np.ndarray, phase: complex) -> float:
                          for r in range(0, u.shape[0], rows)]))
 
 
-def _permutation_deviation(u: np.ndarray, columns: np.ndarray, phase: complex) -> float:
-    """``max |u - phase * P|`` for the permutation ``P`` whose row ``r`` has its 1
-    in column ``columns[r]``, reading ``u`` once and ``P`` not at all.
+def _permutation_deviation(u: np.ndarray, rows: np.ndarray, phase: complex) -> float:
+    """``max |u - phase * P|`` for the 0/1 array ``P`` of ``u``'s shape with a 1
+    in column ``c`` at row ``rows[c]``, or at each of the rows ``rows[c, :]``,
+    reading ``u`` once, a chunk of at most ``_SLICE`` entries (or one row) at
+    a time, and never writing it; ``P`` is not made.
 
     It is bit for bit :func:`_max_deviation` against the dense ``P``: as
     ``phase * 0`` and ``phase * 1`` are exact (up to the sign of a zero, which
     ``|.|`` drops), ``|u - phase * P|`` is ``|u|`` off the 1s and ``|u - phase|``
     on them, and the maximum of the same values is the same value, a NaN
-    included.  So each row chunk's ``|u|`` goes into one reused buffer, with
-    the chunk's 1s overwritten by their ``|u - phase|``."""
-    dim = len(u)
-    rows = max(1, _SLICE // dim)
-    on_ones = np.abs(u[np.arange(dim), columns] - phase)
-    buf, local = np.empty((rows, dim)), np.arange(rows)
-    worst = []
-    for r in range(0, dim, rows):
-        mag = np.abs(u[r:r + rows], out=buf[:dim - r])
-        mag[local[:len(mag)], columns[r:r + rows]] = on_ones[r:r + rows]
+    included.  So each chunk's ``|u|`` goes into one reused buffer, with the
+    chunk's 1s overwritten by their ``|u - phase|``."""
+    height, width = u.shape
+    step = max(1, _SLICE // width)
+    at = rows.reshape(width, -1)
+    if step >= height:  # one chunk: no sort and no buffer
+        ones = at.ravel(), np.repeat(np.arange(width), at.shape[1])
+        mag = np.abs(u)
+        mag[ones] = np.abs(u[ones] - phase)
+        return float(np.max(mag))
+    # the row-major positions of the 1s, in order: each chunk's are a run
+    pos = np.sort((at * width + np.arange(width)[:, None]).ravel())
+    on_ones = np.abs(u[np.divmod(pos, width)] - phase)
+    size = step * width
+    cuts = [*np.searchsorted(pos, np.arange(0, height * width, size)).tolist(), len(pos)]
+    local = pos % size  # the position in its chunk
+    buf, worst = np.empty((step, width)), []
+    for i, r in enumerate(range(0, height, step)):
+        mag = np.abs(u[r:r + step], out=buf[:height - r])
+        buf.reshape(-1)[local[cuts[i]:cuts[i + 1]]] = on_ones[cuts[i]:cuts[i + 1]]
         worst.append(np.max(mag))
     return float(np.max(worst))

@@ -59,7 +59,8 @@ def classify_parity_diagonal(u: Operator, tol: float = SCAN_TOL) -> ParityDiagon
     if isinstance(u, DiagonalOperator):
         diag, off_max = u.entries.copy(), 0.0
     else:
-        diag, off = np.diag(u.matrix).copy(), np.abs(u.matrix)
+        matrix = u.to_dense().matrix
+        diag, off = np.diag(matrix).copy(), np.abs(matrix)
         np.fill_diagonal(off, np.abs(diag - diag))  # 0, or NaN where an entry is not finite
         off_max = float(np.max(off))
     return _verdicts(diag[None], _parity_classes(u.n), off_max, tol)[0]

@@ -24,7 +24,7 @@ from .core import (
     EQUIV_TOL,
     CapExceededError,
     DiagonalOperator,
-    _SLICE,
+    _permutation_deviation,
     _phase,
     check_state,
     equiv_up_to_global_phase,
@@ -155,18 +155,6 @@ def _check_cz_from_ieq(params: dict) -> tuple[float, complex]:
     restriction = DiagonalOperator(2, ieq_reference().entries[4:])  # third qubit in |1>
     cz_rep = equiv_up_to_global_phase(restriction, standard_gate("CZ").unitary, tol=1e-12)
     return float(np.max([cz_rep.max_deviation, _cnot_row({"n": 1})[0]])), cz_rep.phase
-
-
-def _permutation_deviation(block: np.ndarray, rows: np.ndarray, phase: complex) -> float:
-    """``max |block - phase * P|``, overwriting ``block``, where ``P`` has a 1 in
-    column ``c`` at row ``rows[c]``, or at each of the rows ``rows[c, :]``:
-    bit for bit :func:`core._max_deviation` against the dense ``P``, for the
-    reason :func:`core._permutation_deviation` gives, in its row chunks, so a
-    NaN is kept."""
-    cols = block.shape[1]
-    block[rows.reshape(cols, -1), np.arange(cols)[:, None]] -= phase
-    step = max(1, _SLICE // cols)
-    return float(np.max([np.max(np.abs(block[r:r + step])) for r in range(0, len(block), step)]))
 
 
 def _reference_blocks(c: Circuit, rows: np.ndarray, extra: int = 0):

@@ -10,9 +10,11 @@ from spinfanout.core import (
     CapExceededError,
     DenseOperator,
     DiagonalOperator,
+    PermutationOperator,
     StateVector,
     _SLICE,
     _max_deviation,
+    _permutation_deviation,
     equiv_up_to_global_phase,
     popcounts,
 )
@@ -30,7 +32,6 @@ from spinfanout.circuits import (
 from spinfanout.gates import (
     _fanout_targets,
     _parity_targets,
-    _permutation,
     fanout_reference,
     parity_reference,
 )
@@ -258,7 +259,7 @@ def shuffled_reference(m):
     targets = np.random.default_rng(m).permutation(1 << m)
     if targets[0] == 0:
         targets[[0, 1]] = targets[[1, 0]]
-    return _permutation(m, targets)
+    return PermutationOperator(m, targets)
 
 
 PERMUTATION_REFERENCES = {
@@ -281,8 +282,9 @@ def compiled_circuit(m, name):
 def near_reference(ref, seed):
     """``e^{i theta} P`` plus noise of 1e-11 per entry."""
     rng = np.random.default_rng(seed)
-    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * ref.matrix + 1e-11 * random_complex(
-        ref.matrix.shape, rng
+    matrix = ref.to_dense().matrix
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * matrix + 1e-11 * random_complex(
+        matrix.shape, rng
     )
 
 
@@ -296,17 +298,18 @@ def permutation_operands(kind, m, name, ref):
         phases = np.exp(1j * np.random.default_rng(m).uniform(0, 2 * np.pi, dim))
         return DiagonalOperator(m, phases)
     u = near_reference(ref, m)
+    columns = np.argsort(ref.rows)  # the column of each row's 1
     last = dim - 1  # the last row: in the last row chunk, a later slice from m = 8 on
     if kind == "nan at a 1":
-        u[last, ref.columns[last]] = np.nan
+        u[last, columns[last]] = np.nan
     elif kind == "nan off the 1s":
-        u[last, (ref.columns[last] + 1) % dim] = np.nan
+        u[last, (columns[last] + 1) % dim] = np.nan
     elif kind == "inf at a 1":
-        u[last, ref.columns[last]] = np.inf
+        u[last, columns[last]] = np.inf
     elif kind == "inf off the 1s":
-        u[last, (ref.columns[last] + 1) % dim] = -np.inf
+        u[last, (columns[last] + 1) % dim] = -np.inf
     elif kind == "zero at row 0's 1":
-        u[0, ref.columns[0]] = 0
+        u[0, columns[0]] = 0
     return DenseOperator(m, u)
 
 
@@ -323,8 +326,8 @@ class TestPermutationEquivalence:
     @pytest.mark.parametrize("m", range(2, 11))
     def test_matches_the_general_path(self, m, name, kind):
         ref = PERMUTATION_REFERENCES[name](m)
-        assert isinstance(ref, core._PermutationOperator)
-        general = DenseOperator(m, ref.matrix)
+        assert isinstance(ref, PermutationOperator)
+        general = ref.to_dense()
         u = permutation_operands(kind, m, name, ref)
         for tol in (1e-12, 1e-10, 1e-9):
             rep = equiv_up_to_global_phase(u, ref, tol)
@@ -345,9 +348,8 @@ class TestPermutationEquivalence:
         targets = (_fanout_targets if name == "fanout" else _parity_targets)(9)
         expected = np.zeros((512, 512), dtype=complex)
         expected[targets, np.arange(512)] = 1
-        assert isinstance(ref, DenseOperator) and ref.matrix.tobytes() == expected.tobytes()
-        assert not ref.matrix.flags.writeable and not ref.columns.flags.writeable
-        assert np.array_equal(ref.columns, np.argmax(ref.matrix, axis=1))
+        assert ref.to_dense().matrix.tobytes() == expected.tobytes()
+        assert not ref.rows.flags.writeable and np.array_equal(ref.rows, targets)
         u = compile_circuit(build(8))
 
         def general_path(*args):
@@ -355,6 +357,7 @@ class TestPermutationEquivalence:
 
         monkeypatch.setattr(core, "_peak", general_path)
         monkeypatch.setattr(core, "_max_deviation", general_path)
+        monkeypatch.setattr(PermutationOperator, "to_dense", general_path)
         tracemalloc.start()
         try:
             rep = equiv_up_to_global_phase(u, ref)
@@ -363,6 +366,29 @@ class TestPermutationEquivalence:
             tracemalloc.stop()
         assert rep.equivalent
         assert peak < 1 << 20  # each operand is 4 MiB
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("height, width, per_column", [
+        (8, 2, 4),  # one chunk
+        (512, 128, 4),  # a 9-qubit column block of verify's rows: four chunks
+        (512, 512, 1),  # a whole 9-qubit matrix: sixteen chunks
+        (1 << 15, 1, 1 << 15),  # one column: two chunks, of one 1 per row
+    ])
+    def test_column_blocks_match_the_dense_comparison(self, height, width, per_column, real, nan):
+        rng = np.random.default_rng(height + width)
+        rows = rng.permutation(height)[:width * per_column].reshape(width, per_column)
+        ones = np.zeros((height, width))
+        ones[rows, np.arange(width)[:, None]] = 1
+        noise = rng.normal(size=ones.shape) if real else random_complex(ones.shape, rng)
+        phase = 1.0 if real else np.exp(0.7j)
+        u = phase * ones + 1e-11 * noise
+        if nan:  # in the last chunk, on a 1 or off the 1s
+            u[-1, -1] = np.nan
+        u.setflags(write=False)  # never written
+        expected = _max_deviation(u, ones, phase)
+        for form in (rows, rows.ravel()) if per_column == 1 else (rows,):
+            assert repr(_permutation_deviation(u, form, phase)) == repr(expected)
 
 
 class TestSizeCaps:
@@ -406,8 +432,8 @@ class TestSizeCaps:
             pytest.param(lambda: StateVector.basis(1 << 28, 0), id="basis_2^28"),
             pytest.param(lambda: DiagonalOperator.identity(21), id="identity"),
             pytest.param(lambda: build_l2(9), id="build_l2"),
-            pytest.param(lambda: fanout_reference(13), id="fanout_reference"),
-            pytest.param(lambda: parity_reference(13), id="parity_reference"),
+            pytest.param(lambda: fanout_reference(21), id="fanout_reference"),
+            pytest.param(lambda: parity_reference(21), id="parity_reference"),
             pytest.param(lambda: compile_circuit(Circuit(13, ())), id="compile_circuit"),
             pytest.param(lambda: DiagonalOperator.identity(13).to_dense(), id="to_dense"),
             pytest.param(lambda: _fanout_targets(21), id="_fanout_targets"),
@@ -428,6 +454,20 @@ class TestSizeCaps:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("reference", [fanout_reference, parity_reference])
+    def test_a_reference_is_an_index_map_to_the_state_cap(self, reference):
+        # 2^20 row indices (8 MiB): the dense 20-qubit matrix would be 16 TiB
+        assert reference(20).rows.shape == (1 << 20,)
+        over = reference(13)  # the dense 13-qubit matrix would be 1 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="n=13 exceeds dense cap 12"):
+                over.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize(
         "call",
@@ -463,6 +503,8 @@ _WRONG_SHAPES = [
                  id="DiagonalOperator"),
     pytest.param(DenseOperator, np.zeros((4, 3), complex), "expected 4x4 matrix, got (4, 3)",
                  id="DenseOperator"),
+    pytest.param(PermutationOperator, np.arange(3), "expected 4 rows, got (3,)",
+                 id="PermutationOperator"),
     pytest.param(DiagonalHamiltonian, np.zeros(8), "expected 4 energies, got (8,)",
                  id="DiagonalHamiltonian"),
     pytest.param(DenseHamiltonian, np.zeros((2, 2), complex), "expected 4x4 matrix, got (2, 2)",
@@ -497,6 +539,19 @@ class TestInputChecks:
             tracemalloc.stop()
         assert peak < 64 << 10
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([0, 0, 1, 2], id="repeated"),
+        pytest.param([0, 1, 2, 4], id="too_large"),
+        pytest.param([-1, 0, 1, 2], id="negative"),
+        # a stale address, as a map filled from np.empty could hold
+        pytest.param([0, 1, 2, 140107367523072], id="address"),
+    ])
+    def test_rows_that_are_not_a_permutation_are_refused(self, rows):
+        array = np.array(rows)
+        with pytest.raises(ValueError, match="^rows is not a permutation$"):
+            PermutationOperator(2, array)
+        assert array.flags.writeable
+
     def test_coupling_matrix_wrong_shape(self):
         with pytest.raises(ValueError, match="^expected 3x3 coupling array$"):
             CouplingMatrix(3, np.zeros((3, 2)))
@@ -518,6 +573,7 @@ class TestInputChecks:
             (StateVector, np.array([1, 0], complex)),
             (DiagonalOperator, [1, 1j]),
             (DenseOperator, np.eye(2)),
+            (PermutationOperator, np.array([1, 0])),
             (DiagonalHamiltonian, [0, 1]),
             (DenseHamiltonian, np.eye(2, dtype=complex)),
             (CouplingMatrix, np.ones((1, 1))),

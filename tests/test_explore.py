@@ -54,6 +54,13 @@ class TestClassify:
     def test_odd_n_never_usable(self, n):
         assert not classify_parity_diagonal(un(n)).parity_usable
 
+    def test_an_odd_class_that_is_not_constant_is_not_usable(self):
+        # the even class all 1 and the odd class i, i, i and -i (entry 7): the
+        # references are a quarter turn apart, but the odd class spreads by 2
+        v = classify_parity_diagonal(DiagonalOperator(3, [1, 1j, 1j, 1, 1j, 1, 1, -1j]))
+        assert v.is_diagonal and not v.parity_usable
+        assert v.score == 2.0
+
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError, match="at least one qubit"):
             classify_parity_diagonal(DiagonalOperator(0, [1]))

@@ -61,23 +61,23 @@ class TestFanoutReference:
     def test_two_qubits_is_cnot(self):
         # control defaults to the last qubit: CNOT with control 1, target 0
         f = fanout_reference(2)
-        assert np.array_equal(f.matrix, np.eye(4)[[0, 1, 3, 2]])
+        assert np.array_equal(f.to_dense().matrix, np.eye(4)[[0, 1, 3, 2]])
 
     def test_control_zero_is_noop(self):
-        f = fanout_reference(3).matrix
+        f = fanout_reference(3).to_dense().matrix
         for x in range(4):  # inputs with control (qubit 2) clear
             col = f[:, x]
             assert col[x] == 1 and np.sum(np.abs(col)) == 1
 
     def test_copy_branch(self):
         # |b=1, targets 00> -> |b=1, targets 11>
-        f = fanout_reference(3).matrix
+        f = fanout_reference(3).to_dense().matrix
         src = 0b100
         assert f[0b111, src] == 1
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_permutation(self, m):
-        assert is_permutation_matrix(fanout_reference(m).matrix)
+        assert is_permutation_matrix(fanout_reference(m).to_dense().matrix)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_matches_loop_reference(self, m):
@@ -87,31 +87,32 @@ class TestFanoutReference:
         loop = np.zeros((dim, dim), dtype=complex)
         for x in range(dim):
             loop[x ^ (mask if (x >> control) & 1 else 0), x] = 1
-        assert np.array_equal(fanout_reference(m).matrix, loop)
+        assert np.array_equal(fanout_reference(m).to_dense().matrix, loop)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_index_map_is_the_row_of_each_columns_1(self, m):
-        assert np.array_equal(_fanout_targets(m), np.argmax(fanout_reference(m).matrix, axis=0))
+        dense = fanout_reference(m).to_dense().matrix
+        assert np.array_equal(_fanout_targets(m), np.argmax(dense, axis=0))
 
 
 class TestParityReference:
     def test_two_qubits_is_cnot(self):
         p = parity_reference(2)
-        assert np.array_equal(p.matrix, standard_gate("CNOT").unitary.matrix)
+        assert np.array_equal(p.to_dense().matrix, standard_gate("CNOT").unitary.matrix)
 
     def test_even_parity_fixed(self):
-        p = parity_reference(4).matrix
+        p = parity_reference(4).to_dense().matrix
         src = 0b0011  # two ones among the sources, accumulator clear
         assert p[src, src] == 1
 
     def test_odd_parity_flips_accumulator(self):
-        p = parity_reference(4).matrix
+        p = parity_reference(4).to_dense().matrix
         src = 0b1001  # one source bit set, accumulator set
         assert p[0b0001, src] == 1
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_permutation(self, m):
-        assert is_permutation_matrix(parity_reference(m).matrix)
+        assert is_permutation_matrix(parity_reference(m).to_dense().matrix)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_matches_loop_reference(self, m):
@@ -121,12 +122,12 @@ class TestParityReference:
         for x in range(dim):
             p = (x & ~(1 << acc)).bit_count() & 1
             loop[x ^ (p << acc), x] = 1
-        assert np.array_equal(parity_reference(m).matrix, loop)
+        assert np.array_equal(parity_reference(m).to_dense().matrix, loop)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_index_map_is_the_row_of_each_columns_1(self, m):
         targets = _parity_targets(m)
-        assert np.array_equal(targets, np.argmax(parity_reference(m).matrix, axis=0))
+        assert np.array_equal(targets, np.argmax(parity_reference(m).to_dense().matrix, axis=0))
         assert np.array_equal(targets[targets], np.arange(1 << m))  # an involution
 
 
@@ -176,5 +177,5 @@ class TestFig3Conjugation:
         for _ in range(m):
             layer = np.kron(layer, h)
         layer = DenseOperator(m, layer)
-        conj = layer.matrix @ parity_reference(m).matrix @ layer.matrix
-        assert np.max(np.abs(conj - fanout_reference(m).matrix)) < 1e-10
+        conj = layer.matrix @ parity_reference(m).to_dense().matrix @ layer.matrix
+        assert np.max(np.abs(conj - fanout_reference(m).to_dense().matrix)) < 1e-10

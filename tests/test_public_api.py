@@ -6,7 +6,7 @@ import spinfanout
 PUBLIC = [
     "CapExceededError", "CheckResult", "Circuit", "CouplingMatrix",
     "DenseHamiltonian", "DenseOperator", "DiagonalHamiltonian", "DiagonalOperator",
-    "EquivalenceReport", "ParityDiagonalVerdict", "ScanResult",
+    "EquivalenceReport", "ParityDiagonalVerdict", "PermutationOperator", "ScanResult",
     "StateVector", "Step", "build_hn", "build_kn", "build_l2",
     "build_ring", "circuits", "classify_parity_diagonal", "compile_circuit", "core",
     "default_time_grid", "equiv_up_to_global_phase", "evolve", "evolver", "explore",

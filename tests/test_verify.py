@@ -36,7 +36,7 @@ from spinfanout.gates import (
     parity_reference,
     standard_gate,
 )
-from spinfanout.hamiltonians import un
+from spinfanout.hamiltonians import DiagonalHamiltonian, build_kn, un
 from spinfanout.report import check_results_json, check_results_table
 from spinfanout.verify import (
     CheckResult,
@@ -82,6 +82,18 @@ class TestRunCheck:
         lower_caps(dense=4, l2=4, state=6)
         r = run_check("unentangled_control", {"n": 4})
         assert r.passed
+
+    @pytest.mark.parametrize("entry", [1, 6, 15])
+    def test_kn_offset_compares_every_energy(self, monkeypatch, entry):
+        # K_N wrong at one basis state other than 0 fails the row
+        def wrong_kn(coupling):
+            energies = build_kn(coupling).energies.copy()
+            energies[entry] += 1e-6
+            return DiagonalHamiltonian(coupling.n, energies)
+
+        monkeypatch.setattr(verify, "build_kn", wrong_kn)
+        r = run_check("kn_offset", {"n": 4})
+        assert not r.passed and r.max_deviation == pytest.approx(1e-6)
 
     def test_negative_control_fails_by_design(self):
         r = run_check("parity_negative_control", {"n": 4})
@@ -429,7 +441,7 @@ def compiled_parity_like(n: int) -> float:
     parity permutation, in modulus, over the inputs with qubit n-1 in |0>."""
     half = 1 << (n - 1)
     mat = compile_circuit(parity_like_circuit(n)).matrix[:, :half]
-    return float(np.max(np.abs(np.abs(mat) - parity_reference(n).matrix[:, :half].real)))
+    return float(np.max(np.abs(np.abs(mat) - parity_reference(n).to_dense().matrix[:, :half].real)))
 
 
 class TestParityLike:
